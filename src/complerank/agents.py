@@ -152,10 +152,12 @@ class LlmConfig:
 def complete(prompt: PromptBundle, config: LlmConfig) -> str:
     """POST the prompt as a single user message and return the assistant text.
 
-    Retries transport errors and non-2xx statuses up to ``max_retries`` times
-    with exponential backoff; raises :class:`TransportError` carrying the last
-    failure once retries are exhausted.  An empty or missing API key sends no
-    Authorization header (fine for unauthenticated local endpoints).
+    Retries transport errors and HTTP 408, 429 and 5xx up to ``max_retries``
+    times with exponential backoff; any other non-2xx status fails at once.
+    Raises :class:`TransportError` carrying the last failure, and for a
+    completion whose content is missing or not a string.  An empty or missing
+    API key sends no Authorization header (fine for unauthenticated local
+    endpoints).
     """
     url = config.base_url.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
@@ -168,7 +170,6 @@ def complete(prompt: PromptBundle, config: LlmConfig) -> str:
         "temperature": config.temperature,
     }
 
-    last_failure = "no attempt made"
     for attempt in range(config.max_retries + 1):
         if attempt:
             time.sleep(config.backoff_seconds * 2 ** (attempt - 1))
@@ -177,16 +178,21 @@ def complete(prompt: PromptBundle, config: LlmConfig) -> str:
         except requests.RequestException as exc:
             last_failure = f"transport error: {exc}"
             continue
-        if not 200 <= response.status_code < 300:
-            last_failure = f"HTTP {response.status_code}: {response.text[:200]}"
-            continue
+        status = response.status_code
+        if not 200 <= status < 300:
+            last_failure = f"HTTP {status}: {response.text[:200]}"
+            if status in (408, 429) or status >= 500:
+                continue
+            break
         try:
-            payload = response.json()
-            return payload["choices"][0]["message"]["content"]
+            content = response.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"unparseable completion payload from {url}: {exc!r}")
+        if not isinstance(content, str):
+            raise TransportError(f"completion from {url} has non-string content {content!r}")
+        return content
     raise TransportError(
-        f"request to {url} failed after {config.max_retries + 1} attempt(s); last: {last_failure}"
+        f"request to {url} failed after {attempt + 1} attempt(s); last: {last_failure}"
     )
 
 
@@ -270,25 +276,24 @@ def _render(order: Iterable[int]) -> str:
     return "[" + ", ".join(str(v) for v in order) + "]"
 
 
-def mock_agent(
-    policy: str,
-    seed: int | None = None,
-    ground_truth: Iterable[str] | None = None,
-) -> Transport:
+def mock_agent(policy: str, ground_truth: Iterable[str] | None = None) -> Transport:
     """Deterministic stand-ins for :func:`complete`, for tests and dry runs.
 
-    ``identity`` echoes the input order, ``reverse`` flips it,
-    ``seeded_shuffle`` returns a seed-deterministic permutation (independent
-    of call order), and ``oracle`` moves ground-truth candidates to the front
-    while preserving input order within both groups.
+    ``policy`` is ``identity|reverse|shuffle:<seed>|oracle``: ``identity``
+    echoes the input order, ``reverse`` flips it, ``shuffle:<seed>`` returns a
+    seed-deterministic permutation (independent of call order), and
+    ``oracle`` moves ``ground_truth`` candidates to the front while preserving
+    input order within both groups.
     """
     if policy == "identity":
         return lambda bundle: _render(range(len(bundle.index_to_id)))
     if policy == "reverse":
         return lambda bundle: _render(reversed(range(len(bundle.index_to_id))))
-    if policy == "seeded_shuffle":
-        if seed is None:
-            raise ValueError("seeded_shuffle requires a seed")
+    if policy.startswith("shuffle:"):
+        try:
+            seed = int(policy[len("shuffle:"):])
+        except ValueError:
+            raise ValueError(f"mock policy {policy!r} needs an integer seed") from None
 
         def shuffled(bundle: PromptBundle) -> str:
             n = len(bundle.index_to_id)

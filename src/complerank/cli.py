@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import agents, catalog, metrics, pipeline, retriever, synth
@@ -44,82 +45,177 @@ def _load_json(path: str | Path) -> dict:
     return loaded
 
 
-def _resolve_dataset(cfg: dict, out_dir: Path) -> tuple[catalog.ComplementGraph, str]:
-    dataset = cfg.get("dataset")
-    if not dataset:
-        raise ValueError("config is missing the 'dataset' section")
-    if "synth" in dataset:
-        synth_cfg = synth.SynthConfig(**dataset["synth"])
-        graph, genre_of = synth.generate(synth_cfg)
-        synth.write_dataset(graph, genre_of, out_dir / "dataset")
-        return graph, dataset.get("name", "synth")
-    try:
-        items_path = dataset["items"]
-        edges_path = dataset["edges"]
-    except KeyError as exc:
-        raise ValueError(f"dataset section needs either 'synth' or both 'items' and 'edges' ({exc})")
-    graph = catalog.load_catalog(items_path, edges_path)
-    return graph, dataset.get("name", Path(items_path).stem)
+def _keys_of(cls: type, *skip: str) -> dict[str, type]:
+    """The JSON type of each field of the dataclass ``cls``, by name."""
+    types = {"int": int, "float": float, "str": str}
+    return {f.name: types[f.type] for f in fields(cls) if f.name not in skip}
 
 
-def _build_retriever(cfg: dict, train: catalog.ComplementGraph) -> pipeline.Retriever:
-    kind = cfg.get("kind", "heuristic")
-    if kind == "heuristic":
-        weights_cfg = cfg.get("weights", {})
-        weights = retriever.ScoreWeights(
-            category=float(weights_cfg.get("category", 1.0)),
-            price=float(weights_cfg.get("price", 1.0)),
-        )
-        return retriever.HeuristicRetriever(
-            train,
-            weights=weights,
-            exclude_neighbors=bool(cfg.get("exclude_neighbors", True)),
-            name=cfg.get("name", "heuristic"),
-        )
-    if kind == "precomputed":
-        path = cfg.get("path")
-        if not path:
-            raise ValueError("precomputed retriever requires a 'path' to a scores file")
-        if not Path(path).exists():
-            raise ValueError(f"scores file not found: {path}")
-        return retriever.PrecomputedRetriever(path, name=cfg.get("name"))
-    raise ValueError(f"unknown retriever kind {kind!r} (expected heuristic or precomputed)")
+_AGENT_KEYS = {
+    "mock": str,
+    "endpoint": str,
+    **_keys_of(agents.LlmConfig, "base_url", "backoff_seconds"),
+}
+# Every key a run config may set, with its JSON type or its allowed values
+# (README "Run config").
+_SCHEMA = {
+    "dataset": {"items": str, "edges": str, "name": str, "synth": _keys_of(synth.SynthConfig)},
+    "split": {"holdout_fraction": float, "seed": int},
+    "retriever": {
+        "kind": ("heuristic", "precomputed"),
+        "name": str,
+        "path": str,
+        "exclude_neighbors": bool,
+        "weights": _keys_of(retriever.ScoreWeights),
+    },
+    "pipeline": {"preset": tuple(pipeline.PRESETS), "n_div": int, "n_acc": int, "cutoffs": list},
+    "agents": {**_AGENT_KEYS, "diversity": _AGENT_KEYS, "accuracy": _AGENT_KEYS},
+    "out": str,
+    "concurrency": int,
+    "audit": bool,
+}
+# Keys a ``run`` flag removes from its section, so that the flag wins over them.
+_DISPLACED_BY_FLAG = {
+    "pipeline.preset": {"n_div", "n_acc"},
+    "agents.mock": set(_SCHEMA["agents"]),
+    "agents.endpoint": {"mock"},
+}
 
 
-def _transport_factory(agents_cfg: dict, stage: str) -> tuple[pipeline.TransportFactory, dict]:
-    merged = {k: v for k, v in agents_cfg.items() if k not in ("diversity", "accuracy")}
-    merged.update(agents_cfg.get(stage, {}))
-    policy = merged.get("mock")
-    if policy and merged.get("endpoint"):
-        raise ValueError(f"agent config for {stage!r} sets both 'mock' and 'endpoint'")
-    if policy:
-        if policy in ("identity", "reverse"):
-            return pipeline.constant_transport(agents.mock_agent(policy)), {"mock": policy}
-        if policy.startswith("shuffle:"):
-            seed = int(policy.split(":", 1)[1])
-            return (
-                pipeline.constant_transport(agents.mock_agent("seeded_shuffle", seed=seed)),
-                {"mock": policy},
-            )
-        if policy == "oracle":
-            factory = lambda query: agents.mock_agent("oracle", ground_truth=query.ground_truth)
-            return factory, {"mock": policy}
-        raise ValueError(f"unknown mock policy {policy!r}")
-    endpoint = merged.get("endpoint")
-    if not endpoint:
-        raise ValueError(f"agent config for {stage!r} needs either 'mock' or 'endpoint'")
-    if not merged.get("model"):
-        raise ValueError("endpoint transport requires a 'model' name")
-    llm = agents.LlmConfig(
-        base_url=endpoint,
-        model=merged["model"],
-        api_key_env=merged.get("api_key_env", "OPENAI_API_KEY"),
-        temperature=float(merged.get("temperature", 0.0)),
-        max_retries=int(merged.get("max_retries", 3)),
-        timeout=float(merged.get("timeout", 30.0)),
-    )
-    desc = {"endpoint": endpoint, "model": merged["model"]}
+def _check_schema(value: object, schema: object, key: str) -> None:
+    """Raise a ValueError naming the first key of ``value`` that ``schema`` does not allow.
+
+    An integer given for a float key is replaced by the equal float.
+    """
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{key or 'config'}: expected a JSON object")
+        for name in value:
+            where = f"{key}.{name}" if key else name
+            if name not in schema:
+                raise ValueError(f"{where}: unknown key")
+            _check_schema(value[name], schema[name], where)
+            if schema[name] is float:
+                value[name] = float(value[name])
+    elif isinstance(schema, tuple):
+        if value not in schema:
+            raise ValueError(f"{key}: expected one of {list(schema)}, got {json.dumps(value)}")
+    elif type(value) not in ((int, float) if schema is float else (schema,)):
+        raise ValueError(f"{key}: expected {schema.__name__}, got {json.dumps(value)}")
+
+
+def _agent(settings: dict, stage: str) -> tuple[pipeline.TransportFactory, dict[str, str]]:
+    """One stage's transport factory and its description for ``run_config.json``."""
+    policy = settings.pop("mock", None)
+    if policy is not None and "endpoint" in settings:
+        raise ValueError(f"agents: the {stage} agent sets both 'mock' and 'endpoint'")
+    if policy == "oracle":
+        factory = lambda query: agents.mock_agent("oracle", ground_truth=query.ground_truth)
+        return factory, {"mock": policy}
+    if policy is not None:
+        return pipeline.constant_transport(agents.mock_agent(policy)), {"mock": policy}
+    if "endpoint" not in settings or "model" not in settings:
+        raise ValueError(f"agents: the {stage} agent needs either 'mock' or 'endpoint' and 'model'")
+    llm = agents.LlmConfig(base_url=settings.pop("endpoint"), **settings)
+    desc = {"endpoint": llm.base_url, "model": llm.model}
     return pipeline.constant_transport(agents.http_transport(llm)), desc
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A ``complerank run`` config, validated in full before any input is read."""
+
+    out: Path
+    dataset_name: str
+    dataset: synth.SynthConfig | tuple[Path, Path]  # a synthetic catalog, or items + edges files
+    holdout_fraction: float
+    seed: int
+    retriever_name: str | None
+    weights: retriever.ScoreWeights
+    exclude_neighbors: bool
+    scores: Path | None  # the precomputed retriever's file; None for the heuristic retriever
+    pipeline_config: pipeline.PipelineConfig
+    agents: dict[str, dict[str, str]]  # stage -> its description for run_config.json
+    audit: bool
+    concurrency: int
+
+    @classmethod
+    def parse(cls, raw: dict, args: argparse.Namespace) -> "RunConfig":
+        """Check the JSON config, lay the flags (each ``dest`` a config key) over it, validate."""
+        _check_schema(raw, _SCHEMA, "")
+        for dest, value in vars(args).items():
+            if value is None or dest in ("command", "config"):
+                continue
+            section, _, key = dest.rpartition(".")
+            target = raw
+            if section:
+                drop = _DISPLACED_BY_FLAG.get(dest, ())
+                target = raw[section] = {k: v for k, v in raw.get(section, {}).items() if k not in drop}
+            target[key] = value
+        dataset, split, retr, pipe, agents_cfg = (
+            raw.get(name, {}) for name in ("dataset", "split", "retriever", "pipeline", "agents")
+        )
+
+        files = {"items", "edges"} & dataset.keys()
+        if "synth" in dataset and not files:
+            if "n_items" not in dataset["synth"]:
+                raise ValueError("dataset.synth.n_items: required key is missing")
+            source = synth.SynthConfig(**dataset["synth"])
+            dataset_name = dataset.get("name", "synth")
+        elif files == {"items", "edges"} and "synth" not in dataset:
+            source = (Path(dataset["items"]), Path(dataset["edges"]))
+            dataset_name = dataset.get("name", source[0].stem)
+        else:
+            raise ValueError("dataset: set either 'synth' or both 'items' and 'edges'")
+
+        holdout_fraction = split.get("holdout_fraction", 0.2)
+        if not 0.0 < holdout_fraction < 1.0:
+            raise ValueError(f"split.holdout_fraction: must be in (0, 1), got {holdout_fraction}")
+
+        precomputed = retr.get("kind") == "precomputed"
+        if precomputed and "path" not in retr:
+            raise ValueError("retriever.path: the precomputed retriever needs a scores file")
+
+        preset = pipe.get("preset")
+        if preset is None:
+            n_div, n_acc = pipe.get("n_div", 50), pipe.get("n_acc", 25)
+        elif {"n_div", "n_acc"} & pipe.keys():
+            raise ValueError("pipeline.preset: cannot be combined with n_div or n_acc")
+        else:
+            n_div, n_acc = pipeline.PRESETS[preset]
+
+        shared = {k: v for k, v in agents_cfg.items() if k not in ("diversity", "accuracy")}
+        factories, descs = {}, {}
+        for stage in ("diversity", "accuracy"):
+            factories[stage], descs[stage] = _agent({**shared, **agents_cfg.get(stage, {})}, stage)
+        pipeline_config = pipeline.PipelineConfig(
+            diversity_transport=factories["diversity"],
+            accuracy_transport=factories["accuracy"],
+            n_div=n_div,
+            n_acc=n_acc,
+            cutoffs=tuple(pipe.get("cutoffs", (1, 3, 5, 10))),
+        )
+
+        if "out" not in raw:
+            raise ValueError("out: no output directory; set 'out' in the config or pass --out")
+        concurrency = raw.get("concurrency", 1)
+        if concurrency < 1:
+            raise ValueError(f"concurrency: must be positive, got {concurrency}")
+        return cls(
+            out=Path(raw["out"]),
+            dataset_name=dataset_name,
+            dataset=source,
+            holdout_fraction=holdout_fraction,
+            seed=split.get("seed", 0),
+            retriever_name=retr.get("name"),
+            weights=retriever.ScoreWeights(**retr.get("weights", {})),
+            exclude_neighbors=retr.get("exclude_neighbors", True),
+            scores=Path(retr["path"]) if precomputed else None,
+            pipeline_config=pipeline_config,
+            agents=descs,
+            audit=raw.get("audit", any("endpoint" in desc for desc in descs.values())),
+            concurrency=concurrency,
+        )
 
 
 def _write_jsonl(path: Path, records: list[dict]) -> None:
@@ -136,49 +232,26 @@ def cmd_synth(config: synth.SynthConfig, out_dir: str | Path) -> tuple[Path, Pat
     return paths
 
 
-def cmd_run(cfg: dict) -> Path:
-    out = cfg.get("out")
-    if not out:
-        raise ValueError("no output directory: set 'out' in the config or pass --out")
-    out_dir = Path(out)
+def cmd_run(cfg: RunConfig) -> Path:
+    out_dir = cfg.out
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    graph, dataset_name = _resolve_dataset(cfg, out_dir)
-    split_cfg = cfg.get("split", {})
-    holdout = float(split_cfg.get("holdout_fraction", 0.2))
-    seed = int(split_cfg.get("seed", 0))
-    train, queries = catalog.split_holdout(graph, holdout, seed)
-
-    retr = _build_retriever(cfg.get("retriever", {}), train)
-
-    pipe_cfg = cfg.get("pipeline", {})
-    preset = pipe_cfg.get("preset")
-    if preset:
-        if preset not in pipeline.PRESETS:
-            raise ValueError(f"unknown preset {preset!r} (expected one of {sorted(pipeline.PRESETS)})")
-        n_div, n_acc = pipeline.PRESETS[preset]
+    if isinstance(cfg.dataset, synth.SynthConfig):
+        graph, genre_of = synth.generate(cfg.dataset)
+        synth.write_dataset(graph, genre_of, out_dir / "dataset")
     else:
-        n_div = int(pipe_cfg.get("n_div", 50))
-        n_acc = int(pipe_cfg.get("n_acc", 25))
-    cutoffs = tuple(int(k) for k in pipe_cfg.get("cutoffs", [1, 3, 5, 10]))
+        graph = catalog.load_catalog(*cfg.dataset)
+    train, queries = catalog.split_holdout(graph, cfg.holdout_fraction, cfg.seed)
 
-    agents_cfg = cfg.get("agents", {})
-    div_factory, div_desc = _transport_factory(agents_cfg, "diversity")
-    acc_factory, acc_desc = _transport_factory(agents_cfg, "accuracy")
-    config = pipeline.PipelineConfig(
-        diversity_transport=div_factory,
-        accuracy_transport=acc_factory,
-        n_div=n_div,
-        n_acc=n_acc,
-        cutoffs=cutoffs,
-    )
-
-    audit = cfg.get("audit")
-    if audit is None:
-        audit = "endpoint" in div_desc or "endpoint" in acc_desc
-
-    concurrency = int(cfg.get("concurrency", 1))
-    results = pipeline.run_all(queries, retr, train.items, config, concurrency=concurrency)
+    if cfg.scores is None:
+        retr = retriever.HeuristicRetriever(
+            train, cfg.weights, cfg.exclude_neighbors, cfg.retriever_name or "heuristic"
+        )
+    else:
+        retr = retriever.PrecomputedRetriever(cfg.scores, train.items, name=cfg.retriever_name)
+    config = cfg.pipeline_config
+    cutoffs, dataset_name = config.cutoffs, cfg.dataset_name
+    results = pipeline.run_all(queries, retr, train.items, config, concurrency=cfg.concurrency)
 
     ground_truth = {q.query_id: q.ground_truth for q in queries}
     titles_by_id = {item_id: item.title for item_id, item in train.items.items()}
@@ -193,13 +266,13 @@ def cmd_run(cfg: dict) -> Path:
             "dataset": dataset_name,
             "retriever": retr.name,
             "n_queries": len(queries),
-            "holdout_fraction": holdout,
-            "seed": seed,
-            "n_div": n_div,
-            "n_acc": n_acc,
+            "holdout_fraction": cfg.holdout_fraction,
+            "seed": cfg.seed,
+            "n_div": config.n_div,
+            "n_acc": config.n_acc,
             "cutoffs": list(cutoffs),
-            "agents": {"diversity": div_desc, "accuracy": acc_desc},
-            "concurrency": concurrency,
+            "agents": cfg.agents,
+            "concurrency": cfg.concurrency,
         },
         out_dir / RUN_CONFIG_FILE,
     )
@@ -215,36 +288,23 @@ def cmd_run(cfg: dict) -> Path:
             for r in results
         ],
     )
-    stage_records = []
-    audit_records = []
+    stage_records, audit_records = [], []
     for r in results:
-        for ranked, outcome in (
-            (r.base, None),
-            (r.diversity.ranked, r.diversity),
-            (r.final.ranked, r.final),
-        ):
-            stage_records.append(
-                {
-                    "query_id": ranked.query_id,
-                    "stage": ranked.stage,
-                    "order": list(ranked.order),
-                    "repairs": sorted(outcome.repairs) if outcome else [],
-                    "failed": outcome.failed if outcome else False,
-                }
-            )
-            if outcome is not None and audit:
-                audit_records.append(
-                    {
-                        "query_id": ranked.query_id,
-                        "stage": ranked.stage,
-                        "prompt": outcome.prompt,
-                        "response": outcome.response,
-                        "repairs": sorted(outcome.repairs),
-                        "failed": outcome.failed,
-                    }
-                )
+        base = {"query_id": r.query_id, "stage": r.base.stage, "repairs": [], "failed": False}
+        stage_records.append({**base, "order": r.base.order})
+        for outcome in (r.diversity, r.final):
+            record = {
+                "query_id": r.query_id,
+                "stage": outcome.ranked.stage,
+                "repairs": sorted(outcome.repairs),
+                "failed": outcome.failed,
+            }
+            stage_records.append({**record, "order": outcome.ranked.order})
+            if cfg.audit:
+                audit = {"prompt": outcome.prompt, "response": outcome.response}
+                audit_records.append({**record, **audit})
     _write_jsonl(out_dir / STAGES_FILE, stage_records)
-    if audit:
+    if cfg.audit:
         _write_jsonl(out_dir / AUDIT_FILE, audit_records)
     _write_jsonl(out_dir / PER_QUERY_FILE, metrics.rows_to_dicts(per_query_rows))
     metrics.write_metrics_csv(metrics_rows, out_dir / METRICS_CSV)
@@ -324,26 +384,34 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    p_synth.add_argument("--items", type=int, required=True, help="number of items")
-    p_synth.add_argument("--genres", type=int, default=4)
+    # Each flag's dest, other than --out, is the SynthConfig field it sets.
+    p_synth.add_argument("--items", dest="n_items", type=int, required=True, help="number of items")
+    p_synth.add_argument("--genres", dest="n_genres", type=int, default=4)
     p_synth.add_argument("--edges-per-item", type=float, default=3.0)
-    p_synth.add_argument("--cross-ratio", type=float, default=0.3)
+    p_synth.add_argument("--cross-ratio", dest="cross_genre_edge_ratio", type=float, default=0.3)
     p_synth.add_argument("--title-tokens-min", type=int, default=3)
     p_synth.add_argument("--title-tokens-max", type=int, default=8)
-    p_synth.add_argument("--token-pool", type=int, default=40)
+    p_synth.add_argument("--token-pool", dest="token_pool_per_genre", type=int, default=40)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", default=".", help="output directory")
 
     p_run = sub.add_parser("run", help="run retrieval + reranking + evaluation")
     p_run.add_argument("--config", required=True, help="JSON run config (see README)")
-    p_run.add_argument("--preset", choices=sorted(pipeline.PRESETS))
-    p_run.add_argument("--retriever", choices=["heuristic", "precomputed"])
-    p_run.add_argument("--scores", help="scores file for the precomputed retriever")
-    p_run.add_argument("--mock", help="identity|reverse|shuffle:<seed>|oracle")
-    p_run.add_argument("--endpoint", help="OpenAI-compatible chat-completions base URL")
-    p_run.add_argument("--model", help="model name for the endpoint")
-    p_run.add_argument("--seed", type=int, help="holdout split seed")
-    p_run.add_argument("--holdout", type=float, help="holdout fraction in (0,1)")
+    # Each flag's dest is the config key it overrides (see RunConfig.parse).
+    p_run.add_argument("--preset", dest="pipeline.preset", choices=sorted(pipeline.PRESETS))
+    p_run.add_argument("--retriever", dest="retriever.kind", choices=_SCHEMA["retriever"]["kind"])
+    p_run.add_argument(
+        "--scores", dest="retriever.path", help="scores file for the precomputed retriever"
+    )
+    p_run.add_argument("--mock", dest="agents.mock", help="identity|reverse|shuffle:<seed>|oracle")
+    p_run.add_argument(
+        "--endpoint", dest="agents.endpoint", help="OpenAI-compatible chat-completions base URL"
+    )
+    p_run.add_argument("--model", dest="agents.model", help="model name for the endpoint")
+    p_run.add_argument("--seed", dest="split.seed", type=int, help="holdout split seed")
+    p_run.add_argument(
+        "--holdout", dest="split.holdout_fraction", type=float, help="holdout fraction in (0,1)"
+    )
     p_run.add_argument("--concurrency", type=int)
     p_run.add_argument("--audit", action=argparse.BooleanOptionalAction, default=None)
     p_run.add_argument("--out", help="output directory")
@@ -358,56 +426,16 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "synth":
-            config = synth.SynthConfig(
-                n_items=args.items,
-                n_genres=args.genres,
-                edges_per_item=args.edges_per_item,
-                title_tokens_min=args.title_tokens_min,
-                title_tokens_max=args.title_tokens_max,
-                token_pool_per_genre=args.token_pool,
-                cross_genre_edge_ratio=args.cross_ratio,
-                seed=args.seed,
-            )
-            cmd_synth(config, args.out)
+            config = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+            cmd_synth(synth.SynthConfig(**config), args.out)
         elif args.command == "run":
-            cfg = _load_json(args.config)
-            if args.preset:
-                cfg.setdefault("pipeline", {})["preset"] = args.preset
-            if args.retriever:
-                cfg.setdefault("retriever", {})["kind"] = args.retriever
-            if args.scores:
-                cfg.setdefault("retriever", {})["path"] = args.scores
-            if args.mock:
-                cfg["agents"] = {"mock": args.mock}
-            if args.endpoint:
-                cfg.setdefault("agents", {}).pop("mock", None)
-                cfg["agents"]["endpoint"] = args.endpoint
-            if args.model:
-                cfg.setdefault("agents", {})["model"] = args.model
-            if args.seed is not None:
-                cfg.setdefault("split", {})["seed"] = args.seed
-            if args.holdout is not None:
-                cfg.setdefault("split", {})["holdout_fraction"] = args.holdout
-            if args.concurrency is not None:
-                cfg["concurrency"] = args.concurrency
-            if args.audit is not None:
-                cfg["audit"] = args.audit
-            if args.out:
-                cfg["out"] = args.out
-            out_dir = cmd_run(cfg)
+            out_dir = cmd_run(RunConfig.parse(_load_json(args.config), args))
             print(out_dir)
         else:
             out_dir = cmd_report(args.run_dirs, args.out)
             print(out_dir)
-    except (
-        catalog.CatalogError,
-        synth.SynthError,
-        retriever.RetrievalError,
-        agents.PromptError,
-        agents.TransportError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, agents.TransportError, OSError) as exc:
+        # CatalogError, SynthError, RetrievalError and PromptError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Protocol, Sequence
 
 from .agents import (
+    MAX_CANDIDATES,
     AgentKind,
     Transport,
     TransportError,
@@ -61,12 +62,14 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.n_div < 1 or self.n_acc < 1:
             raise ValueError("n_div and n_acc must be positive")
+        if self.n_div > MAX_CANDIDATES:
+            raise ValueError(f"n_div ({self.n_div}) exceeds the prompt limit of {MAX_CANDIDATES}")
         if self.n_acc > self.n_div:
             raise ValueError(f"n_acc ({self.n_acc}) must not exceed n_div ({self.n_div})")
         if not self.cutoffs:
             raise ValueError("cutoffs must be nonempty")
-        if any(k < 1 for k in self.cutoffs):
-            raise ValueError("cutoffs must be positive")
+        if any(type(k) is not int or k < 1 for k in self.cutoffs):
+            raise ValueError(f"cutoffs must be positive integers, got {list(self.cutoffs)}")
         if max(self.cutoffs) > self.n_acc:
             raise ValueError(
                 f"largest cutoff ({max(self.cutoffs)}) must not exceed n_acc ({self.n_acc})"

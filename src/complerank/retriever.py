@@ -18,15 +18,13 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Container
 
 from .catalog import ComplementGraph, Item
 
 
 class RetrievalError(ValueError):
     """Unknown query, malformed scores file, or an unservable request."""
-
-
-DEFAULT_RETRIEVAL_DEPTH = 50
 
 
 @dataclass(frozen=True)
@@ -83,8 +81,10 @@ def score_pair(query: Item, candidate: Item, weights: ScoreWeights = ScoreWeight
 
 
 def _normalized(
-    query_id: str, scored: list[tuple[str, float]], source: str
+    query_id: str, scored: list[tuple[str, float]], source: str, n: int
 ) -> CandidateList:
+    if n < 1:
+        raise RetrievalError(f"retrieval depth must be positive, got {n}")
     best: dict[str, float] = {}
     for item_id, score in scored:
         if item_id == query_id:
@@ -92,81 +92,16 @@ def _normalized(
         if item_id not in best or score > best[item_id]:
             best[item_id] = score
     ordered = sorted(best.items(), key=lambda pair: (-pair[1], pair[0]))
-    return CandidateList(query_id=query_id, candidates=ordered, source=source)
+    return CandidateList(query_id=query_id, candidates=ordered[:n], source=source)
 
 
-def retrieve_heuristic(
-    graph: ComplementGraph,
-    query_id: str,
-    n: int = DEFAULT_RETRIEVAL_DEPTH,
-    weights: ScoreWeights = ScoreWeights(),
-    exclude_neighbors: bool = True,
-) -> CandidateList:
-    """Top-n items by :func:`score_pair` against the query.
+class HeuristicRetriever:
+    """Top-n items of a train graph by :func:`score_pair` against the query.
 
     ``exclude_neighbors`` drops items already linked to the query in the train
     graph, since those are known (not predicted) complements.  Returns fewer
     than n candidates when the pool is smaller.
     """
-    if n < 1:
-        raise RetrievalError(f"retrieval depth must be positive, got {n}")
-    if query_id not in graph.items:
-        raise RetrievalError(f"unknown query id {query_id!r}")
-    query = graph.items[query_id]
-    skip = {query_id}
-    if exclude_neighbors:
-        skip |= graph.neighbors(query_id)
-    scored = [
-        (item_id, score_pair(query, item, weights))
-        for item_id, item in graph.items.items()
-        if item_id not in skip
-    ]
-    ranked = _normalized(query_id, scored, source="heuristic")
-    ranked.candidates = ranked.candidates[:n]
-    return ranked
-
-
-class PrecomputedScores:
-    """Per-query ranked candidate lists loaded from a JSON Lines file.
-
-    Each line is ``{"query_id": ..., "candidates": [[item_id, score], ...]}``.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._lists: dict[str, list[tuple[str, float]]] = {}
-        with self.path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    query_id = record["query_id"]
-                    pairs = [
-                        (str(item_id), float(score)) for item_id, score in record["candidates"]
-                    ]
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise RetrievalError(f"{self.path}:{lineno}: malformed scores line ({exc})")
-                self._lists[str(query_id)] = pairs
-
-    def retrieve(self, query_id: str, n: int) -> CandidateList:
-        if n < 1:
-            raise RetrievalError(f"retrieval depth must be positive, got {n}")
-        if query_id not in self._lists:
-            raise RetrievalError(f"query {query_id!r} not present in {self.path}")
-        ranked = _normalized(query_id, self._lists[query_id], source=self.path.stem)
-        ranked.candidates = ranked.candidates[:n]
-        return ranked
-
-
-def retrieve_precomputed(scores_path: str | Path, query_id: str, n: int) -> CandidateList:
-    """Read one query's stored list, re-sort to canonical order, truncate to n."""
-    return PrecomputedScores(scores_path).retrieve(query_id, n)
-
-
-class HeuristicRetriever:
-    """Callable retriever over a train graph, tagged for result tables."""
 
     def __init__(
         self,
@@ -181,25 +116,53 @@ class HeuristicRetriever:
         self.name = name
 
     def retrieve(self, query_id: str, n: int) -> CandidateList:
-        ranked = retrieve_heuristic(
-            self.graph,
-            query_id,
-            n,
-            weights=self.weights,
-            exclude_neighbors=self.exclude_neighbors,
-        )
-        ranked.source = self.name
-        return ranked
+        if query_id not in self.graph.items:
+            raise RetrievalError(f"unknown query id {query_id!r}")
+        query = self.graph.items[query_id]
+        skip = {query_id}
+        if self.exclude_neighbors:
+            skip |= self.graph.neighbors(query_id)
+        scored = [
+            (item_id, score_pair(query, item, self.weights))
+            for item_id, item in self.graph.items.items()
+            if item_id not in skip
+        ]
+        return _normalized(query_id, scored, self.name, n)
 
 
 class PrecomputedRetriever:
-    """Retriever backed by an exported scores file."""
+    """Per-query ranked candidate lists loaded from an exported scores file.
 
-    def __init__(self, path: str | Path, name: str | None = None):
-        self.scores = PrecomputedScores(path)
-        self.name = name or self.scores.path.stem
+    Each JSON Lines record is ``{"query_id": ..., "candidates": [[item_id,
+    score], ...]}``.  Every candidate id must be in ``items`` (the catalog);
+    a malformed line or an unknown id fails at load with ``path:line``.
+    """
+
+    def __init__(self, path: str | Path, items: Container[str], name: str | None = None):
+        self.path = Path(path)
+        self.name = name or self.path.stem
+        self._lists: dict[str, list[tuple[str, float]]] = {}
+        with self.path.open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                    query_id = record["query_id"]
+                    pairs = [
+                        (str(item_id), float(score)) for item_id, score in record["candidates"]
+                    ]
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                    raise RetrievalError(f"{self.path}:{lineno}: malformed scores line ({exc})")
+                for item_id, _ in pairs:
+                    if item_id not in items:
+                        raise RetrievalError(
+                            f"{self.path}:{lineno}: candidate id {item_id!r} is not in the catalog"
+                        )
+                self._lists[str(query_id)] = pairs
 
     def retrieve(self, query_id: str, n: int) -> CandidateList:
-        ranked = self.scores.retrieve(query_id, n)
-        ranked.source = self.name
-        return ranked
+        if query_id not in self._lists:
+            raise RetrievalError(f"query {query_id!r} not present in {self.path}")
+        return _normalized(query_id, self._lists[query_id], self.name, n)

@@ -184,18 +184,19 @@ class TestMockAgents:
         agent = mock_agent("oracle", ground_truth={"c1", "c3"})
         assert agent(self.bundle(prompt_fixture)) == "[0, 2, 1]"
 
-    def test_seeded_shuffle_deterministic(self, prompt_fixture):
+    def test_shuffle_deterministic(self, prompt_fixture):
         bundle = self.bundle(prompt_fixture, n=5)
-        first = mock_agent("seeded_shuffle", seed=42)(bundle)
-        second = mock_agent("seeded_shuffle", seed=42)(bundle)
+        first = mock_agent("shuffle:42")(bundle)
+        second = mock_agent("shuffle:42")(bundle)
         assert first == second
         order = parse_permutation(first, 5)
         assert sorted(order.order) == list(range(5))
         assert order.repairs == frozenset()
 
-    def test_seeded_shuffle_requires_seed(self):
-        with pytest.raises(ValueError):
-            mock_agent("seeded_shuffle")
+    def test_shuffle_requires_integer_seed(self):
+        for policy in ("shuffle", "shuffle:", "shuffle:x"):
+            with pytest.raises(ValueError):
+                mock_agent(policy)
 
     def test_oracle_requires_ground_truth(self):
         with pytest.raises(ValueError):
@@ -255,6 +256,21 @@ class TestComplete:
         chat_server.set_script([(503, {})])
         with pytest.raises(TransportError, match="503"):
             complete(bundle, self.config(chat_server, max_retries=1))
+        assert len(chat_server.requests) == 2
+
+    def test_client_error_not_retried(self, chat_server, prompt_fixture):
+        query, candidates = prompt_fixture
+        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        chat_server.set_script([(400, {}), (200, chat_server.completion("[0]"))])
+        with pytest.raises(TransportError, match="400"):
+            complete(bundle, self.config(chat_server, max_retries=3))
+        assert len(chat_server.requests) == 1
+
+    def test_rate_limit_retried(self, chat_server, prompt_fixture):
+        query, candidates = prompt_fixture
+        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        chat_server.set_script([(429, {}), (200, chat_server.completion("[0]"))])
+        assert complete(bundle, self.config(chat_server, max_retries=3)) == "[0]"
         assert len(chat_server.requests) == 2
 
     def test_unreachable_host_no_retries(self, prompt_fixture):

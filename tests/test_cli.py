@@ -2,6 +2,8 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
 from complerank.cli import main
 
 
@@ -144,12 +146,84 @@ class TestRunCommand:
         assert all("candidate products" in entry["prompt"] for entry in audit)
         assert chat_server.requests  # the endpoint actually served the run
 
+    def test_null_completion_falls_back_and_writes_every_file(self, tmp_path, chat_server):
+        chat_server.set_script([(200, {"choices": [{"message": {"content": None}}]})])
+        config_path, out_dir = base_config(
+            tmp_path,
+            "run10",
+            agents={"endpoint": chat_server.url, "model": "test-model"},
+        )
+        assert main(["run", "--config", str(config_path)]) == 0
+        stages = [
+            json.loads(line)
+            for line in (out_dir / "stages.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        reranked = [record for record in stages if record["stage"] != "base"]
+        assert reranked and all(record["failed"] for record in reranked)
+        for name in ("audit.jsonl", "metrics.csv", "metrics.json", "lift.csv", "per_query.jsonl"):
+            assert (out_dir / name).exists()
+
+    def test_unknown_candidate_in_scores_names_line(self, tmp_path, capsys):
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(
+            json.dumps({"query_id": "it00000", "candidates": [["it00001", 1.0]]}) + "\n"
+            + json.dumps({"query_id": "it00002", "candidates": [["nope", 1.0]]}) + "\n",
+            encoding="utf-8",
+        )
+        config_path, _ = base_config(
+            tmp_path, "run11", retriever={"kind": "precomputed", "path": str(scores)}
+        )
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert "scores.jsonl:2" in capsys.readouterr().err
+
+    def test_cutoffs_normalized(self, tmp_path):
+        config_path, out_dir = base_config(
+            tmp_path, "run12", pipeline={"n_div": 10, "n_acc": 5, "cutoffs": [5, 1, 3, 3]}
+        )
+        assert main(["run", "--config", str(config_path)]) == 0
+        for name in ("run_config.json", "metrics.json"):
+            recorded = json.loads((out_dir / name).read_text(encoding="utf-8"))
+            assert recorded["cutoffs"] == [1, 3, 5]
+        sorted_path, sorted_dir = base_config(
+            tmp_path, "run13", retriever={"kind": "heuristic", "name": "other"}
+        )
+        assert main(["run", "--config", str(sorted_path)]) == 0
+        report = tmp_path / "report12"
+        assert main(["report", str(out_dir), str(sorted_dir), "--out", str(report)]) == 0
+
     def test_mock_and_endpoint_together_rejected(self, tmp_path, capsys):
         config_path, _ = base_config(
             tmp_path, "run9", agents={"mock": "identity", "endpoint": "http://x"}
         )
         assert main(["run", "--config", str(config_path)]) == 1
         assert "both" in capsys.readouterr().err
+
+
+# One malformed config per row: its overrides of base_config, and a key the
+# error message must name.
+MALFORMED = [
+    pytest.param({"audit": "no"}, "audit", id="audit-not-bool"),
+    pytest.param({"pipline": {"n_div": 10}}, "pipline", id="unknown-key"),
+    pytest.param({"pipeline": {"preset": "fig1", "n_div": 10}}, "n_div", id="preset-with-n_div"),
+    pytest.param(
+        {"pipeline": {"n_div": 150, "n_acc": 5, "cutoffs": [1, 3, 5]}}, "n_div", id="n_div-over-limit"
+    ),
+    pytest.param({"concurrency": 0}, "concurrency", id="concurrency-zero"),
+    pytest.param(
+        {"agents": {"endpoint": "http://127.0.0.1:9", "model": "m", "temperature": "hot"}},
+        "temperature",
+        id="temperature-not-number",
+    ),
+    pytest.param({"agents": {"mock": "shuffle:x"}}, "mock", id="shuffle-seed-not-int"),
+]
+
+
+@pytest.mark.parametrize("overrides, key", MALFORMED)
+def test_malformed_config_fails_before_output(tmp_path, capsys, overrides, key):
+    config_path, out_dir = base_config(tmp_path, "bad", **overrides)
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert key in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 class TestReportCommand:

@@ -17,10 +17,10 @@ from complerank.retriever import HeuristicRetriever, RetrievalError
 from complerank.synth import SynthConfig, generate
 
 
-def make_config(div="identity", acc="identity", n_div=4, n_acc=2, cutoffs=(1, 2), **mock_kwargs):
+def make_config(div="identity", acc="identity", n_div=4, n_acc=2, cutoffs=(1, 2)):
     return PipelineConfig(
-        diversity_transport=constant_transport(mock_agent(div, **mock_kwargs)),
-        accuracy_transport=constant_transport(mock_agent(acc, **mock_kwargs)),
+        diversity_transport=constant_transport(mock_agent(div)),
+        accuracy_transport=constant_transport(mock_agent(acc)),
         n_div=n_div,
         n_acc=n_acc,
         cutoffs=cutoffs,
@@ -109,8 +109,8 @@ class TestRunPipeline:
     def test_stage_isolation_under_shuffle(self, split_setup):
         train, queries, retriever = split_setup
         config = PipelineConfig(
-            diversity_transport=constant_transport(mock_agent("seeded_shuffle", seed=5)),
-            accuracy_transport=constant_transport(mock_agent("seeded_shuffle", seed=9)),
+            diversity_transport=constant_transport(mock_agent("shuffle:5")),
+            accuracy_transport=constant_transport(mock_agent("shuffle:9")),
             n_div=4,
             n_acc=2,
             cutoffs=(1, 2),
@@ -179,8 +179,8 @@ class TestRunAll:
         train, queries = split_holdout(graph, 0.25, seed=2)
         retriever = HeuristicRetriever(train)
         config = PipelineConfig(
-            diversity_transport=constant_transport(mock_agent("seeded_shuffle", seed=1)),
-            accuracy_transport=constant_transport(mock_agent("seeded_shuffle", seed=2)),
+            diversity_transport=constant_transport(mock_agent("shuffle:1")),
+            accuracy_transport=constant_transport(mock_agent("shuffle:2")),
             n_div=10,
             n_acc=5,
             cutoffs=(1, 5),

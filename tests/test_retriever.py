@@ -11,8 +11,6 @@ from complerank.retriever import (
     RetrievalError,
     ScoreWeights,
     category_overlap,
-    retrieve_heuristic,
-    retrieve_precomputed,
     score_pair,
 )
 from complerank.synth import SynthConfig, generate
@@ -71,24 +69,24 @@ class TestRetrieveHeuristic:
         return ComplementGraph.from_parts(items, [])
 
     def test_n_exceeding_pool_returns_all(self):
-        ranked = retrieve_heuristic(self.make_graph(), "q", n=10)
+        ranked = HeuristicRetriever(self.make_graph()).retrieve("q", n=10)
         assert len(ranked.candidates) == 2
 
     def test_n_one_returns_top(self):
-        ranked = retrieve_heuristic(self.make_graph(), "q", n=1)
+        ranked = HeuristicRetriever(self.make_graph()).retrieve("q", n=1)
         assert len(ranked.candidates) == 1
 
     def test_equal_scores_tie_break_ascending_id(self):
-        ranked = retrieve_heuristic(self.make_graph(), "q", n=5)
+        ranked = HeuristicRetriever(self.make_graph()).retrieve("q", n=5)
         assert ranked.ids == ["c1", "c2"]
         assert ranked.candidates[0][1] == ranked.candidates[1][1]
 
     def test_unknown_query(self):
         with pytest.raises(RetrievalError, match="'nope'"):
-            retrieve_heuristic(self.make_graph(), "nope", n=1)
+            HeuristicRetriever(self.make_graph()).retrieve("nope", n=1)
 
     def test_excludes_query_itself(self):
-        ranked = retrieve_heuristic(self.make_graph(), "q", n=10)
+        ranked = HeuristicRetriever(self.make_graph()).retrieve("q", n=10)
         assert "q" not in ranked.ids
 
     def test_neighbor_exclusion_flag(self):
@@ -97,23 +95,24 @@ class TestRetrieveHeuristic:
         neighbors = graph.neighbors(query_id)
         if not neighbors:
             pytest.skip("seed produced an isolated first node")
-        with_excl = retrieve_heuristic(graph, query_id, n=19, exclude_neighbors=True)
-        without = retrieve_heuristic(graph, query_id, n=19, exclude_neighbors=False)
+        with_excl = HeuristicRetriever(graph, exclude_neighbors=True).retrieve(query_id, n=19)
+        without = HeuristicRetriever(graph, exclude_neighbors=False).retrieve(query_id, n=19)
         assert not neighbors & set(with_excl.ids)
         assert neighbors <= set(without.ids)
 
     def test_full_depth_is_total_ordering(self):
         graph, _ = generate(SynthConfig(n_items=25, n_genres=3, edges_per_item=1.0, seed=2))
         query_id = sorted(graph.items)[0]
-        ranked = retrieve_heuristic(graph, query_id, n=24, exclude_neighbors=False)
+        ranked = HeuristicRetriever(graph, exclude_neighbors=False).retrieve(query_id, n=24)
         assert sorted(ranked.ids) == sorted(set(graph.items) - {query_id})
 
     def test_truncation_prefix_consistency(self):
         graph, _ = generate(SynthConfig(n_items=30, n_genres=3, edges_per_item=1.0, seed=3))
         query_id = sorted(graph.items)[0]
-        full = retrieve_heuristic(graph, query_id, n=29, exclude_neighbors=False)
+        retriever = HeuristicRetriever(graph, exclude_neighbors=False)
+        full = retriever.retrieve(query_id, n=29)
         for n in (1, 5, 12, 29):
-            prefix = retrieve_heuristic(graph, query_id, n=n, exclude_neighbors=False)
+            prefix = retriever.retrieve(query_id, n=n)
             assert prefix.candidates == full.candidates[:n]
 
 
@@ -126,14 +125,14 @@ class TestRetrievePrecomputed:
         path = tmp_path / "scores.jsonl"
         pairs = [[f"c{i:03d}", float(i)] for i in range(50)]
         self.write_scores(path, "q", pairs)
-        ranked = retrieve_precomputed(path, "q", n=25)
+        ranked = PrecomputedRetriever(path, {i for i, _ in pairs}).retrieve("q", n=25)
         assert len(ranked.candidates) == 25
         assert ranked.ids[0] == "c049"
 
     def test_out_of_order_scores_resorted(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         self.write_scores(path, "q", [["low", 0.1], ["high", 0.9], ["mid", 0.5]])
-        ranked = retrieve_precomputed(path, "q", n=3)
+        ranked = PrecomputedRetriever(path, {"low", "high", "mid"}).retrieve("q", n=3)
         assert ranked.ids == ["high", "mid", "low"]
         scores = [s for _, s in ranked.candidates]
         assert scores == sorted(scores, reverse=True)
@@ -142,19 +141,20 @@ class TestRetrievePrecomputed:
         path = tmp_path / "scores.jsonl"
         self.write_scores(path, "q", [["c", 1.0]])
         with pytest.raises(RetrievalError, match="'other'"):
-            retrieve_precomputed(path, "other", n=1)
+            PrecomputedRetriever(path, {"c"}).retrieve("other", n=1)
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text('{"query_id": "q"}\n', encoding="utf-8")
         with pytest.raises(RetrievalError, match=r"scores\.jsonl:1"):
-            retrieve_precomputed(path, "q", n=1)
+            PrecomputedRetriever(path, set())
 
     def test_retriever_wrapper_name(self, tmp_path):
         path = tmp_path / "gnnA.jsonl"
         self.write_scores(path, "q", [["c", 1.0]])
-        assert PrecomputedRetriever(path).name == "gnnA"
-        assert PrecomputedRetriever(path, name="other").retrieve("q", 1).source == "other"
+        assert PrecomputedRetriever(path, {"c"}).name == "gnnA"
+        assert PrecomputedRetriever(path, {"c"}, name="other").retrieve("q", 1).source == "other"
+
 
 
 def test_heuristic_retriever_tags_source(tiny_graph):
