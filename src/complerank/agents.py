@@ -108,7 +108,7 @@ def build_prompt(
     if len(set(index_to_id)) != len(index_to_id):
         raise PromptError("candidate list contains duplicate item ids")
 
-    listing = "\n".join(f"ID:{k} title: {item.title}" for k, item in enumerate(candidates))
+    listing = "\n".join([f"ID:{k} title: {item.title}" for k, item in enumerate(candidates)])
     text = (
         "Considering a product, its basic information is:\n"
         f"{{title: {query.title}}}\n"
@@ -220,12 +220,20 @@ def parse_permutation(raw: str, n: int) -> "ParsedPermutation":
         raise ValueError(f"n must be >= 1, got {n}")
 
     values: list[int] | None = None
-    for match in _BRACKET_RE.finditer(raw):
-        tokens = [token.strip() for token in match.group(1).split(",")]
-        parsed = [int(token) for token in tokens if _INT_RE.fullmatch(token)]
-        if parsed:
-            values = parsed
-            break
+    # Fast path: exactly "[d, d, ...]" with decimal-digit tokens (the digits
+    # ``\d`` matches and ``int`` reads), which the loop below would read alike.
+    tokens = raw[1:-1].split(", ") if raw[:1] == "[" and raw[-1:] == "]" else ()
+    if tokens and all(map(str.isdecimal, tokens)):
+        values = list(map(int, tokens))
+        if len(values) == n and max(values) < n and len(set(values)) == n:
+            return ParsedPermutation(order=values, repairs=frozenset(), raw=raw)
+    else:
+        for match in _BRACKET_RE.finditer(raw):
+            tokens = [token.strip() for token in match.group(1).split(",")]
+            parsed = [int(token) for token in tokens if _INT_RE.fullmatch(token)]
+            if parsed:
+                values = parsed
+                break
 
     repairs: set[str] = set()
     if values is None:
@@ -295,11 +303,15 @@ def mock_agent(policy: str, ground_truth: Iterable[str] | None = None) -> Transp
         except ValueError:
             raise ValueError(f"mock policy {policy!r} needs an integer seed") from None
 
+        rendered: dict[int, str] = {}  # the answer depends only on (seed, n)
+
         def shuffled(bundle: PromptBundle) -> str:
             n = len(bundle.index_to_id)
-            order = list(range(n))
-            random.Random(f"{seed}:{n}").shuffle(order)
-            return _render(order)
+            if n not in rendered:
+                order = list(range(n))
+                random.Random(f"{seed}:{n}").shuffle(order)
+                rendered[n] = _render(order)
+            return rendered[n]
 
         return shuffled
     if policy == "oracle":

@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Iterable
 
 from . import agents, catalog, metrics, pipeline, retriever, synth
 
@@ -39,7 +40,10 @@ _STAGE_ORDER = {stage: index for index, stage in enumerate(pipeline.STAGES)}
 
 def _load_json(path: str | Path) -> dict:
     with Path(path).open(encoding="utf-8") as fh:
-        loaded = json.load(fh)
+        try:
+            loaded = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     if not isinstance(loaded, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     return loaded
@@ -175,6 +179,10 @@ class RunConfig:
         precomputed = retr.get("kind") == "precomputed"
         if precomputed and "path" not in retr:
             raise ValueError("retriever.path: the precomputed retriever needs a scores file")
+        for key in ("weights", "exclude_neighbors") if precomputed else ("path",):
+            if key in retr:
+                kind = "heuristic" if precomputed else "precomputed"
+                raise ValueError(f"retriever.{key}: only the {kind} retriever takes this key")
 
         preset = pipe.get("preset")
         if preset is None:
@@ -218,10 +226,14 @@ class RunConfig:
         )
 
 
-def _write_jsonl(path: Path, records: list[dict]) -> None:
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
+    encode = _JSONL_ENCODER.encode
     with path.open("w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write(encode(record) + "\n")
 
 
 def cmd_synth(config: synth.SynthConfig, out_dir: str | Path) -> tuple[Path, Path, Path]:
@@ -233,12 +245,10 @@ def cmd_synth(config: synth.SynthConfig, out_dir: str | Path) -> tuple[Path, Pat
 
 
 def cmd_run(cfg: RunConfig) -> Path:
-    out_dir = cfg.out
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    # Every input is read before the output directory is created, so a run
+    # that fails on one leaves nothing behind.
     if isinstance(cfg.dataset, synth.SynthConfig):
         graph, genre_of = synth.generate(cfg.dataset)
-        synth.write_dataset(graph, genre_of, out_dir / "dataset")
     else:
         graph = catalog.load_catalog(*cfg.dataset)
     train, queries = catalog.split_holdout(graph, cfg.holdout_fraction, cfg.seed)
@@ -249,6 +259,10 @@ def cmd_run(cfg: RunConfig) -> Path:
         )
     else:
         retr = retriever.PrecomputedRetriever(cfg.scores, train.items, name=cfg.retriever_name)
+    out_dir = cfg.out
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if isinstance(cfg.dataset, synth.SynthConfig):
+        synth.write_dataset(graph, genre_of, out_dir / "dataset")
     config = cfg.pipeline_config
     cutoffs, dataset_name = config.cutoffs, cfg.dataset_name
     results = pipeline.run_all(queries, retr, train.items, config, concurrency=cfg.concurrency)
@@ -283,7 +297,7 @@ def cmd_run(cfg: RunConfig) -> Path:
                 "query_id": r.query_id,
                 "source": r.retrieval.source,
                 "ground_truth": sorted(ground_truth[r.query_id]),
-                "candidates": [[item_id, score] for item_id, score in r.retrieval.candidates],
+                "candidates": r.retrieval.candidates,  # (id, score) tuples encode as arrays
             }
             for r in results
         ],

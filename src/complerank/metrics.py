@@ -18,11 +18,14 @@ retrievers with a standard error.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import re
 import statistics
-from dataclasses import asdict, dataclass
+from collections import Counter
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -129,6 +132,73 @@ class LiftRow:
     n_retrievers: int
 
 
+@functools.lru_cache(maxsize=128)
+def _ideal_dcg(hits: int) -> float:
+    return sum(1.0 / math.log2(position + 1) for position in range(1, hits + 1))
+
+
+# Bounded: a table holds ``total + 1`` floats, and pools of very long titles
+# could otherwise keep thousands of large tables alive.
+@functools.lru_cache(maxsize=128)
+def _entropy_terms(total: int) -> tuple[float, ...]:
+    """Entropy terms ``(c / total) * math.log(c / total)`` of a ``total``-token pool, by count c."""
+    return (0.0, *((c / total) * math.log(c / total) for c in range(1, total + 1)))
+
+
+def _evaluate(
+    query_id: str,
+    stage: str,
+    order: Sequence[str],
+    ground_truth: frozenset[str] | set[str],
+    tokens_by_id: Mapping[str, list[str]],
+    cutoffs: Sequence[int],
+) -> list[PerQueryRow]:
+    """One walk down ``order`` over every sorted cutoff, with prefix accumulators.
+
+    Each value equals, float for float, the one the per-cutoff kernels give:
+    the dcg is summed in the same order, the ideal dcg by the same expression,
+    and each entropy term by the same expression, under ``math.fsum``, which
+    is exactly rounded, so the order of its terms does not matter.
+    """
+    ks = sorted(cutoffs)
+    if not ks:
+        return []
+    if ks[0] < 1:
+        raise ValueError(f"k must be >= 1, got {ks[0]}")
+    if not ground_truth:
+        raise ValueError("ground truth must be nonempty")
+    top = order[: ks[-1]]
+    hit_positions = [p for p, item_id in enumerate(top, start=1) if item_id in ground_truth]
+    rows = []
+    counts: Counter[str] = Counter()
+    hit, dcg, depth, next_hit = 0, 0.0, 0, 0
+    for k in ks:
+        while next_hit < len(hit_positions) and hit_positions[next_hit] <= k:
+            hit = 1
+            dcg += 1.0 / math.log2(hit_positions[next_hit] + 1)
+            next_hit += 1
+        counts.update(chain.from_iterable(map(tokens_by_id.__getitem__, top[depth:k])))
+        depth = k
+        total = sum(counts.values())
+        terms = _entropy_terms(total)
+        entropy = -math.fsum(map(terms.__getitem__, counts.values())) if total else 0.0
+        ndcg = dcg / _ideal_dcg(min(len(ground_truth), k))
+        rows.append(PerQueryRow(query_id, stage, k, hit, ndcg, entropy, len(counts)))
+    return rows
+
+
+class _TokensById(dict):
+    """``tokenize(titles_by_id[item_id])`` by item id, each title tokenized on first use."""
+
+    def __init__(self, titles_by_id: Mapping[str, str]):
+        super().__init__()
+        self._titles = titles_by_id
+
+    def __missing__(self, item_id: str) -> list[str]:
+        tokens = self[item_id] = tokenize(self._titles[item_id])
+        return tokens
+
+
 def evaluate_ranking(
     query_id: str,
     stage: str,
@@ -138,21 +208,7 @@ def evaluate_ranking(
     cutoffs: Sequence[int],
 ) -> list[PerQueryRow]:
     """All four metrics for one ranked list at every cutoff."""
-    rows = []
-    for k in sorted(cutoffs):
-        top_titles = [titles_by_id[item_id] for item_id in order[:k]]
-        rows.append(
-            PerQueryRow(
-                query_id=query_id,
-                stage=stage,
-                k=k,
-                hit=hit_at_k(order, ground_truth, k),
-                ndcg=ndcg_at_k(order, ground_truth, k),
-                entropy=entropy_at_k(top_titles),
-                vocab=vocab_at_k(top_titles),
-            )
-        )
-    return rows
+    return _evaluate(query_id, stage, order, ground_truth, _TokensById(titles_by_id), cutoffs)
 
 
 def evaluate_results(
@@ -162,14 +218,13 @@ def evaluate_results(
     cutoffs: Sequence[int],
 ) -> list[PerQueryRow]:
     """Per-query rows for all three stages of every pipeline result."""
+    tokens_by_id = _TokensById(titles_by_id)
     rows: list[PerQueryRow] = []
     for result in results:
         truth = ground_truth[result.query_id]
         for ranked in result.lists():
             rows.extend(
-                evaluate_ranking(
-                    result.query_id, ranked.stage, ranked.order, truth, titles_by_id, cutoffs
-                )
+                _evaluate(result.query_id, ranked.stage, ranked.order, truth, tokens_by_id, cutoffs)
             )
     return rows
 
@@ -319,7 +374,8 @@ def write_lift_csv(rows: Sequence[LiftRow], path: str | Path) -> None:
 
 
 def rows_to_dicts(rows: Sequence) -> list[dict]:
-    return [asdict(row) for row in rows]
+    """Copies of the rows' field dicts (the fields are scalars, so no deep copy as in ``asdict``)."""
+    return [dict(vars(row)) for row in rows]
 
 
 def write_json(payload: object, path: str | Path) -> None:

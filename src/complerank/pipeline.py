@@ -117,31 +117,27 @@ def rerank_stage(
 ) -> StageOutcome:
     """Prompt the agent with ``candidates`` and map its permutation back to ids.
 
-    The output is always a permutation of the input item ids.  Transport
-    failures (after the transport's own retries) propagate as
-    :class:`TransportError`.
+    The output is always a permutation of the input item ids.  A transport
+    failure (after the transport's own retries) keeps the input order and
+    the rendered prompt, and marks the outcome ``failed``.
     """
     if not candidates:
         raise ValueError(f"query {query.id!r}: cannot rerank an empty candidate list")
     bundle = build_prompt(query, candidates, kind)
-    raw = transport(bundle)
+    stage = _STAGE_BY_KIND[kind]
+    try:
+        raw = transport(bundle)
+    except TransportError:
+        ranked = RankedList(query_id=query.id, order=list(bundle.index_to_id), stage=stage)
+        return StageOutcome(ranked=ranked, failed=True, prompt=bundle.text)
     parsed = parse_permutation(raw, len(bundle.index_to_id))
     order = [bundle.index_to_id[k] for k in parsed.order]
-    ranked = RankedList(query_id=query.id, order=order, stage=_STAGE_BY_KIND[kind])
     return StageOutcome(
-        ranked=ranked,
+        ranked=RankedList(query_id=query.id, order=order, stage=stage),
         repairs=parsed.repairs,
-        failed=False,
         prompt=bundle.text,
         response=raw,
     )
-
-
-def _identity_fallback(query_id: str, items: Sequence[Item], kind: AgentKind, bundle_text: str | None) -> StageOutcome:
-    ranked = RankedList(
-        query_id=query_id, order=[item.id for item in items], stage=_STAGE_BY_KIND[kind]
-    )
-    return StageOutcome(ranked=ranked, failed=True, prompt=bundle_text, response=None)
 
 
 def run_pipeline(
@@ -163,20 +159,13 @@ def run_pipeline(
     query_item = items[query.query_id]
 
     div_items = [items[item_id] for item_id in base.order]
-    try:
-        diversity = rerank_stage(
-            query_item, div_items, AgentKind.DIVERSITY, config.diversity_transport(query)
-        )
-    except TransportError:
-        diversity = _identity_fallback(query.query_id, div_items, AgentKind.DIVERSITY, None)
-
+    diversity = rerank_stage(
+        query_item, div_items, AgentKind.DIVERSITY, config.diversity_transport(query)
+    )
     acc_items = [items[item_id] for item_id in diversity.ranked.order[: config.n_acc]]
-    try:
-        final = rerank_stage(
-            query_item, acc_items, AgentKind.ACCURACY, config.accuracy_transport(query)
-        )
-    except TransportError:
-        final = _identity_fallback(query.query_id, acc_items, AgentKind.ACCURACY, None)
+    final = rerank_stage(
+        query_item, acc_items, AgentKind.ACCURACY, config.accuracy_transport(query)
+    )
 
     return QueryResult(
         query_id=query.query_id,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Container
 
@@ -85,13 +86,19 @@ def _normalized(
 ) -> CandidateList:
     if n < 1:
         raise RetrievalError(f"retrieval depth must be positive, got {n}")
-    best: dict[str, float] = {}
-    for item_id, score in scored:
-        if item_id == query_id:
-            continue
-        if item_id not in best or score > best[item_id]:
-            best[item_id] = score
-    ordered = sorted(best.items(), key=lambda pair: (-pair[1], pair[0]))
+    best = dict(scored)
+    if len(best) < len(scored):  # a repeated id keeps its highest score
+        best = {}
+        for item_id, score in scored:
+            if item_id not in best or score > best[item_id]:
+                best[item_id] = score
+    best.pop(query_id, None)
+    # Two stable sorts: ascending id, then descending score, which keeps id
+    # order among equal scores.  Without ties the id order cannot show.
+    ordered = list(best.items())
+    if len(set(best.values())) < len(ordered):
+        ordered.sort(key=itemgetter(0))
+    ordered.sort(key=itemgetter(1), reverse=True)
     return CandidateList(query_id=query_id, candidates=ordered[:n], source=source)
 
 
@@ -134,8 +141,9 @@ class PrecomputedRetriever:
     """Per-query ranked candidate lists loaded from an exported scores file.
 
     Each JSON Lines record is ``{"query_id": ..., "candidates": [[item_id,
-    score], ...]}``.  Every candidate id must be in ``items`` (the catalog);
-    a malformed line or an unknown id fails at load with ``path:line``.
+    score], ...]}``.  Every candidate id must be in ``items`` (the catalog)
+    and every score finite; a malformed line, an unknown id or a NaN or
+    infinite score fails at load with ``path:line``.
     """
 
     def __init__(self, path: str | Path, items: Container[str], name: str | None = None):
@@ -155,6 +163,14 @@ class PrecomputedRetriever:
                     ]
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     raise RetrievalError(f"{self.path}:{lineno}: malformed scores line ({exc})")
+                # A sum of finite scores is finite unless it overflows; only then look closer.
+                if not math.isfinite(sum(map(itemgetter(1), pairs))):
+                    for item_id, score in pairs:
+                        if not math.isfinite(score):
+                            raise RetrievalError(
+                                f"{self.path}:{lineno}: candidate {item_id!r} has non-finite "
+                                f"score {score}"
+                            )
                 for item_id, _ in pairs:
                     if item_id not in items:
                         raise RetrievalError(

@@ -1,3 +1,5 @@
+import random
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,8 @@ from complerank.agents import (
     mock_agent,
     parse_permutation,
 )
+from complerank.catalog import Item
+
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
@@ -164,6 +168,99 @@ class TestParsePermutation:
         assert sorted(parsed.order) == list(range(n))
 
 
+_BRACKET_RE = re.compile(r"\[([^\[\]]*)\]")
+_INT_RE = re.compile(r"[+-]?\d+")
+
+
+def reference_parse(raw, n):
+    """The parser before its fast path, kept as the oracle: (order, repairs) or the exception type."""
+    try:
+        values = None
+        for match in _BRACKET_RE.finditer(raw):
+            tokens = [token.strip() for token in match.group(1).split(",")]
+            parsed = [int(token) for token in tokens if _INT_RE.fullmatch(token)]
+            if parsed:
+                values = parsed
+                break
+    except ValueError as exc:
+        return type(exc)
+    if values is None:
+        return list(range(n)), frozenset({FALLBACK_IDENTITY})
+    repairs = set()
+    in_range = [v for v in values if 0 <= v < n]
+    if len(in_range) != len(values):
+        repairs.add(DROPPED_OUT_OF_RANGE)
+    order, seen = [], set()
+    for v in in_range:
+        if v in seen:
+            repairs.add(DEDUPLICATED)
+            continue
+        seen.add(v)
+        order.append(v)
+    if len(order) < n:
+        repairs.add(APPENDED_MISSING)
+        order.extend(v for v in range(n) if v not in seen)
+    return order, frozenset(repairs)
+
+
+def parse(raw, n):
+    try:
+        parsed = parse_permutation(raw, n)
+    except ValueError as exc:
+        return type(exc)
+    assert parsed.raw == raw
+    return parsed.order, parsed.repairs
+
+
+# Near-miss variants of the plain "[d, d, ...]" answer the fast path takes.
+_LIST_TOKENS = st.one_of(
+    st.integers(-3, 120).map(str),
+    st.sampled_from(["00", "1_0", "+3", " 2", "2 ", "\u0663", "\u00b2", "\uff11", "", "x", "[1", "1]"]),
+)
+_NEAR_PLAIN = st.builds(
+    lambda prefix, tokens, sep, suffix: prefix + "[" + sep.join(tokens) + "]" + suffix,
+    st.sampled_from(["", "", " ", "[", "a", "\n"]),
+    st.lists(_LIST_TOKENS, max_size=12),
+    st.sampled_from([", ", ", ", ",", " , ", ",  "]),
+    st.sampled_from(["", "", " ", "]", ".", "\n"]),
+)
+
+
+class TestParseMatchesReference:
+    @pytest.mark.parametrize(
+        "raw",
+        ["[1_0]", "[ +3 , -1 ]", "[\u0661, \u0660]", "[\u0663, 1, 0, 2]", "[\u00b2, 1]", "[]", "[[2,1]]",
+         "[2, 0, 1]", "[0, 0, 1]", "[5, 1]", "[00, 1]", "[0,1]", " [0, 1]", "[0, 1]\n", "[2, 1, 0, 3]",
+         "[1, 0] and [0, 1]", "[" + "9" * 5000 + "]"],
+    )
+    def test_explicit_cases(self, raw):
+        for n in (1, 2, 3, 4, 12):
+            assert parse(raw, n) == reference_parse(raw, n)
+
+    @given(raw=st.one_of(st.text(max_size=200), _NEAR_PLAIN), n=st.integers(1, 200))
+    @settings(max_examples=300, deadline=None)
+    def test_text(self, raw, n):
+        assert parse(raw, n) == reference_parse(raw, n)
+
+    @given(raw=st.binary(max_size=200).map(lambda b: b.decode("latin-1")), n=st.integers(1, 200))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes(self, raw, n):
+        assert parse(raw, n) == reference_parse(raw, n)
+
+    def test_seeded_fuzz(self):
+        """The 40 000 cases of the acceptance fuzz, plus a plain list of each size."""
+        rng = random.Random(99)
+        for _ in range(10_000):
+            text = bytes(rng.getrandbits(8) for _ in range(rng.randint(0, 200))).decode("latin-1")
+            for n in (1, 5, 50, 100):
+                assert parse(text, n) == reference_parse(text, n)
+        for n in (1, 5, 50, 100):
+            order = list(range(n))
+            rng.shuffle(order)
+            plain = "[" + ", ".join(map(str, order)) + "]"
+            assert parse(plain, n) == reference_parse(plain, n) == (order, frozenset())
+
+
 class TestMockAgents:
     def bundle(self, prompt_fixture, n=3):
         query, candidates = prompt_fixture
@@ -192,6 +289,17 @@ class TestMockAgents:
         order = parse_permutation(first, 5)
         assert sorted(order.order) == list(range(5))
         assert order.repairs == frozenset()
+
+    def test_shuffle_answer_depends_only_on_seed_and_size(self):
+        items = [Item(id=f"c{k}", title=f"item {k}") for k in range(60)]
+        query = Item(id="q", title="query")
+        agent = mock_agent("shuffle:7")
+        for n in (5, 60, 5, 17, 60):
+            bundle = build_prompt(query, items[:n], AgentKind.ACCURACY)
+            order = list(range(n))
+            random.Random(f"7:{n}").shuffle(order)
+            assert agent(bundle) == "[" + ", ".join(map(str, order)) + "]"
+            assert agent(bundle) == mock_agent("shuffle:7")(bundle)
 
     def test_shuffle_requires_integer_seed(self):
         for policy in ("shuffle", "shuffle:", "shuffle:x"):

@@ -111,13 +111,14 @@ class TestRunCommand:
         assert (run_config["n_div"], run_config["n_acc"]) == (50, 25)
 
     def test_missing_scores_file_names_it(self, tmp_path, capsys):
-        config_path, _ = base_config(
+        config_path, out_dir = base_config(
             tmp_path,
             "run5",
             retriever={"kind": "precomputed", "path": str(tmp_path / "absent.jsonl")},
         )
         assert main(["run", "--config", str(config_path)]) == 1
         assert "absent.jsonl" in capsys.readouterr().err
+        assert not out_dir.exists()  # the synth dataset is not written either
 
     def test_unknown_mock_policy(self, tmp_path, capsys):
         config_path, _ = base_config(tmp_path, "run6", agents={"mock": "bogus"})
@@ -163,6 +164,23 @@ class TestRunCommand:
         for name in ("audit.jsonl", "metrics.csv", "metrics.json", "lift.csv", "per_query.jsonl"):
             assert (out_dir / name).exists()
 
+    def test_rejected_request_keeps_prompt_in_audit(self, tmp_path, chat_server):
+        chat_server.set_script([(400, {"error": "bad request"})])
+        config_path, out_dir = base_config(
+            tmp_path, "run14", agents={"endpoint": chat_server.url, "model": "test-model"}
+        )
+        assert main(["run", "--config", str(config_path)]) == 0
+        audit = [
+            json.loads(line)
+            for line in (out_dir / "audit.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        assert audit
+        for entry in audit:
+            assert entry["failed"] and entry["response"] is None
+            assert "candidate products" in entry["prompt"]
+        prompts = [request["body"]["messages"][0]["content"] for request in chat_server.requests]
+        assert [entry["prompt"] for entry in audit] == prompts  # one request each: 400 is final
+
     def test_unknown_candidate_in_scores_names_line(self, tmp_path, capsys):
         scores = tmp_path / "scores.jsonl"
         scores.write_text(
@@ -199,29 +217,66 @@ class TestRunCommand:
         assert "both" in capsys.readouterr().err
 
 
-# One malformed config per row: its overrides of base_config, and a key the
-# error message must name.
+# One malformed config per row: its overrides of base_config, extra run flags,
+# and a key the error message must name.  A string of overrides replaces the
+# whole config file.
 MALFORMED = [
-    pytest.param({"audit": "no"}, "audit", id="audit-not-bool"),
-    pytest.param({"pipline": {"n_div": 10}}, "pipline", id="unknown-key"),
-    pytest.param({"pipeline": {"preset": "fig1", "n_div": 10}}, "n_div", id="preset-with-n_div"),
+    pytest.param({"audit": "no"}, (), "audit", id="audit-not-bool"),
+    pytest.param({"pipline": {"n_div": 10}}, (), "pipline", id="unknown-key"),
+    pytest.param({"pipeline": {"preset": "fig1", "n_div": 10}}, (), "n_div", id="preset-with-n_div"),
     pytest.param(
-        {"pipeline": {"n_div": 150, "n_acc": 5, "cutoffs": [1, 3, 5]}}, "n_div", id="n_div-over-limit"
+        {"pipeline": {"n_div": 150, "n_acc": 5, "cutoffs": [1, 3, 5]}},
+        (),
+        "n_div",
+        id="n_div-over-limit",
     ),
-    pytest.param({"concurrency": 0}, "concurrency", id="concurrency-zero"),
+    pytest.param({"concurrency": 0}, (), "concurrency", id="concurrency-zero"),
     pytest.param(
         {"agents": {"endpoint": "http://127.0.0.1:9", "model": "m", "temperature": "hot"}},
+        (),
         "temperature",
         id="temperature-not-number",
     ),
-    pytest.param({"agents": {"mock": "shuffle:x"}}, "mock", id="shuffle-seed-not-int"),
+    pytest.param({"agents": {"mock": "shuffle:x"}}, (), "mock", id="shuffle-seed-not-int"),
+    pytest.param(
+        '{"out": "x",\n  "dataset": }\n', (), "config_bad.json:2:14: Expecting value", id="invalid-json"
+    ),
+    pytest.param(
+        {"retriever": {"kind": "heuristic", "path": "scores.jsonl"}},
+        (),
+        "retriever.path",
+        id="path-under-heuristic",
+    ),
+    pytest.param({}, ("--scores", "scores.jsonl"), "retriever.path", id="scores-flag-under-heuristic"),
+    pytest.param(
+        {"retriever": {"kind": "precomputed", "path": "s.jsonl", "weights": {"price": 0.5}}},
+        (),
+        "retriever.weights",
+        id="weights-under-precomputed",
+    ),
+    pytest.param(
+        {"retriever": {"kind": "precomputed", "path": "s.jsonl", "exclude_neighbors": False}},
+        (),
+        "retriever.exclude_neighbors",
+        id="exclude_neighbors-under-precomputed",
+    ),
+    pytest.param(
+        {"retriever": {"kind": "heuristic", "weights": {"category": 2.0}}},
+        ("--retriever", "precomputed", "--scores", "s.jsonl"),
+        "retriever.weights",
+        id="weights-after-retriever-flag",
+    ),
 ]
 
 
-@pytest.mark.parametrize("overrides, key", MALFORMED)
-def test_malformed_config_fails_before_output(tmp_path, capsys, overrides, key):
-    config_path, out_dir = base_config(tmp_path, "bad", **overrides)
-    assert main(["run", "--config", str(config_path)]) == 1
+@pytest.mark.parametrize("overrides, flags, key", MALFORMED)
+def test_malformed_config_fails_before_output(tmp_path, capsys, overrides, flags, key):
+    if isinstance(overrides, str):
+        config_path, out_dir = base_config(tmp_path, "bad")
+        config_path.write_text(overrides, encoding="utf-8")
+    else:
+        config_path, out_dir = base_config(tmp_path, "bad", **overrides)
+    assert main(["run", "--config", str(config_path), *flags]) == 1
     assert key in capsys.readouterr().err
     assert not out_dir.exists()
 

@@ -13,6 +13,7 @@ from complerank.metrics import (
     aggregate,
     entropy_at_k,
     evaluate_ranking,
+    evaluate_results,
     hit_at_k,
     lift,
     lift_rows_for_runs,
@@ -311,3 +312,83 @@ def test_evaluate_ranking_shapes():
     assert [(r.k, r.hit) for r in rows] == [(1, 0), (3, 1)]
     assert rows[0].vocab == 2
     assert rows[1].vocab == 6
+
+
+_IDS = [f"i{n}" for n in range(12)]
+# Titles the one-pass evaluation must score exactly as the kernels do:
+# punctuation only, empty, non-ASCII, repeated and case-folded duplicates.
+_TITLES = st.one_of(
+    st.sampled_from(
+        ["", "!!!", "--- / ---", "camera body", "Camera-Body", "camera body", "Straße Ünïcödé",
+         "日本語 タイトル", "a a a a", "x_y_z 2m"]
+    ),
+    st.text(max_size=30),
+)
+
+
+def _kernel_rows(order, truth, titles, cutoffs):
+    rows = []
+    for k in sorted(cutoffs):
+        top = [titles[item_id] for item_id in order[:k]]
+        rows.append(
+            (k, hit_at_k(order, truth, k), ndcg_at_k(order, truth, k), entropy_at_k(top), vocab_at_k(top))
+        )
+    return rows
+
+
+@given(
+    order=st.lists(st.sampled_from(_IDS), unique=True, max_size=12),
+    # Up to 10 ground-truth ids: from 6 on, ``sum`` and ``math.fsum`` of the
+    # ideal-dcg terms differ in the last bit.
+    truth=st.sets(st.sampled_from(_IDS + ["absent"]), min_size=1, max_size=10),
+    titles=st.lists(_TITLES, min_size=len(_IDS), max_size=len(_IDS)),
+    cutoffs=st.lists(st.integers(1, 15), min_size=1, max_size=6),
+)
+@settings(max_examples=300, deadline=None)
+def test_one_pass_equals_kernels(order, truth, titles, cutoffs):
+    """Orders shorter than k, empty orders, unsorted and duplicate cutoffs included."""
+    titles_by_id = dict(zip(_IDS, titles))
+    rows = evaluate_ranking("q", "base", order, truth, titles_by_id, cutoffs)
+    got = [(r.k, r.hit, r.ndcg, r.entropy, r.vocab) for r in rows]
+    expected = _kernel_rows(order, truth, titles_by_id, cutoffs)
+    assert got == expected
+    assert repr(got) == repr(expected)  # the same bits, down to the sign of a zero
+
+
+def test_one_pass_preconditions_match_kernels():
+    titles = {"a": "alpha"}
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        evaluate_ranking("q", "base", ["a"], {"a"}, titles, [3, 0, 1])
+    with pytest.raises(ValueError, match="ground truth"):
+        evaluate_ranking("q", "base", ["a"], set(), titles, [1])
+    assert evaluate_ranking("q", "base", ["a"], set(), titles, []) == []
+
+
+def test_evaluate_results_equals_kernels_per_list():
+    from complerank.pipeline import QueryResult, RankedList, StageOutcome
+    from complerank.retriever import CandidateList
+
+    titles = {item_id: f"Title {n % 3} shared-{n % 2} é{n}" for n, item_id in enumerate(_IDS)}
+    truth = {"q1": frozenset({"i3", "i7"}), "q2": frozenset({"i0"})}
+    results = []
+    for query_id, order in (("q1", _IDS[:8]), ("q2", _IDS[4:])):
+        def listed(stage, ids):
+            return RankedList(query_id=query_id, order=list(ids), stage=stage)
+
+        results.append(
+            QueryResult(
+                query_id=query_id,
+                retrieval=CandidateList(query_id, [(i, 1.0) for i in order], "test"),
+                base=listed("base", order),
+                diversity=StageOutcome(listed("diversity", order[::-1])),
+                final=StageOutcome(listed("diversity_accuracy", order[::-1][:4])),
+            )
+        )
+    rows = evaluate_results(results, truth, titles, (5, 1, 3))
+    expected = [
+        (r.query_id, ranked.stage, *values)
+        for r in results
+        for ranked in r.lists()
+        for values in _kernel_rows(ranked.order, truth[r.query_id], titles, (5, 1, 3))
+    ]
+    assert [(r.query_id, r.stage, r.k, r.hit, r.ndcg, r.entropy, r.vocab) for r in rows] == expected

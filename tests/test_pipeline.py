@@ -1,6 +1,6 @@
 import pytest
 
-from complerank.agents import AgentKind, TransportError, mock_agent
+from complerank.agents import AgentKind, TransportError, build_prompt, mock_agent
 from complerank.catalog import QueryInstance, split_holdout
 from complerank.pipeline import (
     PRESETS,
@@ -61,14 +61,19 @@ class TestRerankStage:
         outcome = rerank_stage(query, candidates[:3], AgentKind.DIVERSITY, transport)
         assert outcome.ranked.order == ["c2", "c1", "c3"]
 
-    def test_transport_error_propagates(self, prompt_fixture):
+    def test_transport_error_falls_back_to_identity(self, prompt_fixture):
         query, candidates = prompt_fixture
 
         def broken(bundle):
             raise TransportError("down")
 
-        with pytest.raises(TransportError):
-            rerank_stage(query, candidates, AgentKind.DIVERSITY, broken)
+        outcome = rerank_stage(query, candidates, AgentKind.DIVERSITY, broken)
+        assert outcome.failed
+        assert outcome.ranked.order == [item.id for item in candidates]
+        assert outcome.ranked.stage == STAGE_DIVERSITY
+        assert outcome.repairs == frozenset()
+        assert outcome.prompt == build_prompt(query, candidates, AgentKind.DIVERSITY).text
+        assert outcome.response is None
 
     def test_empty_candidates_rejected(self, prompt_fixture):
         query, _ = prompt_fixture

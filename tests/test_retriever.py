@@ -155,6 +155,49 @@ class TestRetrievePrecomputed:
         assert PrecomputedRetriever(path, {"c"}).name == "gnnA"
         assert PrecomputedRetriever(path, {"c"}, name="other").retrieve("q", 1).source == "other"
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", '"nan"', '"-inf"'])
+    def test_non_finite_score_reports_position(self, tmp_path, literal):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(
+            '{"query_id": "q", "candidates": [["a", 1.0]]}\n'
+            f'{{"query_id": "r", "candidates": [["a", 0.5], ["b", {literal}]]}}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(RetrievalError, match=r"scores\.jsonl:2: candidate 'b' has non-finite score"):
+            PrecomputedRetriever(path, {"a", "b"})
+
+    def test_finite_scores_whose_sum_overflows_accepted(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        self.write_scores(path, "q", [["a", 1e308], ["b", 1e308], ["c", -1e308]])
+        assert PrecomputedRetriever(path, {"a", "b", "c"}).retrieve("q", 3).ids == ["a", "b", "c"]
+
+    def test_ties_and_signed_zeros_break_by_ascending_id(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        pairs = [["e", 0.0], ["d", 1.0], ["b", -0.0], ["c", 1.0], ["a", 0.0], ["f", -1.0], ["b", -0.0]]
+        self.write_scores(path, "q", pairs)
+        ranked = PrecomputedRetriever(path, {"a", "b", "c", "d", "e", "f"}).retrieve("q", 6)
+        assert repr(ranked.candidates) == repr(
+            [("c", 1.0), ("d", 1.0), ("a", 0.0), ("b", -0.0), ("e", 0.0), ("f", -1.0)]
+        )
+
+    @given(
+        pairs=st.lists(
+            st.tuples(st.sampled_from("abcdefghq"), st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.5])),
+            max_size=20,
+        ),
+        n=st.integers(1, 10),
+    )
+    def test_order_matches_one_key_sort(self, tmp_path_factory, pairs, n):
+        """Repeated ids, the query's own id, ties and signed zeros included."""
+        path = tmp_path_factory.mktemp("scores") / "scores.jsonl"
+        self.write_scores(path, "q", [list(pair) for pair in pairs])
+        best = {}
+        for item_id, score in pairs:
+            if item_id != "q" and (item_id not in best or score > best[item_id]):
+                best[item_id] = score
+        expected = sorted(best.items(), key=lambda pair: (-pair[1], pair[0]))[:n]
+        ranked = PrecomputedRetriever(path, set("abcdefghq")).retrieve("q", n)
+        assert repr(ranked.candidates) == repr(expected)
 
 
 def test_heuristic_retriever_tags_source(tiny_graph):
