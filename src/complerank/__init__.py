@@ -10,7 +10,7 @@ whole pipeline testable without a live model.
 from .agents import AgentKind, LlmConfig, build_prompt, complete, mock_agent, parse_permutation
 from .catalog import ComplementGraph, Item, QueryInstance, load_catalog, split_holdout
 from .metrics import entropy_at_k, hit_at_k, lift, lift_with_stderr, ndcg_at_k, tokenize, vocab_at_k
-from .pipeline import PipelineConfig, RankedList, run_all, run_pipeline
+from .pipeline import PipelineConfig, run_all, run_pipeline
 from .retriever import CandidateList, HeuristicRetriever, PrecomputedRetriever, score_pair
 from .synth import SynthConfig, generate
 
@@ -26,7 +26,6 @@ __all__ = [
     "PipelineConfig",
     "PrecomputedRetriever",
     "QueryInstance",
-    "RankedList",
     "SynthConfig",
     "build_prompt",
     "complete",

@@ -84,7 +84,6 @@ class PromptBundle:
 
     text: str
     index_to_id: list[str]
-    kind: AgentKind
 
 
 def build_prompt(
@@ -125,7 +124,7 @@ def build_prompt(
         "\n"
         f"{_OUTPUT_FORMAT}\n"
     )
-    return PromptBundle(text=text, index_to_id=index_to_id, kind=kind)
+    return PromptBundle(text=text, index_to_id=index_to_id)
 
 
 @dataclass(frozen=True)
@@ -206,12 +205,21 @@ _BRACKET_RE = re.compile(r"\[([^\[\]]*)\]")
 _INT_RE = re.compile(r"[+-]?\d+")
 
 
+def _read_int(token: str, n: int) -> int:
+    """``int(token)``, or the out-of-range ID ``n`` for a token with more digits than ``int`` reads."""
+    try:
+        return int(token)
+    except ValueError:
+        return n
+
+
 def parse_permutation(raw: str, n: int) -> "ParsedPermutation":
     """Extract and repair a ranking over local IDs ``0..n-1`` from model output.
 
     The first bracketed comma-separated list containing at least one integer
     is used.  Repairs, applied in order: drop non-integer tokens, drop
-    out-of-range IDs, keep the first occurrence of duplicates, append missing
+    out-of-range IDs (an integer with more digits than ``int`` reads counts
+    as out of range), keep the first occurrence of duplicates, append missing
     IDs in ascending order.  With no usable bracketed list at all, the
     identity order is returned.  Every input yields a valid permutation; the
     ``repairs`` flags record how much of the model's answer survived.
@@ -224,13 +232,16 @@ def parse_permutation(raw: str, n: int) -> "ParsedPermutation":
     # ``\d`` matches and ``int`` reads), which the loop below would read alike.
     tokens = raw[1:-1].split(", ") if raw[:1] == "[" and raw[-1:] == "]" else ()
     if tokens and all(map(str.isdecimal, tokens)):
-        values = list(map(int, tokens))
+        try:
+            values = list(map(int, tokens))
+        except ValueError:  # a token with more digits than ``int`` reads
+            values = [_read_int(token, n) for token in tokens]
         if len(values) == n and max(values) < n and len(set(values)) == n:
             return ParsedPermutation(order=values, repairs=frozenset(), raw=raw)
     else:
         for match in _BRACKET_RE.finditer(raw):
             tokens = [token.strip() for token in match.group(1).split(",")]
-            parsed = [int(token) for token in tokens if _INT_RE.fullmatch(token)]
+            parsed = [_read_int(token, n) for token in tokens if _INT_RE.fullmatch(token)]
             if parsed:
                 values = parsed
                 break

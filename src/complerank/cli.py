@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, fields
+from itertools import product
 from pathlib import Path
 from typing import Iterable
 
@@ -34,9 +35,6 @@ REPORT_CSV = "report.csv"
 REPORT_JSON = "report.json"
 LIFT_REPORT_CSV = "lift_report.csv"
 LIFT_REPORT_JSON = "lift_report.json"
-
-_STAGE_ORDER = {stage: index for index, stage in enumerate(pipeline.STAGES)}
-
 
 def _load_json(path: str | Path) -> dict:
     with Path(path).open(encoding="utf-8") as fh:
@@ -72,12 +70,14 @@ _SCHEMA = {
         "exclude_neighbors": bool,
         "weights": _keys_of(retriever.ScoreWeights),
     },
-    "pipeline": {"preset": tuple(pipeline.PRESETS), "n_div": int, "n_acc": int, "cutoffs": list},
+    "pipeline": {"preset": tuple(pipeline.PRESETS), "n_div": int, "n_acc": int, "cutoffs": [int]},
     "agents": {**_AGENT_KEYS, "diversity": _AGENT_KEYS, "accuracy": _AGENT_KEYS},
     "out": str,
     "concurrency": int,
     "audit": bool,
 }
+# The keys of a run's metrics.json, each required.
+_METRICS_SCHEMA = {"dataset": str, "retriever": str, "cutoffs": [int], "rows": [_keys_of(metrics.MetricsRow)]}
 # Keys a ``run`` flag removes from its section, so that the flag wins over them.
 _DISPLACED_BY_FLAG = {
     "pipeline.preset": {"n_div", "n_acc"},
@@ -86,26 +86,38 @@ _DISPLACED_BY_FLAG = {
 }
 
 
-def _check_schema(value: object, schema: object, key: str) -> None:
+def _check_schema(value: object, schema: object, key: str, required: bool = False) -> None:
     """Raise a ValueError naming the first key of ``value`` that ``schema`` does not allow.
 
-    An integer given for a float key is replaced by the equal float.
+    ``[element schema]`` is a list schema.  With ``required``, every key of a
+    dict schema must be present.  A float key takes only a finite number; an
+    integer given for one is replaced by the equal float.
     """
     if isinstance(schema, dict):
         if not isinstance(value, dict):
             raise ValueError(f"{key or 'config'}: expected a JSON object")
+        missing = sorted(schema.keys() - value.keys()) if required else []
+        if missing:
+            raise ValueError(f"{key or 'top level'}: missing key(s) {missing}")
         for name in value:
             where = f"{key}.{name}" if key else name
             if name not in schema:
                 raise ValueError(f"{where}: unknown key")
-            _check_schema(value[name], schema[name], where)
+            _check_schema(value[name], schema[name], where, required)
             if schema[name] is float:
                 value[name] = float(value[name])
+    elif isinstance(schema, list):
+        _check_schema(value, list, key)
+        for n, element in enumerate(value):
+            _check_schema(element, schema[0], f"{key}[{n}]", required)
     elif isinstance(schema, tuple):
         if value not in schema:
             raise ValueError(f"{key}: expected one of {list(schema)}, got {json.dumps(value)}")
     elif type(value) not in ((int, float) if schema is float else (schema,)):
         raise ValueError(f"{key}: expected {schema.__name__}, got {json.dumps(value)}")
+    elif schema is float and not -sys.float_info.max <= value <= sys.float_info.max:
+        # NaN fails both comparisons; an integer past the float range would overflow.
+        raise ValueError(f"{key}: expected a finite number, got {json.dumps(value)}")
 
 
 def _agent(settings: dict, stage: str) -> tuple[pipeline.TransportFactory, dict[str, str]]:
@@ -267,9 +279,8 @@ def cmd_run(cfg: RunConfig) -> Path:
     cutoffs, dataset_name = config.cutoffs, cfg.dataset_name
     results = pipeline.run_all(queries, retr, train.items, config, concurrency=cfg.concurrency)
 
-    ground_truth = {q.query_id: q.ground_truth for q in queries}
     titles_by_id = {item_id: item.title for item_id, item in train.items.items()}
-    per_query_rows = metrics.evaluate_results(results, ground_truth, titles_by_id, cutoffs)
+    per_query_rows = metrics.evaluate_results(results, titles_by_id, cutoffs)
     metrics_rows = []
     for stage in pipeline.STAGES:
         metrics_rows.extend(metrics.aggregate(per_query_rows, retr.name, stage, dataset_name, cutoffs))
@@ -294,9 +305,9 @@ def cmd_run(cfg: RunConfig) -> Path:
         out_dir / RETRIEVAL_FILE,
         [
             {
-                "query_id": r.query_id,
+                "query_id": r.query.query_id,
                 "source": r.retrieval.source,
-                "ground_truth": sorted(ground_truth[r.query_id]),
+                "ground_truth": sorted(r.query.ground_truth),
                 "candidates": r.retrieval.candidates,  # (id, score) tuples encode as arrays
             }
             for r in results
@@ -304,19 +315,16 @@ def cmd_run(cfg: RunConfig) -> Path:
     )
     stage_records, audit_records = [], []
     for r in results:
-        base = {"query_id": r.query_id, "stage": r.base.stage, "repairs": [], "failed": False}
-        stage_records.append({**base, "order": r.base.order})
-        for outcome in (r.diversity, r.final):
+        for outcome in r.stages:
             record = {
-                "query_id": r.query_id,
-                "stage": outcome.ranked.stage,
+                "query_id": r.query.query_id,
+                "stage": outcome.stage,
                 "repairs": sorted(outcome.repairs),
                 "failed": outcome.failed,
             }
-            stage_records.append({**record, "order": outcome.ranked.order})
-            if cfg.audit:
-                audit = {"prompt": outcome.prompt, "response": outcome.response}
-                audit_records.append({**record, **audit})
+            stage_records.append({**record, "order": outcome.order})
+            if cfg.audit and outcome.stage != pipeline.STAGE_BASE:
+                audit_records.append({**record, "prompt": outcome.prompt, "response": outcome.response})
     _write_jsonl(out_dir / STAGES_FILE, stage_records)
     if cfg.audit:
         _write_jsonl(out_dir / AUDIT_FILE, audit_records)
@@ -342,21 +350,26 @@ def cmd_run(cfg: RunConfig) -> Path:
 def cmd_report(run_dirs: list[str | Path], out_dir: str | Path) -> Path:
     if not run_dirs:
         raise ValueError("report needs at least one run directory")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     datasets: set[str] = set()
     cutoffs_seen: set[tuple[int, ...]] = set()
     rows_by_retriever: dict[str, list[metrics.MetricsRow]] = {}
     for run_dir in run_dirs:
-        run_dir = Path(run_dir)
-        payload = _load_json(run_dir / METRICS_JSON)
-        datasets.add(payload["dataset"])
-        cutoffs_seen.add(tuple(payload["cutoffs"]))
-        name = payload["retriever"]
+        path = Path(run_dir) / METRICS_JSON
+        payload = _load_json(path)
+        try:
+            _check_schema(payload, _METRICS_SCHEMA, "", required=True)
+            name, dataset, cutoffs = payload["retriever"], payload["dataset"], payload["cutoffs"]
+            rows = [metrics.MetricsRow(**row) for row in payload["rows"]]
+            expected = sorted(product([name], [dataset], pipeline.STAGES, cutoffs))
+            if sorted((r.retriever, r.dataset, r.stage, r.k) for r in rows) != expected:
+                raise ValueError(f"rows: expected one per stage and cutoff, of {name!r} on {dataset!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        datasets.add(dataset)
+        cutoffs_seen.add(tuple(cutoffs))
         if name in rows_by_retriever:
             raise ValueError(f"duplicate retriever name {name!r} across runs")
-        rows_by_retriever[name] = [metrics.MetricsRow(**row) for row in payload["rows"]]
+        rows_by_retriever[name] = rows
 
     if len(datasets) > 1:
         raise ValueError(f"runs cover different datasets: {sorted(datasets)}")
@@ -368,8 +381,11 @@ def cmd_report(run_dirs: list[str | Path], out_dir: str | Path) -> Path:
     combined = [
         row
         for name in sorted(rows_by_retriever)
-        for row in sorted(rows_by_retriever[name], key=lambda r: (_STAGE_ORDER[r.stage], r.k))
+        for row in sorted(rows_by_retriever[name], key=lambda r: (pipeline.STAGES.index(r.stage), r.k))
     ]
+    lift_rows = metrics.lift_rows_for_runs(rows_by_retriever, dataset, cutoffs)
+    out = Path(out_dir)  # created only once every input has been read and checked
+    out.mkdir(parents=True, exist_ok=True)
     metrics.write_metrics_csv(combined, out / REPORT_CSV)
     metrics.write_json(
         {
@@ -380,8 +396,6 @@ def cmd_report(run_dirs: list[str | Path], out_dir: str | Path) -> Path:
         },
         out / REPORT_JSON,
     )
-
-    lift_rows = metrics.lift_rows_for_runs(rows_by_retriever, dataset, cutoffs)
     metrics.write_lift_csv(lift_rows, out / LIFT_REPORT_CSV)
     metrics.write_json(
         {"dataset": dataset, "rows": metrics.rows_to_dicts(lift_rows)},

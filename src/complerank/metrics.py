@@ -213,19 +213,16 @@ def evaluate_ranking(
 
 def evaluate_results(
     results: Iterable[QueryResult],
-    ground_truth: Mapping[str, frozenset[str]],
     titles_by_id: Mapping[str, str],
     cutoffs: Sequence[int],
 ) -> list[PerQueryRow]:
-    """Per-query rows for all three stages of every pipeline result."""
+    """Per-query rows for every stage of every pipeline result, against its query's ground truth."""
     tokens_by_id = _TokensById(titles_by_id)
     rows: list[PerQueryRow] = []
     for result in results:
-        truth = ground_truth[result.query_id]
-        for ranked in result.lists():
-            rows.extend(
-                _evaluate(result.query_id, ranked.stage, ranked.order, truth, tokens_by_id, cutoffs)
-            )
+        query_id, truth = result.query.query_id, result.query.ground_truth
+        for outcome in result.stages:
+            rows.extend(_evaluate(query_id, outcome.stage, outcome.order, truth, tokens_by_id, cutoffs))
     return rows
 
 

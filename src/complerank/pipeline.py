@@ -2,8 +2,10 @@
 
 Per query: retrieve the top ``n_div`` candidates, let the diversity agent
 rerank them, truncate to the top ``n_acc``, let the accuracy agent refine
-those.  All three stage outputs (base / diversity / diversity_accuracy) are
-kept so ablations can be evaluated side by side.
+those.  A :class:`QueryResult` carries the query, its retrieved candidates
+and one flat :class:`StageOutcome` per stage, in ``STAGES`` order
+(base / diversity / diversity_accuracy), so ablations can be evaluated side
+by side and each outcome written as one record.
 
 A transport failure that survives its retries does not abort the run: the
 stage falls back to identity order and the query is flagged, keeping
@@ -78,19 +80,11 @@ class PipelineConfig:
 
 
 @dataclass
-class RankedList:
-    """An ordered recommendation list tagged with the stage that produced it."""
-
-    query_id: str
-    order: list[str]
-    stage: str
-
-
-@dataclass
 class StageOutcome:
-    """A reranked list plus parse-repair flags and transport bookkeeping."""
+    """One stage's ordered ids plus parse-repair flags and transport bookkeeping."""
 
-    ranked: RankedList
+    stage: str
+    order: list[str]
     repairs: frozenset[str] = field(default_factory=frozenset)
     failed: bool = False
     prompt: str | None = None
@@ -99,14 +93,11 @@ class StageOutcome:
 
 @dataclass
 class QueryResult:
-    query_id: str
-    retrieval: CandidateList
-    base: RankedList
-    diversity: StageOutcome
-    final: StageOutcome
+    """A query, its retrieved candidates and its stage outcomes in ``STAGES`` order."""
 
-    def lists(self) -> tuple[RankedList, RankedList, RankedList]:
-        return self.base, self.diversity.ranked, self.final.ranked
+    query: QueryInstance
+    retrieval: CandidateList
+    stages: tuple[StageOutcome, StageOutcome, StageOutcome]
 
 
 def rerank_stage(
@@ -128,16 +119,10 @@ def rerank_stage(
     try:
         raw = transport(bundle)
     except TransportError:
-        ranked = RankedList(query_id=query.id, order=list(bundle.index_to_id), stage=stage)
-        return StageOutcome(ranked=ranked, failed=True, prompt=bundle.text)
+        return StageOutcome(stage, list(bundle.index_to_id), failed=True, prompt=bundle.text)
     parsed = parse_permutation(raw, len(bundle.index_to_id))
     order = [bundle.index_to_id[k] for k in parsed.order]
-    return StageOutcome(
-        ranked=RankedList(query_id=query.id, order=order, stage=stage),
-        repairs=parsed.repairs,
-        prompt=bundle.text,
-        response=raw,
-    )
+    return StageOutcome(stage, order, parsed.repairs, prompt=bundle.text, response=raw)
 
 
 def run_pipeline(
@@ -155,25 +140,18 @@ def run_pipeline(
     retrieval = retriever.retrieve(query.query_id, config.n_div)
     if not retrieval.candidates:
         raise RetrievalError(f"query {query.query_id!r}: retriever returned no candidates")
-    base = RankedList(query_id=query.query_id, order=retrieval.ids, stage=STAGE_BASE)
+    base = StageOutcome(STAGE_BASE, retrieval.ids)
     query_item = items[query.query_id]
 
     div_items = [items[item_id] for item_id in base.order]
     diversity = rerank_stage(
         query_item, div_items, AgentKind.DIVERSITY, config.diversity_transport(query)
     )
-    acc_items = [items[item_id] for item_id in diversity.ranked.order[: config.n_acc]]
+    acc_items = [items[item_id] for item_id in diversity.order[: config.n_acc]]
     final = rerank_stage(
         query_item, acc_items, AgentKind.ACCURACY, config.accuracy_transport(query)
     )
-
-    return QueryResult(
-        query_id=query.query_id,
-        retrieval=retrieval,
-        base=base,
-        diversity=diversity,
-        final=final,
-    )
+    return QueryResult(query, retrieval, (base, diversity, final))
 
 
 def run_all(

@@ -38,7 +38,6 @@ class ScoreWeights:
 class CandidateList:
     """A query's retriever-ordered candidates with relevance scores."""
 
-    query_id: str
     candidates: list[tuple[str, float]]
     source: str
 
@@ -99,7 +98,7 @@ def _normalized(
     if len(set(best.values())) < len(ordered):
         ordered.sort(key=itemgetter(0))
     ordered.sort(key=itemgetter(1), reverse=True)
-    return CandidateList(query_id=query_id, candidates=ordered[:n], source=source)
+    return CandidateList(candidates=ordered[:n], source=source)
 
 
 class HeuristicRetriever:

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,12 @@ class TestParsePermutation:
         assert parsed.order == [0, 1]
         assert parsed.repairs == {DROPPED_OUT_OF_RANGE, APPENDED_MISSING}
 
+    def test_integer_too_long_for_int_dropped(self):
+        for raw in ("[" + "9" * 5000 + ", 0]", "Ranking: [" + "0" * 4999 + "1, 0]"):
+            parsed = parse_permutation(raw, 2)
+            assert parsed.order == [0, 1]
+            assert parsed.repairs == {DROPPED_OUT_OF_RANGE, APPENDED_MISSING}
+
     def test_non_integer_tokens_dropped_silently(self):
         parsed = parse_permutation("[first, 2]", 3)
         assert parsed.order == [2, 0, 1]
@@ -173,17 +180,21 @@ _INT_RE = re.compile(r"[+-]?\d+")
 
 
 def reference_parse(raw, n):
-    """The parser before its fast path, kept as the oracle: (order, repairs) or the exception type."""
-    try:
-        values = None
-        for match in _BRACKET_RE.finditer(raw):
-            tokens = [token.strip() for token in match.group(1).split(",")]
-            parsed = [int(token) for token in tokens if _INT_RE.fullmatch(token)]
-            if parsed:
-                values = parsed
-                break
-    except ValueError as exc:
-        return type(exc)
+    """The parser before its fast path, kept as the oracle: (order, repairs).
+
+    An integer with more digits than ``int`` reads is out of range, like any too large ID.
+    """
+    values = None
+    for match in _BRACKET_RE.finditer(raw):
+        tokens = [token.strip() for token in match.group(1).split(",")]
+        parsed = [
+            n if len(token.lstrip("+-")) > sys.get_int_max_str_digits() else int(token)
+            for token in tokens
+            if _INT_RE.fullmatch(token)
+        ]
+        if parsed:
+            values = parsed
+            break
     if values is None:
         return list(range(n)), frozenset({FALLBACK_IDENTITY})
     repairs = set()
@@ -231,7 +242,8 @@ class TestParseMatchesReference:
         "raw",
         ["[1_0]", "[ +3 , -1 ]", "[\u0661, \u0660]", "[\u0663, 1, 0, 2]", "[\u00b2, 1]", "[]", "[[2,1]]",
          "[2, 0, 1]", "[0, 0, 1]", "[5, 1]", "[00, 1]", "[0,1]", " [0, 1]", "[0, 1]\n", "[2, 1, 0, 3]",
-         "[1, 0] and [0, 1]", "[" + "9" * 5000 + "]"],
+         "[1, 0] and [0, 1]", "[" + "9" * 5000 + "]", "[" + "0" * 4999 + "1, 0]", "[1, -" + "9" * 4301 + "]",
+         "[0, " + "9" * 4300 + ", 1]"],
     )
     def test_explicit_cases(self, raw):
         for n in (1, 2, 3, 4, 12):

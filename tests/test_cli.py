@@ -1,10 +1,13 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from complerank.cli import main
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
 def read_csv(path):
@@ -75,6 +78,19 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_b)]) == 0
         for name in ("metrics.csv", "lift.csv", "stages.jsonl", "per_query.jsonl"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_mock_run_matches_golden_digests(self, tmp_path):
+        """Every output file of a fixed shuffle-mock audit run keeps its committed sha256."""
+        config_path, out_dir = base_config(tmp_path, "golden", agents={"mock": "shuffle:3"}, audit=True)
+        assert main(["run", "--config", str(config_path)]) == 0
+        golden = (GOLDEN_DIR / "mock_run_shuffle3.sha256").read_text(encoding="utf-8")
+        expected = {name: digest for digest, name in (line.split("  ") for line in golden.splitlines())}
+        actual = {
+            path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out_dir.rglob("*")
+            if path.is_file()
+        }
+        assert actual == expected
 
     def test_stage_records_reparse_with_invariants(self, tmp_path):
         config_path, out_dir = base_config(tmp_path, "run2")
@@ -164,6 +180,22 @@ class TestRunCommand:
         for name in ("audit.jsonl", "metrics.csv", "metrics.json", "lift.csv", "per_query.jsonl"):
             assert (out_dir / name).exists()
 
+    def test_integer_too_long_for_int_is_repaired(self, tmp_path, chat_server):
+        chat_server.set_script([(200, chat_server.completion("[" + "9" * 5000 + ", 0]"))])
+        config_path, out_dir = base_config(
+            tmp_path, "run15", agents={"endpoint": chat_server.url, "model": "test-model"}
+        )
+        assert main(["run", "--config", str(config_path)]) == 0
+        stages = [
+            json.loads(line)
+            for line in (out_dir / "stages.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        reranked = [record for record in stages if record["stage"] != "base"]
+        assert reranked
+        assert all("dropped_out_of_range" in record["repairs"] for record in reranked)
+        for name in ("audit.jsonl", "metrics.csv", "metrics.json", "lift.csv", "per_query.jsonl"):
+            assert (out_dir / name).exists()
+
     def test_rejected_request_keeps_prompt_in_audit(self, tmp_path, chat_server):
         chat_server.set_script([(400, {"error": "bad request"})])
         config_path, out_dir = base_config(
@@ -231,6 +263,30 @@ MALFORMED = [
         id="n_div-over-limit",
     ),
     pytest.param({"concurrency": 0}, (), "concurrency", id="concurrency-zero"),
+    pytest.param(
+        {"retriever": {"kind": "heuristic", "weights": {"price": float("nan")}}},
+        (),
+        "retriever.weights.price",
+        id="weights-price-nan",
+    ),
+    pytest.param(
+        {"agents": {"endpoint": "http://127.0.0.1:9", "model": "m", "temperature": float("nan")}},
+        (),
+        "agents.temperature",
+        id="temperature-nan",
+    ),
+    pytest.param(
+        {"dataset": {"synth": {"n_items": 60, "edges_per_item": float("inf")}}},
+        (),
+        "dataset.synth.edges_per_item",
+        id="edges_per_item-infinity",
+    ),
+    pytest.param(
+        {"agents": {"mock": "identity", "timeout": 10**400}},
+        (),
+        "agents.timeout",
+        id="timeout-past-float-range",
+    ),
     pytest.param(
         {"agents": {"endpoint": "http://127.0.0.1:9", "model": "m", "temperature": "hot"}},
         (),
@@ -312,3 +368,39 @@ class TestReportCommand:
         run_b = self.run_one(tmp_path, "rep3b", "same")
         assert main(["report", str(run_a), str(run_b), "--out", str(tmp_path / "r3")]) == 1
         assert "same" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda payload: {}, "top level: missing key(s) ['cutoffs', 'dataset', 'retriever', 'rows']"),
+            (
+                lambda payload: {**payload, "rows": [dict(row, hit=None) for row in payload["rows"]]},
+                "rows[0].hit: expected float, got null",
+            ),
+            (
+                lambda payload: {
+                    **payload,
+                    "rows": [{k: v for k, v in row.items() if k != "ndcg"} for row in payload["rows"]],
+                },
+                "rows[0]: missing key(s) ['ndcg']",
+            ),
+            (
+                lambda payload: {**payload, "rows": payload["rows"][1:]},
+                "rows: expected one per stage and cutoff",
+            ),
+            (
+                lambda payload: {**payload, "rows": [dict(row, stage="other") for row in payload["rows"]]},
+                "rows: expected one per stage and cutoff",
+            ),
+        ],
+        ids=["empty-object", "row-value-null", "row-missing-key", "row-dropped", "unknown-stage"],
+    )
+    def test_bad_metrics_file_fails_before_output(self, tmp_path, capsys, corrupt, message):
+        run_dir = self.run_one(tmp_path, "rep4", "heuristic")
+        path = run_dir / "metrics.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps(corrupt(payload)), encoding="utf-8")
+        out = tmp_path / "report4"
+        assert main(["report", str(run_dir), "--out", str(out)]) == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+        assert not out.exists()

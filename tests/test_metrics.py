@@ -365,30 +365,25 @@ def test_one_pass_preconditions_match_kernels():
 
 
 def test_evaluate_results_equals_kernels_per_list():
-    from complerank.pipeline import QueryResult, RankedList, StageOutcome
+    from complerank.catalog import QueryInstance
+    from complerank.pipeline import QueryResult, StageOutcome
     from complerank.retriever import CandidateList
 
     titles = {item_id: f"Title {n % 3} shared-{n % 2} é{n}" for n, item_id in enumerate(_IDS)}
-    truth = {"q1": frozenset({"i3", "i7"}), "q2": frozenset({"i0"})}
+    queries = [QueryInstance("q1", frozenset({"i3", "i7"})), QueryInstance("q2", frozenset({"i0"}))]
     results = []
-    for query_id, order in (("q1", _IDS[:8]), ("q2", _IDS[4:])):
-        def listed(stage, ids):
-            return RankedList(query_id=query_id, order=list(ids), stage=stage)
-
-        results.append(
-            QueryResult(
-                query_id=query_id,
-                retrieval=CandidateList(query_id, [(i, 1.0) for i in order], "test"),
-                base=listed("base", order),
-                diversity=StageOutcome(listed("diversity", order[::-1])),
-                final=StageOutcome(listed("diversity_accuracy", order[::-1][:4])),
-            )
+    for query, order in zip(queries, (_IDS[:8], _IDS[4:])):
+        stages = (
+            StageOutcome("base", list(order)),
+            StageOutcome("diversity", order[::-1]),
+            StageOutcome("diversity_accuracy", order[::-1][:4]),
         )
-    rows = evaluate_results(results, truth, titles, (5, 1, 3))
+        results.append(QueryResult(query, CandidateList([(i, 1.0) for i in order], "test"), stages))
+    rows = evaluate_results(results, titles, (5, 1, 3))
     expected = [
-        (r.query_id, ranked.stage, *values)
+        (r.query.query_id, outcome.stage, *values)
         for r in results
-        for ranked in r.lists()
-        for values in _kernel_rows(ranked.order, truth[r.query_id], titles, (5, 1, 3))
+        for outcome in r.stages
+        for values in _kernel_rows(outcome.order, r.query.ground_truth, titles, (5, 1, 3))
     ]
     assert [(r.query_id, r.stage, r.k, r.hit, r.ndcg, r.entropy, r.vocab) for r in rows] == expected

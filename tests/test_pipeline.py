@@ -7,6 +7,7 @@ from complerank.pipeline import (
     STAGE_BASE,
     STAGE_DIVERSITY,
     STAGE_FINAL,
+    STAGES,
     PipelineConfig,
     constant_transport,
     rerank_stage,
@@ -45,21 +46,21 @@ class TestRerankStage:
     def test_identity(self, prompt_fixture):
         query, candidates = prompt_fixture
         outcome = rerank_stage(query, candidates, AgentKind.DIVERSITY, mock_agent("identity"))
-        assert outcome.ranked.order == [item.id for item in candidates]
-        assert outcome.ranked.stage == STAGE_DIVERSITY
+        assert outcome.order == [item.id for item in candidates]
+        assert outcome.stage == STAGE_DIVERSITY
         assert not outcome.failed
 
     def test_reverse(self, prompt_fixture):
         query, candidates = prompt_fixture
         outcome = rerank_stage(query, candidates[:3], AgentKind.ACCURACY, mock_agent("reverse"))
-        assert outcome.ranked.order == ["c3", "c2", "c1"]
-        assert outcome.ranked.stage == STAGE_FINAL
+        assert outcome.order == ["c3", "c2", "c1"]
+        assert outcome.stage == STAGE_FINAL
 
     def test_oracle(self, prompt_fixture):
         query, candidates = prompt_fixture
         transport = mock_agent("oracle", ground_truth={"c2"})
         outcome = rerank_stage(query, candidates[:3], AgentKind.DIVERSITY, transport)
-        assert outcome.ranked.order == ["c2", "c1", "c3"]
+        assert outcome.order == ["c2", "c1", "c3"]
 
     def test_transport_error_falls_back_to_identity(self, prompt_fixture):
         query, candidates = prompt_fixture
@@ -69,8 +70,8 @@ class TestRerankStage:
 
         outcome = rerank_stage(query, candidates, AgentKind.DIVERSITY, broken)
         assert outcome.failed
-        assert outcome.ranked.order == [item.id for item in candidates]
-        assert outcome.ranked.stage == STAGE_DIVERSITY
+        assert outcome.order == [item.id for item in candidates]
+        assert outcome.stage == STAGE_DIVERSITY
         assert outcome.repairs == frozenset()
         assert outcome.prompt == build_prompt(query, candidates, AgentKind.DIVERSITY).text
         assert outcome.response is None
@@ -92,24 +93,32 @@ class TestRunPipeline:
     def test_identity_stages_track_base(self, split_setup):
         train, queries, retriever = split_setup
         config = make_config(n_div=4, n_acc=2)
-        result = run_pipeline(queries[0], retriever, train.items, config)
-        assert result.base.stage == STAGE_BASE
-        assert result.diversity.ranked.order == result.base.order
-        assert result.final.ranked.order == result.base.order[:2]
+        base, diversity, final = run_pipeline(queries[0], retriever, train.items, config).stages
+        assert base.stage == STAGE_BASE
+        assert diversity.order == base.order
+        assert final.order == base.order[:2]
+
+    def test_result_carries_query_and_stages_in_order(self, split_setup):
+        train, queries, retriever = split_setup
+        query = queries[0]
+        result = run_pipeline(query, retriever, train.items, make_config())
+        assert result.query is query
+        assert tuple(outcome.stage for outcome in result.stages) == STAGES
+        assert result.stages[0].order == result.retrieval.ids
 
     def test_small_pool_uses_whole_pool(self, split_setup):
         train, queries, retriever = split_setup
         config = make_config(n_div=50, n_acc=25, cutoffs=(1, 3))
-        result = run_pipeline(queries[0], retriever, train.items, config)
-        assert len(result.base.order) == 5  # 6 items minus the query
-        assert len(result.final.ranked.order) == 5
+        base, _, final = run_pipeline(queries[0], retriever, train.items, config).stages
+        assert len(base.order) == 5  # 6 items minus the query
+        assert len(final.order) == 5
 
     def test_conservation(self, split_setup):
         train, queries, retriever = split_setup
         config = make_config(div="reverse", acc="reverse", n_div=4, n_acc=3)
-        result = run_pipeline(queries[0], retriever, train.items, config)
-        assert sorted(result.diversity.ranked.order) == sorted(result.base.order)
-        assert sorted(result.final.ranked.order) == sorted(result.diversity.ranked.order[:3])
+        base, diversity, final = run_pipeline(queries[0], retriever, train.items, config).stages
+        assert sorted(diversity.order) == sorted(base.order)
+        assert sorted(final.order) == sorted(diversity.order[:3])
 
     def test_stage_isolation_under_shuffle(self, split_setup):
         train, queries, retriever = split_setup
@@ -120,9 +129,9 @@ class TestRunPipeline:
             n_acc=2,
             cutoffs=(1, 2),
         )
-        result = run_pipeline(queries[0], retriever, train.items, config)
-        truncated_away = set(result.diversity.ranked.order[2:])
-        assert not truncated_away & set(result.final.ranked.order)
+        _, diversity, final = run_pipeline(queries[0], retriever, train.items, config).stages
+        truncated_away = set(diversity.order[2:])
+        assert not truncated_away & set(final.order)
 
     def test_oracle_puts_truth_at_head(self, split_setup):
         train, queries, retriever = split_setup
@@ -134,9 +143,9 @@ class TestRunPipeline:
             n_acc=3,
             cutoffs=(1, 3),
         )
-        result = run_pipeline(query, retriever, train.items, config)
-        reachable = [i for i in result.base.order if i in query.ground_truth]
-        assert result.diversity.ranked.order[: len(reachable)] == reachable
+        base, diversity, _ = run_pipeline(query, retriever, train.items, config).stages
+        reachable = [i for i in base.order if i in query.ground_truth]
+        assert diversity.order[: len(reachable)] == reachable
 
     def test_transport_failure_falls_back_to_identity(self, split_setup):
         train, queries, retriever = split_setup
@@ -151,20 +160,20 @@ class TestRunPipeline:
             n_acc=2,
             cutoffs=(1, 2),
         )
-        result = run_pipeline(queries[0], retriever, train.items, config)
-        assert result.diversity.failed
-        assert result.diversity.ranked.order == result.base.order
-        assert not result.final.failed
-        assert result.final.ranked.order == result.base.order[:2]
+        base, diversity, final = run_pipeline(queries[0], retriever, train.items, config).stages
+        assert diversity.failed
+        assert diversity.order == base.order
+        assert not final.failed
+        assert final.order == base.order[:2]
 
     def test_no_duplicates_and_query_excluded(self, split_setup):
         train, queries, retriever = split_setup
         config = make_config(div="reverse", acc="reverse", n_div=5, n_acc=3, cutoffs=(1, 3))
         for query in queries:
             result = run_pipeline(query, retriever, train.items, config)
-            for ranked in result.lists():
-                assert len(set(ranked.order)) == len(ranked.order)
-                assert query.query_id not in ranked.order
+            for outcome in result.stages:
+                assert len(set(outcome.order)) == len(outcome.order)
+                assert query.query_id not in outcome.order
 
     def test_unservable_query_raises(self, split_setup):
         train, _, retriever = split_setup
@@ -177,7 +186,7 @@ class TestRunAll:
     def test_preserves_query_order(self, split_setup):
         train, queries, retriever = split_setup
         results = run_all(queries, retriever, train.items, make_config())
-        assert [r.query_id for r in results] == [q.query_id for q in queries]
+        assert [r.query for r in results] == list(queries)
 
     def test_concurrency_matches_sequential(self):
         graph, _ = generate(SynthConfig(n_items=60, n_genres=3, edges_per_item=3.0, seed=8))
@@ -192,6 +201,4 @@ class TestRunAll:
         )
         sequential = run_all(queries, retriever, train.items, config, concurrency=1)
         parallel = run_all(queries, retriever, train.items, config, concurrency=4)
-        assert [r.final.ranked.order for r in sequential] == [
-            r.final.ranked.order for r in parallel
-        ]
+        assert [r.stages[-1].order for r in sequential] == [r.stages[-1].order for r in parallel]
