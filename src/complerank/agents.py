@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
-import requests
-
 from .catalog import Item
 
 
@@ -148,16 +146,27 @@ class LlmConfig:
             raise ValueError("temperature must be nonnegative")
 
 
+def _retry_after_seconds(value: str | None) -> float | None:
+    """A ``Retry-After`` of non-negative integer seconds, else None (an HTTP-date included)."""
+    value = (value or "").strip()
+    # ``float`` reads a digit string of any length (a huge one as inf); ``int`` would refuse one.
+    return float(value) if value.isascii() and value.isdigit() else None
+
+
 def complete(prompt: PromptBundle, config: LlmConfig) -> str:
     """POST the prompt as a single user message and return the assistant text.
 
     Retries transport errors and HTTP 408, 429 and 5xx up to ``max_retries``
     times with exponential backoff; any other non-2xx status fails at once.
-    Raises :class:`TransportError` carrying the last failure, and for a
-    completion whose content is missing or not a string.  An empty or missing
-    API key sends no Authorization header (fine for unauthenticated local
-    endpoints).
+    A retryable status whose ``Retry-After`` is a whole number of seconds
+    waits that long instead, at most ``timeout``.  Raises
+    :class:`TransportError` carrying the last failure, and for a completion
+    whose content is missing or not a string.  An empty or missing API key
+    sends no Authorization header (fine for unauthenticated local endpoints).
+    ``requests`` is imported on the first call, so mock runs never load it.
     """
+    import requests
+
     url = config.base_url.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(config.api_key_env, "")
@@ -169,9 +178,12 @@ def complete(prompt: PromptBundle, config: LlmConfig) -> str:
         "temperature": config.temperature,
     }
 
+    retry_after = None  # seconds the last retryable answer asked to wait, if it said
     for attempt in range(config.max_retries + 1):
         if attempt:
-            time.sleep(config.backoff_seconds * 2 ** (attempt - 1))
+            backoff = config.backoff_seconds * 2 ** (attempt - 1)
+            time.sleep(backoff if retry_after is None else min(retry_after, config.timeout))
+            retry_after = None
         try:
             response = requests.post(url, json=body, headers=headers, timeout=config.timeout)
         except requests.RequestException as exc:
@@ -181,6 +193,7 @@ def complete(prompt: PromptBundle, config: LlmConfig) -> str:
         if not 200 <= status < 300:
             last_failure = f"HTTP {status}: {response.text[:200]}"
             if status in (408, 429) or status >= 500:
+                retry_after = _retry_after_seconds(response.headers.get("Retry-After"))
                 continue
             break
         try:

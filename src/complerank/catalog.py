@@ -132,8 +132,9 @@ def validate_graph(graph: ComplementGraph) -> None:
 def _parse_item_line(path: Path, lineno: int, line: str) -> Item:
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise CatalogError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer longer than ``int`` reads
+        message = getattr(exc, "msg", exc)
+        raise CatalogError(f"{path}:{lineno}: invalid JSON ({message})") from exc
     if not isinstance(record, dict):
         raise CatalogError(f"{path}:{lineno}: expected a JSON object")
     try:
@@ -188,8 +189,9 @@ def load_catalog(items_path: str | Path, edges_path: str | Path) -> ComplementGr
                 continue
             try:
                 pair = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CatalogError(f"{edges_path}:{lineno}: invalid JSON ({exc.msg})") from exc
+            except ValueError as exc:  # as in _parse_item_line
+                message = getattr(exc, "msg", exc)
+                raise CatalogError(f"{edges_path}:{lineno}: invalid JSON ({message})") from exc
             if (
                 not isinstance(pair, list)
                 or len(pair) != 2

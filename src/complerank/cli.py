@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from itertools import product
 from pathlib import Path
@@ -36,12 +38,28 @@ REPORT_JSON = "report.json"
 LIFT_REPORT_CSV = "lift_report.csv"
 LIFT_REPORT_JSON = "lift_report.json"
 
+# A JSON string or number; reading past strings finds the numbers that ``json`` reads.
+_JSON_STRING_OR_NUMBER = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
+
+
+def _line_of_long_int(text: str) -> int:
+    """The line of the first JSON integer with more digits than ``int`` reads (1 if none)."""
+    limit = sys.get_int_max_str_digits()
+    for match in _JSON_STRING_OR_NUMBER.finditer(text):
+        digits = match.group().lstrip("-")
+        if digits.isdigit() and len(digits) > limit:
+            return text.count("\n", 0, match.start()) + 1
+    return 1
+
+
 def _load_json(path: str | Path) -> dict:
-    with Path(path).open(encoding="utf-8") as fh:
-        try:
-            loaded = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        loaded = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer with more digits than ``int`` reads
+        raise ValueError(f"{path}:{_line_of_long_int(text)}: {exc}") from None
     if not isinstance(loaded, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     return loaded
@@ -248,6 +266,27 @@ def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
             fh.write(encode(record) + "\n")
 
 
+def _write_stages(out_dir: Path, results: Iterable[pipeline.QueryResult], audit: bool) -> None:
+    """Write ``stages.jsonl`` and, with ``audit``, ``audit.jsonl`` (reranked stages) in one pass."""
+    encode = _JSONL_ENCODER.encode
+    with (
+        (out_dir / STAGES_FILE).open("w", encoding="utf-8") as stages,
+        ((out_dir / AUDIT_FILE).open("w", encoding="utf-8") if audit else nullcontext()) as audits,
+    ):
+        for r in results:
+            for outcome in r.stages:
+                record = {
+                    "query_id": r.query.query_id,
+                    "stage": outcome.stage,
+                    "repairs": sorted(outcome.repairs),
+                    "failed": outcome.failed,
+                }
+                stages.write(encode({**record, "order": outcome.order}) + "\n")
+                if audits is not None and outcome.stage != pipeline.STAGE_BASE:
+                    record.update(prompt=outcome.prompt, response=outcome.response)
+                    audits.write(encode(record) + "\n")
+
+
 def cmd_synth(config: synth.SynthConfig, out_dir: str | Path) -> tuple[Path, Path, Path]:
     graph, genre_of = synth.generate(config)
     paths = synth.write_dataset(graph, genre_of, out_dir)
@@ -303,7 +342,7 @@ def cmd_run(cfg: RunConfig) -> Path:
     )
     _write_jsonl(
         out_dir / RETRIEVAL_FILE,
-        [
+        (
             {
                 "query_id": r.query.query_id,
                 "source": r.retrieval.source,
@@ -311,24 +350,10 @@ def cmd_run(cfg: RunConfig) -> Path:
                 "candidates": r.retrieval.candidates,  # (id, score) tuples encode as arrays
             }
             for r in results
-        ],
+        ),
     )
-    stage_records, audit_records = [], []
-    for r in results:
-        for outcome in r.stages:
-            record = {
-                "query_id": r.query.query_id,
-                "stage": outcome.stage,
-                "repairs": sorted(outcome.repairs),
-                "failed": outcome.failed,
-            }
-            stage_records.append({**record, "order": outcome.order})
-            if cfg.audit and outcome.stage != pipeline.STAGE_BASE:
-                audit_records.append({**record, "prompt": outcome.prompt, "response": outcome.response})
-    _write_jsonl(out_dir / STAGES_FILE, stage_records)
-    if cfg.audit:
-        _write_jsonl(out_dir / AUDIT_FILE, audit_records)
-    _write_jsonl(out_dir / PER_QUERY_FILE, metrics.rows_to_dicts(per_query_rows))
+    _write_stages(out_dir, results, cfg.audit)
+    _write_jsonl(out_dir / PER_QUERY_FILE, map(vars, per_query_rows))  # the rows' own field dicts
     metrics.write_metrics_csv(metrics_rows, out_dir / METRICS_CSV)
     metrics.write_json(
         {

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Container
+from typing import Iterable
 
 from .catalog import ComplementGraph, Item
 
@@ -141,14 +142,17 @@ class PrecomputedRetriever:
 
     Each JSON Lines record is ``{"query_id": ..., "candidates": [[item_id,
     score], ...]}``.  Every candidate id must be in ``items`` (the catalog)
-    and every score finite; a malformed line, an unknown id or a NaN or
-    infinite score fails at load with ``path:line``.
+    and every score finite; a malformed line, a NaN or infinite score or an
+    unknown id fails at load with ``path:line``, checked in that order.  Each
+    list is held as two columns: a tuple of the catalog's own id strings and
+    an ``array("d")`` of the scores.
     """
 
-    def __init__(self, path: str | Path, items: Container[str], name: str | None = None):
+    def __init__(self, path: str | Path, items: Iterable[str], name: str | None = None):
         self.path = Path(path)
         self.name = name or self.path.stem
-        self._lists: dict[str, list[tuple[str, float]]] = {}
+        self._lists: dict[str, tuple[tuple[str, ...], array]] = {}
+        canonical = {item_id: item_id for item_id in items}
         with self.path.open(encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -162,22 +166,26 @@ class PrecomputedRetriever:
                     ]
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     raise RetrievalError(f"{self.path}:{lineno}: malformed scores line ({exc})")
+                ids, scores = zip(*pairs) if pairs else ((), ())
+                scores = array("d", scores)
                 # A sum of finite scores is finite unless it overflows; only then look closer.
-                if not math.isfinite(sum(map(itemgetter(1), pairs))):
+                if not math.isfinite(sum(scores)):
                     for item_id, score in pairs:
                         if not math.isfinite(score):
                             raise RetrievalError(
                                 f"{self.path}:{lineno}: candidate {item_id!r} has non-finite "
                                 f"score {score}"
                             )
-                for item_id, _ in pairs:
-                    if item_id not in items:
-                        raise RetrievalError(
-                            f"{self.path}:{lineno}: candidate id {item_id!r} is not in the catalog"
-                        )
-                self._lists[str(query_id)] = pairs
+                try:
+                    ids = tuple(map(canonical.__getitem__, ids))
+                except KeyError as exc:
+                    raise RetrievalError(
+                        f"{self.path}:{lineno}: candidate id {exc.args[0]!r} is not in the catalog"
+                    ) from None
+                self._lists[str(query_id)] = (ids, scores)
 
     def retrieve(self, query_id: str, n: int) -> CandidateList:
         if query_id not in self._lists:
             raise RetrievalError(f"query {query_id!r} not present in {self.path}")
-        return _normalized(query_id, self._lists[query_id], self.name, n)
+        ids, scores = self._lists[query_id]
+        return _normalized(query_id, list(zip(ids, scores)), self.name, n)

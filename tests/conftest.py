@@ -47,11 +47,15 @@ class _ChatHandler(BaseHTTPRequestHandler):
         self.server.requests.append(
             {"path": self.path, "body": body, "auth": self.headers.get("Authorization")}
         )
-        status, payload = self.server.script[min(len(self.server.requests) - 1, len(self.server.script) - 1)]
+        status, payload, *headers = self.server.script[
+            min(len(self.server.requests) - 1, len(self.server.script) - 1)
+        ]
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -62,8 +66,9 @@ class _ChatHandler(BaseHTTPRequestHandler):
 class MockChatServer:
     """Local chat-completions endpoint with a scriptable response sequence.
 
-    ``script`` is a list of (status, payload) pairs; the last entry repeats
-    once the sequence is exhausted.
+    ``script`` is a list of (status, payload) pairs, each optionally followed
+    by a dict of extra response headers; the last entry repeats once the
+    sequence is exhausted.
     """
 
     def __init__(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from complerank import agents
 from complerank.agents import (
     APPENDED_MISSING,
     DEDUPLICATED,
@@ -392,6 +393,40 @@ class TestComplete:
         chat_server.set_script([(429, {}), (200, chat_server.completion("[0]"))])
         assert complete(bundle, self.config(chat_server, max_retries=3)) == "[0]"
         assert len(chat_server.requests) == 2
+
+    @pytest.mark.parametrize(
+        "retry_after, slept",
+        [
+            ("0", 0.0),
+            ("7", 7.0),
+            ("120", 10.0),  # capped at the 10 s timeout
+            ("Wed, 21 Oct 2015 07:28:00 GMT", 0.01),  # an HTTP-date falls back to the backoff
+            ("1.5", 0.01),  # not a whole number of seconds
+            (None, 0.01),
+        ],
+    )
+    def test_retry_after_seconds_replace_backoff(
+        self, chat_server, prompt_fixture, monkeypatch, retry_after, slept
+    ):
+        sleeps = []
+        monkeypatch.setattr(agents.time, "sleep", sleeps.append)
+        query, candidates = prompt_fixture
+        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+        chat_server.set_script([(429, {}, headers), (503, {}), (200, chat_server.completion("[0]"))])
+        assert complete(bundle, self.config(chat_server, max_retries=3, timeout=10.0)) == "[0]"
+        assert sleeps == [slept, 0.02]  # the second wait, after a 503 without the header, is the backoff
+        assert len(chat_server.requests) == 3
+
+    def test_retry_after_on_client_error_not_retried(self, chat_server, prompt_fixture, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(agents.time, "sleep", sleeps.append)
+        query, candidates = prompt_fixture
+        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        chat_server.set_script([(400, {}, {"Retry-After": "1"}), (200, chat_server.completion("[0]"))])
+        with pytest.raises(TransportError, match="400"):
+            complete(bundle, self.config(chat_server, max_retries=3))
+        assert sleeps == [] and len(chat_server.requests) == 1
 
     def test_unreachable_host_no_retries(self, prompt_fixture):
         query, candidates = prompt_fixture

@@ -87,6 +87,21 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match=r"items\.jsonl:2"):
             load_catalog(tmp_path / "items.jsonl", tmp_path / "edges.jsonl")
 
+    @pytest.mark.parametrize("bad_file", ["items", "edges"])
+    def test_integer_too_long_for_int_reports_line(self, tmp_path, bad_file):
+        long_int = "1" * 5001
+        items = items_lines(("A", "alpha", [], {}), ("B", "beta", [], {}))
+        edges = [json.dumps(["A", "B"])]
+        if bad_file == "items":
+            items.append('{"id": "C", "title": "gamma", "price": ' + long_int + "}")
+        else:
+            edges.append('["A", ' + long_int + "]")
+        write_lines(tmp_path / "items.jsonl", items)
+        write_lines(tmp_path / "edges.jsonl", edges)
+        lineno = len(items if bad_file == "items" else edges)
+        with pytest.raises(CatalogError, match=rf"{bad_file}\.jsonl:{lineno}: invalid JSON \(Exceeds"):
+            load_catalog(tmp_path / "items.jsonl", tmp_path / "edges.jsonl")
+
     def test_duplicate_item_id(self, tmp_path):
         write_lines(
             tmp_path / "items.jsonl",

@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,74 @@ def base_config(tmp_path, out_name, **overrides):
     path = tmp_path / f"config_{out_name}.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return path, Path(config["out"])
+
+
+# A hand-made catalog whose ids include integer-like strings, so that a scores
+# file can name "7" as the JSON integer 7.
+PRECOMPUTED_ITEMS = [
+    {"id": "1", "title": "camera body pro", "categories": ["photo", "cameras"], "price": 500.0},
+    {"id": "2", "title": "camera lens zoom", "categories": ["photo", "lenses"], "price": 250.0},
+    {"id": "7", "title": "camera strap soft", "categories": ["photo"], "price": 25.0},
+    {"id": "10", "title": "tripod travel light", "categories": ["photo", "support"]},
+    {"id": "a1", "title": "stand mixer large", "categories": ["kitchen"], "price": 300.0},
+    {"id": "a2", "title": "mixing bowl steel", "categories": ["kitchen", "tools"], "price": 0.0},
+    {"id": "b1", "title": "bread knife sharp", "categories": [], "price": 20.0},
+    {"id": "b2", "title": "cutting board oak", "categories": ["kitchen", "tools"], "price": 35.0},
+    {"id": "c1", "title": "guitar strings set", "categories": ["music"], "price": 9.5},
+    {"id": "c2", "title": "guitar capo", "categories": ["music"], "price": 12.0},
+]
+PRECOMPUTED_EDGES = [
+    ["1", "2"], ["1", "7"], ["2", "a1"], ["7", "10"], ["10", "a2"], ["a1", "a2"],
+    ["a2", "b1"], ["b1", "b2"], ["b2", "c1"], ["c1", "c2"], ["c2", "1"], ["a1", "b2"],
+]
+# One line per catalog item, each hand-written: a repeated id ("a1" on the
+# line of "2"), the query's own id, tied scores, 0.0 next to -0.0, integer ids
+# for catalog ids ("10", "7" and the query id 10) and lines out of score order.
+PRECOMPUTED_SCORES = """\
+{"query_id": "1", "candidates": [["2", 0.1], ["7", 0.4], [10, 0.9], ["a1", 0.4], ["1", 5.0], ["b1", 0.2], ["c2", 0.05]]}
+{"query_id": "2", "candidates": [["a1", 0.3], ["a1", 0.8], ["c1", 0.0], ["b2", -0.0], ["1", 0.5], [7, 0.5], ["2", 0.7]]}
+{"query_id": "7", "candidates": [["10", -0.0], ["a2", 0.0], ["b1", 0.0], ["1", 1.5], ["7", 2.0], ["c1", -0.5]]}
+{"query_id": 10, "candidates": [["a2", 0.25], ["7", 0.75], ["c2", 0.75], ["b2", 0.5], ["1", 0.25], ["a1", 1]]}
+{"query_id": "a1", "candidates": [["a2", 3.0], ["b2", 2.0], ["2", 2.0], ["b2", 2.5], ["c1", 1.0], ["a1", 9.0]]}
+{"query_id": "a2", "candidates": [["b1", -1.0], ["10", -2.0], ["a1", -0.5], ["b2", -0.5], ["c2", -0.0]]}
+{"query_id": "b1", "candidates": [["b2", 0.1], ["a2", 0.2], ["c1", 0.3], ["c2", 0.4], [1, 0.5], [2, 0.6]]}
+{"query_id": "b2", "candidates": [["c1", 0.9], ["b1", 0.9], ["a1", 0.9], ["b2", 0.9], ["10", 0.9], ["7", 0.8]]}
+{"query_id": "c1", "candidates": [["c2", 0.0], ["b2", -0.0], ["1", 0.0], ["2", -0.0], ["c1", 0.0], ["a2", 1e-9]]}
+{"query_id": "c2", "candidates": [["c1", 0.5], ["1", 0.6], ["c1", 0.7], ["c1", 0.4], ["a1", 0.1], ["7", 0.2]]}
+"""
+
+
+def precomputed_config(tmp_path):
+    """Write the hand-made catalog and scores file, and a precomputed ``shuffle:3`` audit config."""
+    items, edges, scores = tmp_path / "items.jsonl", tmp_path / "edges.jsonl", tmp_path / "scores.jsonl"
+    items.write_text("".join(json.dumps(record) + "\n" for record in PRECOMPUTED_ITEMS), encoding="utf-8")
+    edges.write_text("".join(json.dumps(pair) + "\n" for pair in PRECOMPUTED_EDGES), encoding="utf-8")
+    scores.write_text(PRECOMPUTED_SCORES, encoding="utf-8")
+    return base_config(
+        tmp_path,
+        "precomputed",
+        dataset={"items": str(items), "edges": str(edges), "name": "handmade"},
+        split={"holdout_fraction": 0.5, "seed": 3},
+        retriever={"kind": "precomputed", "path": str(scores)},
+        pipeline={"n_div": 5, "n_acc": 3, "cutoffs": [1, 3]},
+        agents={"mock": "shuffle:3"},
+        audit=True,
+    )
+
+
+def output_digests(out_dir):
+    """The sha256 of every file under ``out_dir``, by relative path."""
+    return {
+        path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out_dir.rglob("*")
+        if path.is_file()
+    }
+
+
+def golden_digests(name):
+    """A committed ``sha256sum``-style digest file, by relative path."""
+    golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    return {name: digest for digest, name in (line.split("  ") for line in golden.splitlines())}
 
 
 class TestSynthCommand:
@@ -83,14 +154,34 @@ class TestRunCommand:
         """Every output file of a fixed shuffle-mock audit run keeps its committed sha256."""
         config_path, out_dir = base_config(tmp_path, "golden", agents={"mock": "shuffle:3"}, audit=True)
         assert main(["run", "--config", str(config_path)]) == 0
-        golden = (GOLDEN_DIR / "mock_run_shuffle3.sha256").read_text(encoding="utf-8")
-        expected = {name: digest for digest, name in (line.split("  ") for line in golden.splitlines())}
-        actual = {
-            path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in out_dir.rglob("*")
-            if path.is_file()
-        }
-        assert actual == expected
+        assert output_digests(out_dir) == golden_digests("mock_run_shuffle3.sha256")
+
+    def test_precomputed_mock_run_matches_golden_digests(self, tmp_path):
+        """A hand-made catalog and scores file, run with ``shuffle:3`` and audit on."""
+        config_path, out_dir = precomputed_config(tmp_path)
+        assert main(["run", "--config", str(config_path)]) == 0
+        assert output_digests(out_dir) == golden_digests("mock_run_precomputed.sha256")
+
+    def test_mock_run_never_imports_requests(self, tmp_path):
+        """``requests`` is loaded on the first HTTP request, so a mock run never imports it."""
+        config_path, _ = base_config(tmp_path, "lazy")
+        script = (
+            "import sys\n"
+            "import complerank.cli\n"
+            "assert complerank.cli.main(['run', '--config', sys.argv[1]]) == 0\n"
+            "print('requests' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(config_path)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
 
     def test_stage_records_reparse_with_invariants(self, tmp_path):
         config_path, out_dir = base_config(tmp_path, "run2")
@@ -249,9 +340,29 @@ class TestRunCommand:
         assert "both" in capsys.readouterr().err
 
 
+LONG_INT = "1" * 5001  # more digits than ``int`` reads from a string
+
+
+def long_int_concurrency(tmp_path):
+    """The base config's text with a 5 001-digit ``concurrency`` on its second line."""
+    config_path, _ = base_config(tmp_path, "bad")
+    return config_path.read_text(encoding="utf-8")[:-1] + ',\n "concurrency": ' + LONG_INT + "}"
+
+
+def long_int_price(tmp_path):
+    """An items file whose second line has a 5 001-digit ``price``."""
+    items, edges = tmp_path / "long_items.jsonl", tmp_path / "long_edges.jsonl"
+    items.write_text(
+        '{"id": "a", "title": "alpha"}\n{"id": "b", "title": "beta", "price": ' + LONG_INT + "}\n",
+        encoding="utf-8",
+    )
+    edges.write_text('["a", "b"]\n', encoding="utf-8")
+    return {"dataset": {"items": str(items), "edges": str(edges)}}
+
+
 # One malformed config per row: its overrides of base_config, extra run flags,
 # and a key the error message must name.  A string of overrides replaces the
-# whole config file.
+# whole config file; a function of tmp_path gives the overrides or the string.
 MALFORMED = [
     pytest.param({"audit": "no"}, (), "audit", id="audit-not-bool"),
     pytest.param({"pipline": {"n_div": 10}}, (), "pipline", id="unknown-key"),
@@ -322,11 +433,17 @@ MALFORMED = [
         "retriever.weights",
         id="weights-after-retriever-flag",
     ),
+    pytest.param(
+        long_int_concurrency, (), "config_bad.json:2: Exceeds the limit", id="concurrency-5001-digits"
+    ),
+    pytest.param(long_int_price, (), "long_items.jsonl:2: invalid JSON", id="items-price-5001-digits"),
 ]
 
 
 @pytest.mark.parametrize("overrides, flags, key", MALFORMED)
 def test_malformed_config_fails_before_output(tmp_path, capsys, overrides, flags, key):
+    if callable(overrides):
+        overrides = overrides(tmp_path)
     if isinstance(overrides, str):
         config_path, out_dir = base_config(tmp_path, "bad")
         config_path.write_text(overrides, encoding="utf-8")

@@ -1,4 +1,7 @@
 import json
+import math
+from operator import itemgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -10,6 +13,7 @@ from complerank.retriever import (
     PrecomputedRetriever,
     RetrievalError,
     ScoreWeights,
+    _normalized,
     category_overlap,
     score_pair,
 )
@@ -198,6 +202,115 @@ class TestRetrievePrecomputed:
         expected = sorted(best.items(), key=lambda pair: (-pair[1], pair[0]))[:n]
         ranked = PrecomputedRetriever(path, set("abcdefghq")).retrieve("q", n)
         assert repr(ranked.candidates) == repr(expected)
+
+
+class ListOfTuplesRetriever:
+    """Oracle: the loader and ``retrieve`` of ``PrecomputedRetriever`` as they were when each
+    list was held as ``(id, score)`` tuples."""
+
+    def __init__(self, path, items, name=None):
+        self.path = Path(path)
+        self.name = name or self.path.stem
+        self._lists = {}
+        with self.path.open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                    query_id = record["query_id"]
+                    pairs = [
+                        (str(item_id), float(score)) for item_id, score in record["candidates"]
+                    ]
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                    raise RetrievalError(f"{self.path}:{lineno}: malformed scores line ({exc})")
+                if not math.isfinite(sum(map(itemgetter(1), pairs))):
+                    for item_id, score in pairs:
+                        if not math.isfinite(score):
+                            raise RetrievalError(
+                                f"{self.path}:{lineno}: candidate {item_id!r} has non-finite "
+                                f"score {score}"
+                            )
+                for item_id, _ in pairs:
+                    if item_id not in items:
+                        raise RetrievalError(
+                            f"{self.path}:{lineno}: candidate id {item_id!r} is not in the catalog"
+                        )
+                self._lists[str(query_id)] = pairs
+
+    def retrieve(self, query_id, n):
+        if query_id not in self._lists:
+            raise RetrievalError(f"query {query_id!r} not present in {self.path}")
+        return _normalized(query_id, self._lists[query_id], self.name, n)
+
+
+CATALOG_IDS = ["a", "b", "c", "d", "q", "7", "10"]
+# Ids as a scores file may spell them: the integers 7 and 10 name "7" and "10".
+SPELLED_IDS = st.sampled_from(["a", "b", "c", "d", "q", "7", "10", 7, 10])
+SCORES = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.5, 1e-300, 7])
+
+
+class TestColumnarMatchesListOfTuples:
+    """``PrecomputedRetriever`` against the list-of-tuples oracle above."""
+
+    @given(
+        lines=st.lists(
+            st.tuples(
+                st.sampled_from(["q", "a", "7", 7]),
+                st.lists(st.tuples(SPELLED_IDS, SCORES), max_size=12),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        n=st.integers(1, 14),
+    )
+    def test_retrieve_equals_oracle(self, tmp_path_factory, lines, n):
+        """Repeated ids, ties, signed zeros, the query's own id, integer ids, n above and below length."""
+        path = tmp_path_factory.mktemp("scores") / "scores.jsonl"
+        path.write_text(
+            "".join(json.dumps({"query_id": q, "candidates": pairs}) + "\n" for q, pairs in lines),
+            encoding="utf-8",
+        )
+        columnar = PrecomputedRetriever(path, CATALOG_IDS)
+        oracle = ListOfTuplesRetriever(path, set(CATALOG_IDS))
+        for query_id in {str(q) for q, _ in lines}:
+            got, expected = columnar.retrieve(query_id, n), oracle.retrieve(query_id, n)
+            assert repr(got.candidates) == repr(expected.candidates)
+            assert got.source == expected.source
+
+    def test_ids_are_the_catalogs_own_strings(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"query_id": "q", "candidates": [[17, 1.0], ["item", 0.5]]}\n', encoding="utf-8")
+        catalog = ["".join(["it", "em"]), "".join(["1", "7"]), "q"]  # not interned literals
+        ranked = PrecomputedRetriever(path, catalog).retrieve("q", 2)
+        assert ranked.ids == ["17", "item"]
+        assert ranked.ids[0] is catalog[1] and ranked.ids[1] is catalog[0]
+
+    # One line per error kind; each line also carries every later kind, so the
+    # message shows which check comes first.
+    ERRORS = {
+        "malformed": '{"query_id": "q", "candidates": [["nope", NaN], ["a", "x"]]}',
+        "non-finite": '{"query_id": "q", "candidates": [["nope", 1.0], ["a", Infinity]]}',
+        "unknown id": '{"query_id": "q", "candidates": [["a", 1.0], ["nope", 2.0], ["gone", 3.0]]}',
+    }
+
+    @pytest.mark.parametrize("kind", list(ERRORS))
+    def test_error_message_and_precedence_unchanged(self, tmp_path, kind):
+        path = tmp_path / "scores.jsonl"
+        first = '{"query_id": "r", "candidates": [["a", 1.0]]}\n'
+        path.write_text(first + self.ERRORS[kind] + "\n", encoding="utf-8")
+        with pytest.raises(RetrievalError) as expected:
+            ListOfTuplesRetriever(path, {"a", "q"})
+        with pytest.raises(RetrievalError) as got:
+            PrecomputedRetriever(path, ["a", "q"])
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith(f"{path}:2: ")
+        assert {
+            "malformed": "malformed scores line",
+            "non-finite": "candidate 'a' has non-finite score inf",
+            "unknown id": "candidate id 'nope' is not in the catalog",
+        }[kind] in str(got.value)
 
 
 def test_heuristic_retriever_tags_source(tiny_graph):
