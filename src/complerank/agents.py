@@ -84,12 +84,7 @@ class PromptBundle:
     index_to_id: list[str]
 
 
-def build_prompt(
-    query: Item,
-    candidates: Sequence[Item],
-    kind: AgentKind,
-    max_candidates: int = MAX_CANDIDATES,
-) -> PromptBundle:
+def build_prompt(query: Item, candidates: Sequence[Item], kind: AgentKind) -> PromptBundle:
     """Render the reranking prompt for ``candidates`` in input order.
 
     Candidates are labeled ``ID:0 .. ID:n-1``; only titles are exposed to the
@@ -99,8 +94,8 @@ def build_prompt(
     candidates = list(candidates)
     if not candidates:
         raise PromptError("candidate list is empty")
-    if len(candidates) > max_candidates:
-        raise PromptError(f"{len(candidates)} candidates exceed the maximum of {max_candidates}")
+    if len(candidates) > MAX_CANDIDATES:
+        raise PromptError(f"{len(candidates)} candidates exceed the maximum of {MAX_CANDIDATES}")
     index_to_id = [item.id for item in candidates]
     if len(set(index_to_id)) != len(index_to_id):
         raise PromptError("candidate list contains duplicate item ids")
@@ -250,7 +245,7 @@ def parse_permutation(raw: str, n: int) -> "ParsedPermutation":
         except ValueError:  # a token with more digits than ``int`` reads
             values = [_read_int(token, n) for token in tokens]
         if len(values) == n and max(values) < n and len(set(values)) == n:
-            return ParsedPermutation(order=values, repairs=frozenset(), raw=raw)
+            return ParsedPermutation(order=values, repairs=frozenset())
     else:
         for match in _BRACKET_RE.finditer(raw):
             tokens = [token.strip() for token in match.group(1).split(",")]
@@ -261,7 +256,7 @@ def parse_permutation(raw: str, n: int) -> "ParsedPermutation":
 
     repairs: set[str] = set()
     if values is None:
-        return ParsedPermutation(order=list(range(n)), repairs=frozenset({FALLBACK_IDENTITY}), raw=raw)
+        return ParsedPermutation(order=list(range(n)), repairs=frozenset({FALLBACK_IDENTITY}))
 
     in_range = [v for v in values if 0 <= v < n]
     if len(in_range) != len(values):
@@ -280,7 +275,7 @@ def parse_permutation(raw: str, n: int) -> "ParsedPermutation":
         repairs.add(APPENDED_MISSING)
         order.extend(v for v in range(n) if v not in seen)
 
-    return ParsedPermutation(order=order, repairs=frozenset(repairs), raw=raw)
+    return ParsedPermutation(order=order, repairs=frozenset(repairs))
 
 
 @dataclass
@@ -289,7 +284,6 @@ class ParsedPermutation:
 
     order: list[int]
     repairs: frozenset[str] = field(default_factory=frozenset)
-    raw: str = ""
 
 
 Transport = Callable[[PromptBundle], str]

@@ -8,7 +8,8 @@ edges and groups the removed endpoints into per-query ground-truth sets.
 
 File formats (see README for examples):
   * items file: UTF-8 JSON Lines, one object per line with keys ``id`` (str),
-    ``title`` (str), ``categories`` (list of str), ``price`` (number, optional).
+    ``title`` (str), ``categories`` (list of str), ``price`` (finite number,
+    optional).
   * edges file: one JSON array ``[id_a, id_b]`` per line.
 """
 
@@ -17,9 +18,10 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Container, Iterable
 
 
 class CatalogError(ValueError):
@@ -50,11 +52,15 @@ class Item:
             raise CatalogError(f"item {self.id!r}: price must be nonnegative")
 
 
-def edge_key(a: str, b: str) -> tuple[str, str]:
-    """Normalize an undirected edge to a sorted id pair.
+def edge_key(a: str, b: str, items: Container[str]) -> tuple[str, str]:
+    """Normalize an undirected edge between two ids of ``items`` to a sorted id pair.
 
-    Self-loops are rejected: an item cannot complement itself.
+    Unknown endpoints and self-loops (an item cannot complement itself) are
+    rejected, in that order.
     """
+    for endpoint in (a, b):
+        if endpoint not in items:
+            raise CatalogError(f"edge references unknown item id {endpoint!r}")
     if a == b:
         raise CatalogError(f"self-loop edge on {a!r}")
     return (a, b) if a < b else (b, a)
@@ -64,9 +70,10 @@ def edge_key(a: str, b: str) -> tuple[str, str]:
 class ComplementGraph:
     """Items plus undirected complementary edges.
 
-    ``edges`` holds normalized (sorted) id pairs.  Instances are immutable by
-    convention and safe to share across concurrent readers.  Build through
-    :meth:`from_parts` to get normalization and validation.
+    ``edges`` holds normalized (sorted) id pairs of known items (see
+    :func:`edge_key`).  Instances are immutable by convention and safe to
+    share across concurrent readers.  Build through :meth:`from_parts` to get
+    normalization and validation.
     """
 
     items: dict[str, Item]
@@ -81,14 +88,7 @@ class ComplementGraph:
             if item.id in by_id:
                 raise CatalogError(f"duplicate item id {item.id!r}")
             by_id[item.id] = item
-        edges = frozenset(edge_key(a, b) for a, b in edge_pairs)
-        graph = cls(items=by_id, edges=edges)
-        validate_graph(graph)
-        return graph
-
-    @property
-    def n_items(self) -> int:
-        return len(self.items)
+        return cls(items=by_id, edges=frozenset(edge_key(a, b, by_id) for a, b in edge_pairs))
 
     @property
     def n_edges(self) -> int:
@@ -117,18 +117,6 @@ class QueryInstance:
             raise CatalogError(f"query {self.query_id!r} appears in its own ground truth")
 
 
-def validate_graph(graph: ComplementGraph) -> None:
-    """Check referential integrity, normalization and absence of self-loops."""
-    for a, b in graph.edges:
-        if a == b:
-            raise CatalogError(f"self-loop edge on {a!r}")
-        if a > b:
-            raise CatalogError(f"edge ({a!r}, {b!r}) is not normalized")
-        for endpoint in (a, b):
-            if endpoint not in graph.items:
-                raise CatalogError(f"edge references unknown item id {endpoint!r}")
-
-
 def _parse_item_line(path: Path, lineno: int, line: str) -> Item:
     try:
         record = json.loads(line)
@@ -148,8 +136,9 @@ def _parse_item_line(path: Path, lineno: int, line: str) -> Item:
         raise CatalogError(f"{path}:{lineno}: id and title must be strings")
     if not isinstance(categories, list) or any(not isinstance(c, str) for c in categories):
         raise CatalogError(f"{path}:{lineno}: categories must be an array of strings")
-    if price is not None and not isinstance(price, (int, float)):
-        raise CatalogError(f"{path}:{lineno}: price must be a number")
+    # NaN fails the comparison, and JSON's ``true`` is no number here.
+    if price is not None and (type(price) not in (int, float) or not abs(price) <= sys.float_info.max):
+        raise CatalogError(f"{path}:{lineno}: price must be a finite number, got {json.dumps(price)}")
     try:
         return Item(
             id=item_id,
@@ -200,14 +189,8 @@ def load_catalog(items_path: str | Path, edges_path: str | Path) -> ComplementGr
                 raise CatalogError(
                     f"{edges_path}:{lineno}: expected a JSON array of two item ids"
                 )
-            a, b = pair
-            for endpoint in (a, b):
-                if endpoint not in items:
-                    raise CatalogError(
-                        f"{edges_path}:{lineno}: edge references unknown item id {endpoint!r}"
-                    )
             try:
-                edges.add(edge_key(a, b))
+                edges.add(edge_key(*pair, items))
             except CatalogError as exc:
                 raise CatalogError(f"{edges_path}:{lineno}: {exc}") from exc
 

@@ -169,6 +169,7 @@ class RunConfig:
     exclude_neighbors: bool
     scores: Path | None  # the precomputed retriever's file; None for the heuristic retriever
     pipeline_config: pipeline.PipelineConfig
+    cutoffs: tuple[int, ...]  # sorted, without duplicates
     agents: dict[str, dict[str, str]]  # stage -> its description for run_config.json
     audit: bool
     concurrency: int
@@ -231,8 +232,16 @@ class RunConfig:
             accuracy_transport=factories["accuracy"],
             n_div=n_div,
             n_acc=n_acc,
-            cutoffs=tuple(pipe.get("cutoffs", (1, 3, 5, 10))),
         )
+        cutoffs = tuple(sorted(set(pipe.get("cutoffs", (1, 3, 5, 10)))))
+        if not cutoffs:
+            raise ValueError("pipeline.cutoffs: must be nonempty")
+        if cutoffs[0] < 1:
+            raise ValueError(f"pipeline.cutoffs: must be positive, got {pipe['cutoffs']}")
+        if cutoffs[-1] > n_acc:
+            raise ValueError(
+                f"pipeline.cutoffs: largest cutoff ({cutoffs[-1]}) must not exceed n_acc ({n_acc})"
+            )
 
         if "out" not in raw:
             raise ValueError("out: no output directory; set 'out' in the config or pass --out")
@@ -250,6 +259,7 @@ class RunConfig:
             exclude_neighbors=retr.get("exclude_neighbors", True),
             scores=Path(retr["path"]) if precomputed else None,
             pipeline_config=pipeline_config,
+            cutoffs=cutoffs,
             agents=descs,
             audit=raw.get("audit", any("endpoint" in desc for desc in descs.values())),
             concurrency=concurrency,
@@ -310,12 +320,13 @@ def cmd_run(cfg: RunConfig) -> Path:
         )
     else:
         retr = retriever.PrecomputedRetriever(cfg.scores, train.items, name=cfg.retriever_name)
+        retr.check_coverage([query.query_id for query in queries])
     out_dir = cfg.out
     out_dir.mkdir(parents=True, exist_ok=True)
     if isinstance(cfg.dataset, synth.SynthConfig):
         synth.write_dataset(graph, genre_of, out_dir / "dataset")
     config = cfg.pipeline_config
-    cutoffs, dataset_name = config.cutoffs, cfg.dataset_name
+    cutoffs, dataset_name = cfg.cutoffs, cfg.dataset_name
     results = pipeline.run_all(queries, retr, train.items, config, concurrency=cfg.concurrency)
 
     titles_by_id = {item_id: item.title for item_id, item in train.items.items()}
@@ -345,9 +356,9 @@ def cmd_run(cfg: RunConfig) -> Path:
         (
             {
                 "query_id": r.query.query_id,
-                "source": r.retrieval.source,
+                "source": retr.name,
                 "ground_truth": sorted(r.query.ground_truth),
-                "candidates": r.retrieval.candidates,  # (id, score) tuples encode as arrays
+                "candidates": r.retrieval,  # (id, score) tuples encode as arrays
             }
             for r in results
         ),

@@ -165,8 +165,6 @@ def _evaluate(
         return []
     if ks[0] < 1:
         raise ValueError(f"k must be >= 1, got {ks[0]}")
-    if not ground_truth:
-        raise ValueError("ground truth must be nonempty")
     top = order[: ks[-1]]
     hit_positions = [p for p, item_id in enumerate(top, start=1) if item_id in ground_truth]
     rows = []
@@ -197,18 +195,6 @@ class _TokensById(dict):
     def __missing__(self, item_id: str) -> list[str]:
         tokens = self[item_id] = tokenize(self._titles[item_id])
         return tokens
-
-
-def evaluate_ranking(
-    query_id: str,
-    stage: str,
-    order: Sequence[str],
-    ground_truth: frozenset[str] | set[str],
-    titles_by_id: Mapping[str, str],
-    cutoffs: Sequence[int],
-) -> list[PerQueryRow]:
-    """All four metrics for one ranked list at every cutoff."""
-    return _evaluate(query_id, stage, order, ground_truth, _TokensById(titles_by_id), cutoffs)
 
 
 def evaluate_results(

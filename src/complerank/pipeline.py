@@ -27,7 +27,6 @@ from .agents import (
     parse_permutation,
 )
 from .catalog import Item, QueryInstance
-from .retriever import CandidateList, RetrievalError
 
 STAGE_BASE = "base"
 STAGE_DIVERSITY = "diversity"
@@ -50,16 +49,15 @@ def constant_transport(transport: Transport) -> TransportFactory:
 class Retriever(Protocol):
     name: str
 
-    def retrieve(self, query_id: str, n: int) -> CandidateList: ...
+    def retrieve(self, query_id: str, n: int) -> list[tuple[str, float]]: ...
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     diversity_transport: TransportFactory
     accuracy_transport: TransportFactory
     n_div: int = 50
     n_acc: int = 25
-    cutoffs: tuple[int, ...] = (1, 3, 5, 10)
 
     def __post_init__(self) -> None:
         if self.n_div < 1 or self.n_acc < 1:
@@ -68,15 +66,6 @@ class PipelineConfig:
             raise ValueError(f"n_div ({self.n_div}) exceeds the prompt limit of {MAX_CANDIDATES}")
         if self.n_acc > self.n_div:
             raise ValueError(f"n_acc ({self.n_acc}) must not exceed n_div ({self.n_div})")
-        if not self.cutoffs:
-            raise ValueError("cutoffs must be nonempty")
-        if any(type(k) is not int or k < 1 for k in self.cutoffs):
-            raise ValueError(f"cutoffs must be positive integers, got {list(self.cutoffs)}")
-        if max(self.cutoffs) > self.n_acc:
-            raise ValueError(
-                f"largest cutoff ({max(self.cutoffs)}) must not exceed n_acc ({self.n_acc})"
-            )
-        self.cutoffs = tuple(sorted(set(self.cutoffs)))
 
 
 @dataclass
@@ -93,10 +82,10 @@ class StageOutcome:
 
 @dataclass
 class QueryResult:
-    """A query, its retrieved candidates and its stage outcomes in ``STAGES`` order."""
+    """A query, its retrieved ``(id, score)`` candidates and its stage outcomes in ``STAGES`` order."""
 
     query: QueryInstance
-    retrieval: CandidateList
+    retrieval: list[tuple[str, float]]
     stages: tuple[StageOutcome, StageOutcome, StageOutcome]
 
 
@@ -138,9 +127,7 @@ def run_pipeline(
     diversity list, so truncated items can never reappear.
     """
     retrieval = retriever.retrieve(query.query_id, config.n_div)
-    if not retrieval.candidates:
-        raise RetrievalError(f"query {query.query_id!r}: retriever returned no candidates")
-    base = StageOutcome(STAGE_BASE, retrieval.ids)
+    base = StageOutcome(STAGE_BASE, [item_id for item_id, _ in retrieval])
     query_item = items[query.query_id]
 
     div_items = [items[item_id] for item_id in base.order]

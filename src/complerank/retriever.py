@@ -20,7 +20,7 @@ from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .catalog import ComplementGraph, Item
 
@@ -33,18 +33,6 @@ class RetrievalError(ValueError):
 class ScoreWeights:
     category: float = 1.0
     price: float = 1.0
-
-
-@dataclass
-class CandidateList:
-    """A query's retriever-ordered candidates with relevance scores."""
-
-    candidates: list[tuple[str, float]]
-    source: str
-
-    @property
-    def ids(self) -> list[str]:
-        return [item_id for item_id, _ in self.candidates]
 
 
 def category_overlap(a: tuple[str, ...], b: tuple[str, ...]) -> float:
@@ -71,19 +59,17 @@ def score_pair(query: Item, candidate: Item, weights: ScoreWeights = ScoreWeight
     positive.
     """
     score = weights.category * category_overlap(query.categories, candidate.categories)
-    if (
-        query.price is not None
-        and candidate.price is not None
-        and query.price > 0
-        and candidate.price > 0
-    ):
-        score += weights.price / (1.0 + abs(math.log(query.price / candidate.price)))
+    p_q, p_c = query.price, candidate.price
+    if p_q is not None and p_c is not None and p_q > 0 and p_c > 0:
+        ratio = p_q / p_c
+        # log(0) raises and log(inf) drops the term, so a ratio past the float range takes
+        # the difference of logs.  That can differ from log(ratio) in the last bit: only then.
+        log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(p_q) - math.log(p_c)
+        score += weights.price / (1.0 + abs(log_ratio))
     return score
 
 
-def _normalized(
-    query_id: str, scored: list[tuple[str, float]], source: str, n: int
-) -> CandidateList:
+def _normalized(query_id: str, scored: list[tuple[str, float]], n: int) -> list[tuple[str, float]]:
     if n < 1:
         raise RetrievalError(f"retrieval depth must be positive, got {n}")
     best = dict(scored)
@@ -99,7 +85,7 @@ def _normalized(
     if len(set(best.values())) < len(ordered):
         ordered.sort(key=itemgetter(0))
     ordered.sort(key=itemgetter(1), reverse=True)
-    return CandidateList(candidates=ordered[:n], source=source)
+    return ordered[:n]
 
 
 class HeuristicRetriever:
@@ -122,7 +108,7 @@ class HeuristicRetriever:
         self.exclude_neighbors = exclude_neighbors
         self.name = name
 
-    def retrieve(self, query_id: str, n: int) -> CandidateList:
+    def retrieve(self, query_id: str, n: int) -> list[tuple[str, float]]:
         if query_id not in self.graph.items:
             raise RetrievalError(f"unknown query id {query_id!r}")
         query = self.graph.items[query_id]
@@ -134,7 +120,7 @@ class HeuristicRetriever:
             for item_id, item in self.graph.items.items()
             if item_id not in skip
         ]
-        return _normalized(query_id, scored, self.name, n)
+        return _normalized(query_id, scored, n)
 
 
 class PrecomputedRetriever:
@@ -184,8 +170,22 @@ class PrecomputedRetriever:
                     ) from None
                 self._lists[str(query_id)] = (ids, scores)
 
-    def retrieve(self, query_id: str, n: int) -> CandidateList:
+    def check_coverage(self, query_ids: Sequence[str]) -> None:
+        """Raise unless every query has a line naming some candidate other than itself."""
+        uncovered = [
+            query_id
+            for query_id in query_ids
+            if query_id not in self._lists
+            or all(item_id == query_id for item_id in self._lists[query_id][0])
+        ]
+        if uncovered:
+            raise RetrievalError(
+                f"{self.path}: no candidate for {len(uncovered)} of {len(query_ids)} queries, "
+                f"the first {uncovered[0]!r}"
+            )
+
+    def retrieve(self, query_id: str, n: int) -> list[tuple[str, float]]:
         if query_id not in self._lists:
             raise RetrievalError(f"query {query_id!r} not present in {self.path}")
         ids, scores = self._lists[query_id]
-        return _normalized(query_id, list(zip(ids, scores)), self.name, n)
+        return _normalized(query_id, list(zip(ids, scores)), n)

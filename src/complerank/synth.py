@@ -113,11 +113,11 @@ def generate(config: SynthConfig) -> tuple[ComplementGraph, dict[str, str]]:
     def same_pair() -> tuple[str, str]:
         genre = rng.choice(pairable)
         a, b = rng.sample(members[genre], 2)
-        return edge_key(a, b)
+        return edge_key(a, b, genre_of)
 
     def cross_pair() -> tuple[str, str]:
         g1, g2 = rng.sample(genres, 2)
-        return edge_key(rng.choice(members[g1]), rng.choice(members[g2]))
+        return edge_key(rng.choice(members[g1]), rng.choice(members[g2]), genre_of)
 
     plant(n_same, same_pair)
     plant(n_cross, cross_pair)

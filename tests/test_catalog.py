@@ -12,7 +12,6 @@ from complerank.catalog import (
     edge_key,
     load_catalog,
     split_holdout,
-    validate_graph,
     write_catalog,
 )
 from complerank.synth import SynthConfig, generate
@@ -57,7 +56,7 @@ class TestLoadCatalog:
         )
         write_lines(tmp_path / "edges.jsonl", [json.dumps(["A", "B"])])
         graph = load_catalog(tmp_path / "items.jsonl", tmp_path / "edges.jsonl")
-        assert graph.n_items == 3
+        assert len(graph.items) == 3
         assert graph.edges == frozenset({("A", "B")})
         assert graph.items["B"].price == 2.0
 
@@ -119,7 +118,27 @@ class TestLoadCatalog:
 
 
 def test_edge_key_normalizes():
-    assert edge_key("B", "A") == ("A", "B") == edge_key("A", "B")
+    assert edge_key("B", "A", {"A", "B"}) == ("A", "B") == edge_key("A", "B", {"A", "B"})
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([("A", "Z")], "unknown item id 'Z'"),
+        ([("Z", "Z")], "unknown item id 'Z'"),
+        ([("A", "A")], "self-loop edge on 'A'"),
+    ],
+)
+def test_from_parts_checks_every_edge(pairs, message):
+    with pytest.raises(CatalogError, match=message):
+        ComplementGraph.from_parts([Item(id="A", title="a"), Item(id="B", title="b")], pairs)
+
+
+def test_from_parts_normalizes_and_collapses_edges():
+    graph = ComplementGraph.from_parts(
+        [Item(id="A", title="a"), Item(id="B", title="b")], [("B", "A"), ("A", "B")]
+    )
+    assert graph.edges == frozenset({("A", "B")})
 
 
 def test_neighbors(tiny_graph):
@@ -191,4 +210,4 @@ def test_write_then_load_round_trip(tmp_path, tiny_graph):
     reloaded = load_catalog(tmp_path / "items.jsonl", tmp_path / "edges.jsonl")
     assert reloaded.items == tiny_graph.items
     assert reloaded.edges == tiny_graph.edges
-    validate_graph(reloaded)
+    assert all(a < b and {a, b} <= reloaded.items.keys() for a, b in reloaded.edges)

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,13 @@ import pytest
 
 from complerank.cli import main
 
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
+
+
+def src_pythonpath():
+    """``PYTHONPATH`` for a subprocess that imports ``complerank`` from this checkout."""
+    return os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
 
 
 def read_csv(path):
@@ -34,6 +41,57 @@ def base_config(tmp_path, out_name, **overrides):
     path = tmp_path / f"config_{out_name}.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return path, Path(config["out"])
+
+
+# A hand-built catalog for the heuristic retriever, with what synth never
+# makes: three-level, two-level, one-level and empty category paths, missing
+# prices, zero prices (float and integer), an integer price, equal prices
+# across categories, and an edge given in both directions.
+HEURISTIC_ITEMS = [
+    {"id": "h01", "title": "espresso machine steel", "categories": ["home", "kitchen", "coffee"], "price": 420.0},
+    {"id": "h02", "title": "coffee grinder burr", "categories": ["home", "kitchen", "coffee"], "price": 95.0},
+    {"id": "h03", "title": "milk frothing pitcher", "categories": ["home", "kitchen", "coffee"], "price": 0.0},
+    {"id": "h04", "title": "chef knife forged", "categories": ["home", "kitchen", "knives"], "price": 95.0},
+    {"id": "h05", "title": "knife sharpening stone", "categories": ["home", "kitchen"]},
+    {"id": "h06", "title": "bamboo cutting board", "categories": ["home", "kitchen", "knives"], "price": 35.5},
+    {"id": "h07", "title": "road bike helmet", "categories": ["sports", "cycling", "safety"], "price": 60},
+    {"id": "h08", "title": "bike floor pump", "categories": ["sports", "cycling"], "price": 35.5},
+    {"id": "h09", "title": "water bottle cage", "categories": ["sports"], "price": 9.99},
+    {"id": "h10", "title": "gift card", "categories": [], "price": 25.0},
+    {"id": "h11", "title": "mystery box", "categories": []},
+    {"id": "h12", "title": "wrapping paper roll", "categories": ["home"], "price": 0},
+]
+HEURISTIC_EDGES = [
+    ["h01", "h02"], ["h01", "h03"], ["h02", "h03"], ["h04", "h05"], ["h04", "h06"], ["h05", "h06"],
+    ["h01", "h04"], ["h07", "h08"], ["h07", "h09"], ["h08", "h09"], ["h10", "h12"], ["h11", "h10"],
+    ["h09", "h11"], ["h03", "h12"], ["h02", "h01"],
+]
+
+
+def write_catalog_files(tmp_path, items, edges, stem):
+    """Write an items file and an edges file; return them as a ``dataset`` config section."""
+    items_path, edges_path = tmp_path / f"{stem}_items.jsonl", tmp_path / f"{stem}_edges.jsonl"
+    items_path.write_text("".join(json.dumps(record) + "\n" for record in items), encoding="utf-8")
+    edges_path.write_text("".join(json.dumps(pair) + "\n" for pair in edges), encoding="utf-8")
+    return {"items": str(items_path), "edges": str(edges_path), "name": stem}
+
+
+def heuristic_config(tmp_path, out_name, exclude_neighbors=True, items=HEURISTIC_ITEMS):
+    """A heuristic ``shuffle:3`` audit config on the hand-built catalog, with non-default weights."""
+    return base_config(
+        tmp_path,
+        out_name,
+        dataset=write_catalog_files(tmp_path, items, HEURISTIC_EDGES, "handbuilt"),
+        split={"holdout_fraction": 0.5, "seed": 3},
+        retriever={
+            "kind": "heuristic",
+            "exclude_neighbors": exclude_neighbors,
+            "weights": {"category": 2.0, "price": 0.5},
+        },
+        pipeline={"n_div": 8, "n_acc": 4, "cutoffs": [1, 3]},
+        agents={"mock": "shuffle:3"},
+        audit=True,
+    )
 
 
 # A hand-made catalog whose ids include integer-like strings, so that a scores
@@ -71,16 +129,14 @@ PRECOMPUTED_SCORES = """\
 """
 
 
-def precomputed_config(tmp_path):
+def precomputed_config(tmp_path, scores_text=PRECOMPUTED_SCORES):
     """Write the hand-made catalog and scores file, and a precomputed ``shuffle:3`` audit config."""
-    items, edges, scores = tmp_path / "items.jsonl", tmp_path / "edges.jsonl", tmp_path / "scores.jsonl"
-    items.write_text("".join(json.dumps(record) + "\n" for record in PRECOMPUTED_ITEMS), encoding="utf-8")
-    edges.write_text("".join(json.dumps(pair) + "\n" for pair in PRECOMPUTED_EDGES), encoding="utf-8")
-    scores.write_text(PRECOMPUTED_SCORES, encoding="utf-8")
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text(scores_text, encoding="utf-8")
     return base_config(
         tmp_path,
         "precomputed",
-        dataset={"items": str(items), "edges": str(edges), "name": "handmade"},
+        dataset=write_catalog_files(tmp_path, PRECOMPUTED_ITEMS, PRECOMPUTED_EDGES, "handmade"),
         split={"holdout_fraction": 0.5, "seed": 3},
         retriever={"kind": "precomputed", "path": str(scores)},
         pipeline={"n_div": 5, "n_acc": 3, "cutoffs": [1, 3]},
@@ -162,6 +218,27 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path)]) == 0
         assert output_digests(out_dir) == golden_digests("mock_run_precomputed.sha256")
 
+    def test_heuristic_mock_run_matches_golden_digests(self, tmp_path):
+        """The hand-built catalog, with and without ``exclude_neighbors``."""
+        digests = {}
+        for exclude in (True, False):
+            config_path, out_dir = heuristic_config(tmp_path, f"exclude_{str(exclude).lower()}", exclude)
+            assert main(["run", "--config", str(config_path)]) == 0
+            digests.update({f"{out_dir.name}/{name}": d for name, d in output_digests(out_dir).items()})
+        assert digests == golden_digests("mock_run_heuristic_handmade.sha256")
+
+    def test_prices_whose_ratio_leaves_the_float_range(self, tmp_path):
+        """1e-300 over 1e300 underflows to 0; the price term still scores, finite, without a crash."""
+        prices = {"h01": 1e300, "h02": 1e-300, "h04": 1e-300}
+        items = [
+            {**record, "price": prices[record["id"]]} if record["id"] in prices else record
+            for record in HEURISTIC_ITEMS
+        ]
+        config_path, out_dir = heuristic_config(tmp_path, "extreme", items=items)
+        assert main(["run", "--config", str(config_path)]) == 0
+        for line in (out_dir / "retrieval.jsonl").read_text(encoding="utf-8").splitlines():
+            assert all(math.isfinite(score) for _, score in json.loads(line)["candidates"])
+
     def test_mock_run_never_imports_requests(self, tmp_path):
         """``requests`` is loaded on the first HTTP request, so a mock run never imports it."""
         config_path, _ = base_config(tmp_path, "lazy")
@@ -171,17 +248,61 @@ class TestRunCommand:
             "assert complerank.cli.main(['run', '--config', sys.argv[1]]) == 0\n"
             "print('requests' in sys.modules)\n"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-c", script, str(config_path)],
-            env={**os.environ, "PYTHONPATH": path},
+            env={**os.environ, "PYTHONPATH": src_pythonpath()},
             capture_output=True,
             text=True,
             timeout=60,
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "False"
+
+    def test_benchmark_tracer_hooks_still_fire(self, tmp_path):
+        """``perfbench/layers.py`` patches functions by name; every hook must still record spans.
+
+        The tracer patches modules for the whole process, so the runs go in a subprocess.
+        """
+        heuristic, _ = heuristic_config(tmp_path, "traced_heuristic")
+        precomputed, _ = precomputed_config(tmp_path)
+        script = (
+            "import json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import layers\n"
+            "from complerank import cli\n"
+            "tracer = layers.Tracer()\n"
+            "tracer.install()\n"
+            "seen = {}\n"
+            "for label, config in (('heuristic', sys.argv[2]), ('precomputed', sys.argv[3])):\n"
+            "    assert cli.main(['run', '--config', config]) == 0\n"
+            "    seen[label] = sorted({span[2] for span in tracer.spans})\n"
+            "    seen[label + '_pairs_scored'] = next(tracer.pairs_scored)\n"
+            "    tracer.spans.clear()\n"
+            "print(json.dumps(seen))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(REPO_ROOT / "perfbench"), str(heuristic), str(precomputed)],
+            env={**os.environ, "PYTHONPATH": src_pythonpath()},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        seen = json.loads(result.stdout.splitlines()[-1])
+        assert seen["heuristic"] == sorted(
+            f"{layer}.{name}"
+            for layer, names in {
+                "catalog": ("load", "split", "neighbors"),
+                "retriever": ("build", "retrieve"),
+                "agents": ("render", "parse", "transport"),
+                "pipeline": ("run_all", "run_pipeline"),
+                "metrics": ("evaluate", "aggregate", "lift", "serialize", "write"),
+                "cli": ("cmd_run",),
+            }.items()
+            for name in names
+        )
+        assert seen["heuristic_pairs_scored"] > 0
+        assert {"retriever.build", "retriever.retrieve"} <= set(seen["precomputed"])
 
     def test_stage_records_reparse_with_invariants(self, tmp_path):
         config_path, out_dir = base_config(tmp_path, "run2")
@@ -190,6 +311,7 @@ class TestRunCommand:
         with (out_dir / "retrieval.jsonl").open(encoding="utf-8") as fh:
             for line in fh:
                 record = json.loads(line)
+                assert record["source"] == "heuristic"  # the retriever's name
                 queries[record["query_id"]] = len(record["candidates"])
         stage_lengths = {}
         with (out_dir / "stages.jsonl").open(encoding="utf-8") as fh:
@@ -360,6 +482,41 @@ def long_int_price(tmp_path):
     return {"dataset": {"items": str(items), "edges": str(edges)}}
 
 
+def overrides_of(config_path):
+    """A written config as ``base_config`` overrides, its ``out`` dropped for the caller's own."""
+    config = json.loads(config_path.read_text(encoding="utf-8"))
+    del config["out"]
+    return config
+
+
+def bad_price(literal):
+    """The hand-built heuristic config, the price on line 5 of its items file written as ``literal``."""
+
+    def overrides(tmp_path):
+        config_path, _ = heuristic_config(tmp_path, "price")
+        items = Path(overrides_of(config_path)["dataset"]["items"])
+        lines = items.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[4] = lines[4][: lines[4].rindex("}")] + ', "price": ' + literal + "}\n"
+        items.write_text("".join(lines), encoding="utf-8")
+        return overrides_of(config_path)
+
+    return overrides
+
+
+def scores_without(*query_ids, extra=""):
+    """The hand-made precomputed config, its scores file stripped of the lines of ``query_ids``."""
+
+    def overrides(tmp_path):
+        lines = [
+            line for line in PRECOMPUTED_SCORES.splitlines(keepends=True)
+            if json.loads(line)["query_id"] not in query_ids
+        ]
+        config_path, _ = precomputed_config(tmp_path, "".join(lines) + extra)
+        return overrides_of(config_path)
+
+    return overrides
+
+
 # One malformed config per row: its overrides of base_config, extra run flags,
 # and a key the error message must name.  A string of overrides replaces the
 # whole config file; a function of tmp_path gives the overrides or the string.
@@ -437,6 +594,42 @@ MALFORMED = [
         long_int_concurrency, (), "config_bad.json:2: Exceeds the limit", id="concurrency-5001-digits"
     ),
     pytest.param(long_int_price, (), "long_items.jsonl:2: invalid JSON", id="items-price-5001-digits"),
+    *(
+        pytest.param(
+            bad_price(literal), (), "handbuilt_items.jsonl:5: price must be a finite number", id=f"price-{name}"
+        )
+        for name, literal in [
+            ("nan", "NaN"), ("infinity", "Infinity"), ("minus-infinity", "-Infinity"),
+            ("1e400", "1e400"), ("400-digits", "1" * 400), ("bool", "true"),
+        ]
+    ),
+    pytest.param(
+        {"pipeline": {"n_div": 10, "n_acc": 5, "cutoffs": [1, 10]}},
+        (),
+        "pipeline.cutoffs: largest cutoff (10) must not exceed n_acc (5)",
+        id="cutoffs-over-n_acc",
+    ),
+    pytest.param({"pipeline": {"cutoffs": []}}, (), "pipeline.cutoffs: must be nonempty", id="cutoffs-empty"),
+    pytest.param(
+        {"pipeline": {"cutoffs": [3, 0, 1]}},
+        (),
+        "pipeline.cutoffs: must be positive, got [3, 0, 1]",
+        id="cutoffs-zero",
+    ),
+    pytest.param(
+        scores_without("2", "b1"),
+        (),
+        "scores.jsonl: no candidate for 2 of 5 queries, the first '2'",
+        id="scores-missing-queries",
+    ),
+    pytest.param(
+        scores_without(
+            "10", "a2", extra='{"query_id": 10, "candidates": [[10, 1.0]]}\n{"query_id": "a2", "candidates": []}\n'
+        ),
+        (),
+        "scores.jsonl: no candidate for 2 of 5 queries, the first '10'",
+        id="scores-query-only-itself",
+    ),
 ]
 
 

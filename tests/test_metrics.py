@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from complerank.catalog import QueryInstance
 from complerank.metrics import (
     COMPARISONS,
     METRIC_NAMES,
@@ -12,7 +13,6 @@ from complerank.metrics import (
     PerQueryRow,
     aggregate,
     entropy_at_k,
-    evaluate_ranking,
     evaluate_results,
     hit_at_k,
     lift,
@@ -22,6 +22,7 @@ from complerank.metrics import (
     tokenize,
     vocab_at_k,
 )
+from complerank.pipeline import QueryResult, StageOutcome
 
 
 class TestTokenize:
@@ -306,9 +307,16 @@ class TestLiftRowsForRuns:
         assert overall_hit.mean_lift_pct == pytest.approx(100.0)
 
 
+def evaluate_list(order, truth, titles_by_id, cutoffs):
+    """``evaluate_results`` on one query ``q`` whose one stage, ``base``, ranks ``order``."""
+    result = QueryResult(QueryInstance("q", frozenset(truth)), [], (StageOutcome("base", order),))
+    return evaluate_results([result], titles_by_id, cutoffs)
+
+
 def test_evaluate_ranking_shapes():
     titles = {"a": "alpha one", "b": "beta two", "c": "gamma three"}
-    rows = evaluate_ranking("q", "base", ["a", "b", "c"], {"b"}, titles, [1, 3])
+    rows = evaluate_list(["a", "b", "c"], {"b"}, titles, [1, 3])
+    assert {(r.query_id, r.stage) for r in rows} == {("q", "base")}
     assert [(r.k, r.hit) for r in rows] == [(1, 0), (3, 1)]
     assert rows[0].vocab == 2
     assert rows[1].vocab == 6
@@ -348,7 +356,7 @@ def _kernel_rows(order, truth, titles, cutoffs):
 def test_one_pass_equals_kernels(order, truth, titles, cutoffs):
     """Orders shorter than k, empty orders, unsorted and duplicate cutoffs included."""
     titles_by_id = dict(zip(_IDS, titles))
-    rows = evaluate_ranking("q", "base", order, truth, titles_by_id, cutoffs)
+    rows = evaluate_list(order, truth, titles_by_id, cutoffs)
     got = [(r.k, r.hit, r.ndcg, r.entropy, r.vocab) for r in rows]
     expected = _kernel_rows(order, truth, titles_by_id, cutoffs)
     assert got == expected
@@ -358,17 +366,11 @@ def test_one_pass_equals_kernels(order, truth, titles, cutoffs):
 def test_one_pass_preconditions_match_kernels():
     titles = {"a": "alpha"}
     with pytest.raises(ValueError, match="k must be >= 1, got 0"):
-        evaluate_ranking("q", "base", ["a"], {"a"}, titles, [3, 0, 1])
-    with pytest.raises(ValueError, match="ground truth"):
-        evaluate_ranking("q", "base", ["a"], set(), titles, [1])
-    assert evaluate_ranking("q", "base", ["a"], set(), titles, []) == []
+        evaluate_list(["a"], {"a"}, titles, [3, 0, 1])
+    assert evaluate_list(["a"], {"a"}, titles, []) == []
 
 
 def test_evaluate_results_equals_kernels_per_list():
-    from complerank.catalog import QueryInstance
-    from complerank.pipeline import QueryResult, StageOutcome
-    from complerank.retriever import CandidateList
-
     titles = {item_id: f"Title {n % 3} shared-{n % 2} é{n}" for n, item_id in enumerate(_IDS)}
     queries = [QueryInstance("q1", frozenset({"i3", "i7"})), QueryInstance("q2", frozenset({"i0"}))]
     results = []
@@ -378,7 +380,7 @@ def test_evaluate_results_equals_kernels_per_list():
             StageOutcome("diversity", order[::-1]),
             StageOutcome("diversity_accuracy", order[::-1][:4]),
         )
-        results.append(QueryResult(query, CandidateList([(i, 1.0) for i in order], "test"), stages))
+        results.append(QueryResult(query, [(i, 1.0) for i in order], stages))
     rows = evaluate_results(results, titles, (5, 1, 3))
     expected = [
         (r.query.query_id, outcome.stage, *values)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from complerank.agents import AgentKind, TransportError, build_prompt, mock_agent
@@ -18,13 +20,12 @@ from complerank.retriever import HeuristicRetriever, RetrievalError
 from complerank.synth import SynthConfig, generate
 
 
-def make_config(div="identity", acc="identity", n_div=4, n_acc=2, cutoffs=(1, 2)):
+def make_config(div="identity", acc="identity", n_div=4, n_acc=2):
     return PipelineConfig(
         diversity_transport=constant_transport(mock_agent(div)),
         accuracy_transport=constant_transport(mock_agent(acc)),
         n_div=n_div,
         n_acc=n_acc,
-        cutoffs=cutoffs,
     )
 
 
@@ -37,9 +38,10 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             make_config(n_div=10, n_acc=20)
 
-    def test_cutoffs_bounded_by_n_acc(self):
-        with pytest.raises(ValueError):
-            make_config(n_div=10, n_acc=5, cutoffs=(1, 10))
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            make_config().n_div = 3
+
 
 
 class TestRerankStage:
@@ -104,11 +106,11 @@ class TestRunPipeline:
         result = run_pipeline(query, retriever, train.items, make_config())
         assert result.query is query
         assert tuple(outcome.stage for outcome in result.stages) == STAGES
-        assert result.stages[0].order == result.retrieval.ids
+        assert result.stages[0].order == [item_id for item_id, _ in result.retrieval]
 
     def test_small_pool_uses_whole_pool(self, split_setup):
         train, queries, retriever = split_setup
-        config = make_config(n_div=50, n_acc=25, cutoffs=(1, 3))
+        config = make_config(n_div=50, n_acc=25)
         base, _, final = run_pipeline(queries[0], retriever, train.items, config).stages
         assert len(base.order) == 5  # 6 items minus the query
         assert len(final.order) == 5
@@ -127,7 +129,6 @@ class TestRunPipeline:
             accuracy_transport=constant_transport(mock_agent("shuffle:9")),
             n_div=4,
             n_acc=2,
-            cutoffs=(1, 2),
         )
         _, diversity, final = run_pipeline(queries[0], retriever, train.items, config).stages
         truncated_away = set(diversity.order[2:])
@@ -141,7 +142,6 @@ class TestRunPipeline:
             accuracy_transport=lambda q: mock_agent("oracle", ground_truth=q.ground_truth),
             n_div=5,
             n_acc=3,
-            cutoffs=(1, 3),
         )
         base, diversity, _ = run_pipeline(query, retriever, train.items, config).stages
         reachable = [i for i in base.order if i in query.ground_truth]
@@ -158,7 +158,6 @@ class TestRunPipeline:
             accuracy_transport=constant_transport(mock_agent("identity")),
             n_div=4,
             n_acc=2,
-            cutoffs=(1, 2),
         )
         base, diversity, final = run_pipeline(queries[0], retriever, train.items, config).stages
         assert diversity.failed
@@ -168,7 +167,7 @@ class TestRunPipeline:
 
     def test_no_duplicates_and_query_excluded(self, split_setup):
         train, queries, retriever = split_setup
-        config = make_config(div="reverse", acc="reverse", n_div=5, n_acc=3, cutoffs=(1, 3))
+        config = make_config(div="reverse", acc="reverse", n_div=5, n_acc=3)
         for query in queries:
             result = run_pipeline(query, retriever, train.items, config)
             for outcome in result.stages:
@@ -197,7 +196,6 @@ class TestRunAll:
             accuracy_transport=constant_transport(mock_agent("shuffle:2")),
             n_div=10,
             n_acc=5,
-            cutoffs=(1, 5),
         )
         sequential = run_all(queries, retriever, train.items, config, concurrency=1)
         parallel = run_all(queries, retriever, train.items, config, concurrency=4)

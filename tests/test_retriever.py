@@ -20,6 +20,10 @@ from complerank.retriever import (
 from complerank.synth import SynthConfig, generate
 
 
+def ids(ranked):
+    return [item_id for item_id, _ in ranked]
+
+
 def item(id, categories=(), price=None):
     return Item(id=id, title=f"title {id}", categories=tuple(categories), price=price)
 
@@ -50,6 +54,24 @@ class TestScorePair:
         b = item("b", ["x"], price=5.0)
         assert score_pair(a, b) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "low, high",
+        [(1e-300, 1e300), (5e-324, 1.7976931348623157e308), (1e-200, 1e200), (0.5, 2.0)],
+    )
+    def test_price_term_finite_and_symmetric_at_the_extremes(self, low, high):
+        """``low / high`` underflows to 0 (and ``high / low`` overflows) for all but the last pair."""
+        a, b = item("a", price=low), item("b", price=high)
+        forward, backward = score_pair(a, b), score_pair(b, a)
+        assert forward == backward
+        assert 0.0 < forward <= 1.0
+        gap = math.log(high) - math.log(low)
+        assert forward == pytest.approx(1.0 / (1.0 + gap), rel=1e-12)
+
+    def test_in_range_price_ratio_unchanged(self):
+        """A ratio inside the float range keeps ``abs(log(p_q / p_c))``, bit for bit."""
+        a, b = item("a", price=95.0), item("b", price=35.5)
+        assert score_pair(a, b) == 1.0 / (1.0 + abs(math.log(95.0 / 35.5)))
+
     def test_both_empty_paths_zero_overlap(self):
         assert category_overlap((), ()) == 0.0
 
@@ -74,16 +96,16 @@ class TestRetrieveHeuristic:
 
     def test_n_exceeding_pool_returns_all(self):
         ranked = HeuristicRetriever(self.make_graph()).retrieve("q", n=10)
-        assert len(ranked.candidates) == 2
+        assert len(ranked) == 2
 
     def test_n_one_returns_top(self):
         ranked = HeuristicRetriever(self.make_graph()).retrieve("q", n=1)
-        assert len(ranked.candidates) == 1
+        assert len(ranked) == 1
 
     def test_equal_scores_tie_break_ascending_id(self):
         ranked = HeuristicRetriever(self.make_graph()).retrieve("q", n=5)
-        assert ranked.ids == ["c1", "c2"]
-        assert ranked.candidates[0][1] == ranked.candidates[1][1]
+        assert ids(ranked) == ["c1", "c2"]
+        assert ranked[0][1] == ranked[1][1]
 
     def test_unknown_query(self):
         with pytest.raises(RetrievalError, match="'nope'"):
@@ -91,7 +113,7 @@ class TestRetrieveHeuristic:
 
     def test_excludes_query_itself(self):
         ranked = HeuristicRetriever(self.make_graph()).retrieve("q", n=10)
-        assert "q" not in ranked.ids
+        assert "q" not in ids(ranked)
 
     def test_neighbor_exclusion_flag(self):
         graph, _ = generate(SynthConfig(n_items=20, n_genres=2, edges_per_item=2.0, seed=1))
@@ -101,14 +123,14 @@ class TestRetrieveHeuristic:
             pytest.skip("seed produced an isolated first node")
         with_excl = HeuristicRetriever(graph, exclude_neighbors=True).retrieve(query_id, n=19)
         without = HeuristicRetriever(graph, exclude_neighbors=False).retrieve(query_id, n=19)
-        assert not neighbors & set(with_excl.ids)
-        assert neighbors <= set(without.ids)
+        assert not neighbors & set(ids(with_excl))
+        assert neighbors <= set(ids(without))
 
     def test_full_depth_is_total_ordering(self):
         graph, _ = generate(SynthConfig(n_items=25, n_genres=3, edges_per_item=1.0, seed=2))
         query_id = sorted(graph.items)[0]
         ranked = HeuristicRetriever(graph, exclude_neighbors=False).retrieve(query_id, n=24)
-        assert sorted(ranked.ids) == sorted(set(graph.items) - {query_id})
+        assert sorted(ids(ranked)) == sorted(set(graph.items) - {query_id})
 
     def test_truncation_prefix_consistency(self):
         graph, _ = generate(SynthConfig(n_items=30, n_genres=3, edges_per_item=1.0, seed=3))
@@ -117,7 +139,7 @@ class TestRetrieveHeuristic:
         full = retriever.retrieve(query_id, n=29)
         for n in (1, 5, 12, 29):
             prefix = retriever.retrieve(query_id, n=n)
-            assert prefix.candidates == full.candidates[:n]
+            assert prefix == full[:n]
 
 
 class TestRetrievePrecomputed:
@@ -130,15 +152,15 @@ class TestRetrievePrecomputed:
         pairs = [[f"c{i:03d}", float(i)] for i in range(50)]
         self.write_scores(path, "q", pairs)
         ranked = PrecomputedRetriever(path, {i for i, _ in pairs}).retrieve("q", n=25)
-        assert len(ranked.candidates) == 25
-        assert ranked.ids[0] == "c049"
+        assert len(ranked) == 25
+        assert ranked[0][0] == "c049"
 
     def test_out_of_order_scores_resorted(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         self.write_scores(path, "q", [["low", 0.1], ["high", 0.9], ["mid", 0.5]])
         ranked = PrecomputedRetriever(path, {"low", "high", "mid"}).retrieve("q", n=3)
-        assert ranked.ids == ["high", "mid", "low"]
-        scores = [s for _, s in ranked.candidates]
+        assert ids(ranked) == ["high", "mid", "low"]
+        scores = [s for _, s in ranked]
         assert scores == sorted(scores, reverse=True)
 
     def test_missing_query_named(self, tmp_path):
@@ -157,7 +179,7 @@ class TestRetrievePrecomputed:
         path = tmp_path / "gnnA.jsonl"
         self.write_scores(path, "q", [["c", 1.0]])
         assert PrecomputedRetriever(path, {"c"}).name == "gnnA"
-        assert PrecomputedRetriever(path, {"c"}, name="other").retrieve("q", 1).source == "other"
+        assert PrecomputedRetriever(path, {"c"}, name="other").name == "other"
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", '"nan"', '"-inf"'])
     def test_non_finite_score_reports_position(self, tmp_path, literal):
@@ -173,14 +195,14 @@ class TestRetrievePrecomputed:
     def test_finite_scores_whose_sum_overflows_accepted(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         self.write_scores(path, "q", [["a", 1e308], ["b", 1e308], ["c", -1e308]])
-        assert PrecomputedRetriever(path, {"a", "b", "c"}).retrieve("q", 3).ids == ["a", "b", "c"]
+        assert ids(PrecomputedRetriever(path, {"a", "b", "c"}).retrieve("q", 3)) == ["a", "b", "c"]
 
     def test_ties_and_signed_zeros_break_by_ascending_id(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         pairs = [["e", 0.0], ["d", 1.0], ["b", -0.0], ["c", 1.0], ["a", 0.0], ["f", -1.0], ["b", -0.0]]
         self.write_scores(path, "q", pairs)
         ranked = PrecomputedRetriever(path, {"a", "b", "c", "d", "e", "f"}).retrieve("q", 6)
-        assert repr(ranked.candidates) == repr(
+        assert repr(ranked) == repr(
             [("c", 1.0), ("d", 1.0), ("a", 0.0), ("b", -0.0), ("e", 0.0), ("f", -1.0)]
         )
 
@@ -201,7 +223,7 @@ class TestRetrievePrecomputed:
                 best[item_id] = score
         expected = sorted(best.items(), key=lambda pair: (-pair[1], pair[0]))[:n]
         ranked = PrecomputedRetriever(path, set("abcdefghq")).retrieve("q", n)
-        assert repr(ranked.candidates) == repr(expected)
+        assert repr(ranked) == repr(expected)
 
 
 class ListOfTuplesRetriever:
@@ -242,7 +264,7 @@ class ListOfTuplesRetriever:
     def retrieve(self, query_id, n):
         if query_id not in self._lists:
             raise RetrievalError(f"query {query_id!r} not present in {self.path}")
-        return _normalized(query_id, self._lists[query_id], self.name, n)
+        return _normalized(query_id, self._lists[query_id], n)
 
 
 CATALOG_IDS = ["a", "b", "c", "d", "q", "7", "10"]
@@ -276,16 +298,16 @@ class TestColumnarMatchesListOfTuples:
         oracle = ListOfTuplesRetriever(path, set(CATALOG_IDS))
         for query_id in {str(q) for q, _ in lines}:
             got, expected = columnar.retrieve(query_id, n), oracle.retrieve(query_id, n)
-            assert repr(got.candidates) == repr(expected.candidates)
-            assert got.source == expected.source
+            assert repr(got) == repr(expected)
+            assert columnar.name == oracle.name
 
     def test_ids_are_the_catalogs_own_strings(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text('{"query_id": "q", "candidates": [[17, 1.0], ["item", 0.5]]}\n', encoding="utf-8")
         catalog = ["".join(["it", "em"]), "".join(["1", "7"]), "q"]  # not interned literals
         ranked = PrecomputedRetriever(path, catalog).retrieve("q", 2)
-        assert ranked.ids == ["17", "item"]
-        assert ranked.ids[0] is catalog[1] and ranked.ids[1] is catalog[0]
+        assert ids(ranked) == ["17", "item"]
+        assert ranked[0][0] is catalog[1] and ranked[1][0] is catalog[0]
 
     # One line per error kind; each line also carries every later kind, so the
     # message shows which check comes first.
@@ -315,4 +337,4 @@ class TestColumnarMatchesListOfTuples:
 
 def test_heuristic_retriever_tags_source(tiny_graph):
     retriever = HeuristicRetriever(tiny_graph, name="tagged")
-    assert retriever.retrieve("a1", 3).source == "tagged"
+    assert retriever.name == "tagged"
