@@ -24,20 +24,6 @@ from typing import Iterable
 
 from . import agents, catalog, metrics, pipeline, retriever, synth
 
-RUN_CONFIG_FILE = "run_config.json"
-RETRIEVAL_FILE = "retrieval.jsonl"
-STAGES_FILE = "stages.jsonl"
-PER_QUERY_FILE = "per_query.jsonl"
-METRICS_CSV = "metrics.csv"
-METRICS_JSON = "metrics.json"
-LIFT_CSV = "lift.csv"
-LIFT_JSON = "lift.json"
-AUDIT_FILE = "audit.jsonl"
-REPORT_CSV = "report.csv"
-REPORT_JSON = "report.json"
-LIFT_REPORT_CSV = "lift_report.csv"
-LIFT_REPORT_JSON = "lift_report.json"
-
 # A JSON string or number; reading past strings finds the numbers that ``json`` reads.
 _JSON_STRING_OR_NUMBER = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
 
@@ -217,11 +203,11 @@ class RunConfig:
 
         preset = pipe.get("preset")
         if preset is None:
-            n_div, n_acc = pipe.get("n_div", 50), pipe.get("n_acc", 25)
+            depths = {key: pipe[key] for key in ("n_div", "n_acc") if key in pipe}
         elif {"n_div", "n_acc"} & pipe.keys():
             raise ValueError("pipeline.preset: cannot be combined with n_div or n_acc")
         else:
-            n_div, n_acc = pipeline.PRESETS[preset]
+            depths = dict(zip(("n_div", "n_acc"), pipeline.PRESETS[preset]))
 
         shared = {k: v for k, v in agents_cfg.items() if k not in ("diversity", "accuracy")}
         factories, descs = {}, {}
@@ -230,17 +216,17 @@ class RunConfig:
         pipeline_config = pipeline.PipelineConfig(
             diversity_transport=factories["diversity"],
             accuracy_transport=factories["accuracy"],
-            n_div=n_div,
-            n_acc=n_acc,
+            **depths,
         )
         cutoffs = tuple(sorted(set(pipe.get("cutoffs", (1, 3, 5, 10)))))
         if not cutoffs:
             raise ValueError("pipeline.cutoffs: must be nonempty")
         if cutoffs[0] < 1:
             raise ValueError(f"pipeline.cutoffs: must be positive, got {pipe['cutoffs']}")
-        if cutoffs[-1] > n_acc:
+        if cutoffs[-1] > pipeline_config.n_acc:
             raise ValueError(
-                f"pipeline.cutoffs: largest cutoff ({cutoffs[-1]}) must not exceed n_acc ({n_acc})"
+                f"pipeline.cutoffs: largest cutoff ({cutoffs[-1]}) must not exceed"
+                f" n_acc ({pipeline_config.n_acc})"
             )
 
         if "out" not in raw:
@@ -280,8 +266,8 @@ def _write_stages(out_dir: Path, results: Iterable[pipeline.QueryResult], audit:
     """Write ``stages.jsonl`` and, with ``audit``, ``audit.jsonl`` (reranked stages) in one pass."""
     encode = _JSONL_ENCODER.encode
     with (
-        (out_dir / STAGES_FILE).open("w", encoding="utf-8") as stages,
-        ((out_dir / AUDIT_FILE).open("w", encoding="utf-8") if audit else nullcontext()) as audits,
+        (out_dir / "stages.jsonl").open("w", encoding="utf-8") as stages,
+        ((out_dir / "audit.jsonl").open("w", encoding="utf-8") if audit else nullcontext()) as audits,
     ):
         for r in results:
             for outcome in r.stages:
@@ -295,6 +281,30 @@ def _write_stages(out_dir: Path, results: Iterable[pipeline.QueryResult], audit:
                 if audits is not None and outcome.stage != pipeline.STAGE_BASE:
                     record.update(prompt=outcome.prompt, response=outcome.response)
                     audits.write(encode(record) + "\n")
+
+
+def _write_tables(
+    out: Path, names: tuple[str, str], header: dict, rows_by_retriever: dict[str, list[metrics.MetricsRow]]
+) -> None:
+    """Write the combined metrics table and the lift table, each as ``<name>.csv`` and ``<name>.json``.
+
+    ``header`` leads the table's JSON and names its ``dataset`` and ``cutoffs``.
+    ``out`` is created only once both tables are built.
+    """
+    table, lift = names
+    combined = [
+        row
+        for name in sorted(rows_by_retriever)
+        for row in sorted(rows_by_retriever[name], key=lambda r: (pipeline.STAGES.index(r.stage), r.k))
+    ]
+    lift_rows = metrics.lift_rows_for_runs(rows_by_retriever, header["dataset"], header["cutoffs"])
+    out.mkdir(parents=True, exist_ok=True)
+    metrics.write_metrics_csv(combined, out / f"{table}.csv")
+    metrics.write_json({**header, "rows": metrics.rows_to_dicts(combined)}, out / f"{table}.json")
+    metrics.write_lift_csv(lift_rows, out / f"{lift}.csv")
+    metrics.write_json(
+        {"dataset": header["dataset"], "rows": metrics.rows_to_dicts(lift_rows)}, out / f"{lift}.json"
+    )
 
 
 def cmd_synth(config: synth.SynthConfig, out_dir: str | Path) -> tuple[Path, Path, Path]:
@@ -323,6 +333,8 @@ def cmd_run(cfg: RunConfig) -> Path:
         retr.check_coverage([query.query_id for query in queries])
     out_dir = cfg.out
     out_dir.mkdir(parents=True, exist_ok=True)
+    if not cfg.audit:  # a rerun into the same directory leaves no stale audit log
+        (out_dir / "audit.jsonl").unlink(missing_ok=True)
     if isinstance(cfg.dataset, synth.SynthConfig):
         synth.write_dataset(graph, genre_of, out_dir / "dataset")
     config = cfg.pipeline_config
@@ -331,10 +343,7 @@ def cmd_run(cfg: RunConfig) -> Path:
 
     titles_by_id = {item_id: item.title for item_id, item in train.items.items()}
     per_query_rows = metrics.evaluate_results(results, titles_by_id, cutoffs)
-    metrics_rows = []
-    for stage in pipeline.STAGES:
-        metrics_rows.extend(metrics.aggregate(per_query_rows, retr.name, stage, dataset_name, cutoffs))
-    lift_rows = metrics.lift_rows_for_runs({retr.name: metrics_rows}, dataset_name, cutoffs)
+    metrics_rows = metrics.aggregate(per_query_rows, retr.name, dataset_name)
 
     metrics.write_json(
         {
@@ -349,10 +358,10 @@ def cmd_run(cfg: RunConfig) -> Path:
             "agents": cfg.agents,
             "concurrency": cfg.concurrency,
         },
-        out_dir / RUN_CONFIG_FILE,
+        out_dir / "run_config.json",
     )
     _write_jsonl(
-        out_dir / RETRIEVAL_FILE,
+        out_dir / "retrieval.jsonl",
         (
             {
                 "query_id": r.query.query_id,
@@ -364,22 +373,9 @@ def cmd_run(cfg: RunConfig) -> Path:
         ),
     )
     _write_stages(out_dir, results, cfg.audit)
-    _write_jsonl(out_dir / PER_QUERY_FILE, map(vars, per_query_rows))  # the rows' own field dicts
-    metrics.write_metrics_csv(metrics_rows, out_dir / METRICS_CSV)
-    metrics.write_json(
-        {
-            "dataset": dataset_name,
-            "retriever": retr.name,
-            "cutoffs": list(cutoffs),
-            "rows": metrics.rows_to_dicts(metrics_rows),
-        },
-        out_dir / METRICS_JSON,
-    )
-    metrics.write_lift_csv(lift_rows, out_dir / LIFT_CSV)
-    metrics.write_json(
-        {"dataset": dataset_name, "rows": metrics.rows_to_dicts(lift_rows)},
-        out_dir / LIFT_JSON,
-    )
+    _write_jsonl(out_dir / "per_query.jsonl", map(vars, per_query_rows))  # the rows' own field dicts
+    header = {"dataset": dataset_name, "retriever": retr.name, "cutoffs": list(cutoffs)}
+    _write_tables(out_dir, ("metrics", "lift"), header, {retr.name: metrics_rows})
     return out_dir
 
 
@@ -390,11 +386,13 @@ def cmd_report(run_dirs: list[str | Path], out_dir: str | Path) -> Path:
     cutoffs_seen: set[tuple[int, ...]] = set()
     rows_by_retriever: dict[str, list[metrics.MetricsRow]] = {}
     for run_dir in run_dirs:
-        path = Path(run_dir) / METRICS_JSON
+        path = Path(run_dir) / "metrics.json"
         payload = _load_json(path)
         try:
             _check_schema(payload, _METRICS_SCHEMA, "", required=True)
             name, dataset, cutoffs = payload["retriever"], payload["dataset"], payload["cutoffs"]
+            if len(set(cutoffs)) < len(cutoffs):
+                raise ValueError(f"cutoffs: repeated values in {cutoffs}")
             rows = [metrics.MetricsRow(**row) for row in payload["rows"]]
             expected = sorted(product([name], [dataset], pipeline.STAGES, cutoffs))
             if sorted((r.retriever, r.dataset, r.stage, r.k) for r in rows) != expected:
@@ -411,32 +409,13 @@ def cmd_report(run_dirs: list[str | Path], out_dir: str | Path) -> Path:
         raise ValueError(f"runs cover different datasets: {sorted(datasets)}")
     if len(cutoffs_seen) > 1:
         raise ValueError(f"runs use different cutoffs: {sorted(cutoffs_seen)}")
-    dataset = datasets.pop()
-    cutoffs = list(cutoffs_seen.pop())
-
-    combined = [
-        row
-        for name in sorted(rows_by_retriever)
-        for row in sorted(rows_by_retriever[name], key=lambda r: (pipeline.STAGES.index(r.stage), r.k))
-    ]
-    lift_rows = metrics.lift_rows_for_runs(rows_by_retriever, dataset, cutoffs)
-    out = Path(out_dir)  # created only once every input has been read and checked
-    out.mkdir(parents=True, exist_ok=True)
-    metrics.write_metrics_csv(combined, out / REPORT_CSV)
-    metrics.write_json(
-        {
-            "dataset": dataset,
-            "retrievers": sorted(rows_by_retriever),
-            "cutoffs": cutoffs,
-            "rows": metrics.rows_to_dicts(combined),
-        },
-        out / REPORT_JSON,
-    )
-    metrics.write_lift_csv(lift_rows, out / LIFT_REPORT_CSV)
-    metrics.write_json(
-        {"dataset": dataset, "rows": metrics.rows_to_dicts(lift_rows)},
-        out / LIFT_REPORT_JSON,
-    )
+    out = Path(out_dir)
+    header = {
+        "dataset": datasets.pop(),
+        "retrievers": sorted(rows_by_retriever),
+        "cutoffs": list(cutoffs_seen.pop()),
+    }
+    _write_tables(out, ("report", "lift_report"), header, rows_by_retriever)
     return out
 
 
@@ -447,16 +426,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    # Each flag's dest, other than --out, is the SynthConfig field it sets.
+    # Each flag's dest, other than --out, is the SynthConfig field it sets; an
+    # absent flag leaves the field's own default.
+    p_synth = sub.add_parser(
+        "synth", help="generate a synthetic dataset", argument_default=argparse.SUPPRESS
+    )
     p_synth.add_argument("--items", dest="n_items", type=int, required=True, help="number of items")
-    p_synth.add_argument("--genres", dest="n_genres", type=int, default=4)
-    p_synth.add_argument("--edges-per-item", type=float, default=3.0)
-    p_synth.add_argument("--cross-ratio", dest="cross_genre_edge_ratio", type=float, default=0.3)
-    p_synth.add_argument("--title-tokens-min", type=int, default=3)
-    p_synth.add_argument("--title-tokens-max", type=int, default=8)
-    p_synth.add_argument("--token-pool", dest="token_pool_per_genre", type=int, default=40)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--genres", dest="n_genres", type=int)
+    p_synth.add_argument("--edges-per-item", type=float)
+    p_synth.add_argument("--cross-ratio", dest="cross_genre_edge_ratio", type=float)
+    p_synth.add_argument("--title-tokens-min", type=int)
+    p_synth.add_argument("--title-tokens-max", type=int)
+    p_synth.add_argument("--token-pool", dest="token_pool_per_genre", type=int)
+    p_synth.add_argument("--seed", type=int)
     p_synth.add_argument("--out", default=".", help="output directory")
 
     p_run = sub.add_parser("run", help="run retrieval + reranking + evaluation")

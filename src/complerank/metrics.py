@@ -24,7 +24,7 @@ import math
 import re
 import statistics
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -107,11 +107,11 @@ class PerQueryRow:
 
 @dataclass
 class MetricsRow:
-    """Per-method (retriever, stage) means over queries at one cutoff."""
+    """Per-method (retriever, stage) means over queries at one cutoff, fields in CSV column order."""
 
     retriever: str
-    stage: str
     dataset: str
+    stage: str
     k: int
     hit: float
     ndcg: float
@@ -212,51 +212,17 @@ def evaluate_results(
     return rows
 
 
-def aggregate(
-    rows: Sequence[PerQueryRow],
-    retriever: str,
-    stage: str,
-    dataset: str,
-    cutoffs: Sequence[int],
-) -> list[MetricsRow]:
-    """Unweighted per-cutoff means over queries for one (retriever, stage) method."""
-    stage_rows = [row for row in rows if row.stage == stage]
-    if not stage_rows:
-        raise ValueError(f"no per-query rows for stage {stage!r}")
+def aggregate(rows: Sequence[PerQueryRow], retriever: str, dataset: str) -> list[MetricsRow]:
+    """Unweighted means over queries of every (stage, k), in the order the rows first name them."""
+    if not rows:
+        raise ValueError("no per-query rows")
+    groups: dict[tuple[str, int], list[PerQueryRow]] = {}
+    for row in rows:
+        groups.setdefault((row.stage, row.k), []).append(row)
     out = []
-    for k in sorted(cutoffs):
-        at_k = [row for row in stage_rows if row.k == k]
-        if not at_k:
-            raise ValueError(f"no per-query rows for stage {stage!r} at k={k}")
-        n = len(at_k)
-        out.append(
-            MetricsRow(
-                retriever=retriever,
-                stage=stage,
-                dataset=dataset,
-                k=k,
-                hit=sum(row.hit for row in at_k) / n,
-                ndcg=sum(row.ndcg for row in at_k) / n,
-                entropy=sum(row.entropy for row in at_k) / n,
-                vocab=sum(row.vocab for row in at_k) / n,
-            )
-        )
-    return out
-
-
-def lift(enhanced: MetricsRow, base: MetricsRow) -> dict[str, float | None]:
-    """Percent change per metric: 100 * (enhanced - base) / base.
-
-    A zero base makes the lift undefined; it is reported as ``None`` rather
-    than infinity.
-    """
-    if enhanced.dataset != base.dataset or enhanced.k != base.k:
-        raise ValueError("lift requires rows for the same dataset and cutoff")
-    out: dict[str, float | None] = {}
-    for metric in METRIC_NAMES:
-        base_value = getattr(base, metric)
-        enhanced_value = getattr(enhanced, metric)
-        out[metric] = None if base_value == 0 else 100.0 * (enhanced_value - base_value) / base_value
+    for (stage, k), at_k in groups.items():
+        means = (sum(getattr(row, metric) for row in at_k) / len(at_k) for metric in METRIC_NAMES)
+        out.append(MetricsRow(retriever, dataset, stage, k, *means))
     return out
 
 
@@ -274,16 +240,6 @@ def lift_with_stderr(lifts: Sequence[float]) -> tuple[float, float]:
     return mean, statistics.stdev(lifts) / math.sqrt(len(lifts))
 
 
-def _rows_by_stage_k(rows: Sequence[MetricsRow]) -> dict[tuple[str, int], MetricsRow]:
-    indexed: dict[tuple[str, int], MetricsRow] = {}
-    for row in rows:
-        key = (row.stage, row.k)
-        if key in indexed:
-            raise ValueError(f"duplicate metrics row for stage {row.stage!r} at k={row.k}")
-        indexed[key] = row
-    return indexed
-
-
 def lift_rows_for_runs(
     rows_by_retriever: Mapping[str, Sequence[MetricsRow]],
     dataset: str,
@@ -291,69 +247,43 @@ def lift_rows_for_runs(
 ) -> list[LiftRow]:
     """Lift table over one or more retrievers.
 
-    Each retriever's lift is computed against its own baseline stage, then
-    averaged across retrievers with a standard error.  Retrievers whose base
-    value is zero for a metric drop out of that metric's aggregate (tracked
-    by ``n_retrievers``).
+    Each retriever's lift is the percent change 100 * (enhanced - base) / base
+    against its own baseline stage, then averaged across retrievers with a
+    standard error.  A zero base makes the lift undefined: that retriever
+    drops out of the cell's aggregate (tracked by ``n_retrievers``), and a
+    cell with no retriever left reports ``None``.
     """
-    indexed = {
-        name: _rows_by_stage_k(rows) for name, rows in sorted(rows_by_retriever.items())
-    }
+    indexed = [
+        {(row.stage, row.k): row for row in rows} for _, rows in sorted(rows_by_retriever.items())
+    ]
     out: list[LiftRow] = []
     for comparison, enhanced_stage, base_stage in COMPARISONS:
         for metric in METRIC_NAMES:
             for k in sorted(cutoffs):
                 values: list[float] = []
-                for name in sorted(indexed):
-                    per_metric = lift(indexed[name][(enhanced_stage, k)], indexed[name][(base_stage, k)])
-                    if per_metric[metric] is not None:
-                        values.append(per_metric[metric])
-                if values:
-                    mean, std_err = lift_with_stderr(values)
-                else:
-                    mean, std_err = None, None
-                out.append(
-                    LiftRow(
-                        metric=metric,
-                        dataset=dataset,
-                        k=k,
-                        comparison=comparison,
-                        mean_lift_pct=mean,
-                        std_err=std_err,
-                        n_retrievers=len(values),
-                    )
-                )
+                for rows in indexed:
+                    base = getattr(rows[base_stage, k], metric)
+                    if base != 0:
+                        values.append(100.0 * (getattr(rows[enhanced_stage, k], metric) - base) / base)
+                mean, std_err = lift_with_stderr(values) if values else (None, None)
+                out.append(LiftRow(metric, dataset, k, comparison, mean, std_err, len(values)))
     return out
 
 
-def write_metrics_csv(rows: Sequence[MetricsRow], path: str | Path) -> None:
+def _write_csv(rows: Sequence, row_type: type, path: str | Path) -> None:
+    """One header of ``row_type``'s field names (``retriever`` as ``method``), then one line per row."""
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["method", "dataset", "stage", "k", "hit", "ndcg", "entropy", "vocab"])
-        for row in rows:
-            writer.writerow(
-                [row.retriever, row.dataset, row.stage, row.k, row.hit, row.ndcg, row.entropy, row.vocab]
-            )
+        writer.writerow("method" if f.name == "retriever" else f.name for f in fields(row_type))
+        writer.writerows(vars(row).values() for row in rows)
+
+
+def write_metrics_csv(rows: Sequence[MetricsRow], path: str | Path) -> None:
+    _write_csv(rows, MetricsRow, path)
 
 
 def write_lift_csv(rows: Sequence[LiftRow], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["metric", "dataset", "k", "comparison", "mean_lift_pct", "std_err", "n_retrievers"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.metric,
-                    row.dataset,
-                    row.k,
-                    row.comparison,
-                    "" if row.mean_lift_pct is None else row.mean_lift_pct,
-                    "" if row.std_err is None else row.std_err,
-                    row.n_retrievers,
-                ]
-            )
+    _write_csv(rows, LiftRow, path)
 
 
 def rows_to_dicts(rows: Sequence) -> list[dict]:

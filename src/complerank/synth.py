@@ -83,14 +83,24 @@ def generate(config: SynthConfig) -> tuple[ComplementGraph, dict[str, str]]:
         genre_of[item_id] = genre
         members[genre].append(item_id)
 
-    n_edges = math.floor(config.n_items * config.edges_per_item / 2 + 0.5)
+    def check_capacity(kind: str, target: float, capacity: int) -> None:
+        # Written so that NaN and infinity fail it too.
+        if not target <= capacity:
+            raise SynthError(
+                f"edges_per_item {config.edges_per_item} asks for {target} {kind}edges, but "
+                f"{config.n_items} items have only {capacity} distinct {kind}pairs"
+            )
+
+    n_pairs = config.n_items * (config.n_items - 1) // 2
+    same_pairs = sum(len(ids) * (len(ids) - 1) // 2 for ids in members.values())
+    target = config.n_items * config.edges_per_item / 2
+    check_capacity("", target, n_pairs)
+    n_edges = math.floor(target + 0.5)
     n_cross = math.floor(config.cross_genre_edge_ratio * n_edges + 0.5)
     n_same = n_edges - n_cross
-    if n_cross > 0 and config.n_genres < 2:
-        raise SynthError("cross-genre edges require at least 2 genres")
+    check_capacity("same-genre ", n_same, same_pairs)
+    check_capacity("cross-genre ", n_cross, n_pairs - same_pairs)
     pairable = [genre for genre in genres if len(members[genre]) >= 2]
-    if n_same > 0 and not pairable:
-        raise SynthError("same-genre edges require a genre with at least 2 items")
 
     edges: set[tuple[str, str]] = set()
 

@@ -21,10 +21,11 @@ from hypothesis import strategies as st
 
 from complerank.agents import parse_permutation
 from complerank.cli import main
+from test_cli import golden_digests, output_digests
 from complerank.metrics import (
     MetricsRow,
     entropy_at_k,
-    lift,
+    lift_rows_for_runs,
     ndcg_at_k,
     vocab_at_k,
 )
@@ -140,6 +141,25 @@ def grid_runs(workdir, dataset, identity_run):
         run_dirs.append(out)
     return run_dirs
 
+
+@pytest.fixture(scope="session")
+def shuffle_grid(workdir, dataset, grid_runs):
+    """The grid's three retrievers rerun with the ``shuffle:97`` mock, then their merged report.
+
+    A shuffled order moves every metric, so unlike the identity grid every
+    lift cell is nonzero arithmetic.
+    """
+    retrievers = {"heuristic": {"kind": "heuristic"}}
+    for name in ("gnnA", "gnnB"):  # the scores files grid_runs wrote
+        retrievers[name] = {"kind": "precomputed", "path": str(workdir / f"{name}.jsonl"), "name": name}
+    run_dirs = []
+    for name, retriever in retrievers.items():
+        config, out = run_config(workdir, dataset, f"shuffle97_{name}", retriever, {"mock": "shuffle:97"})
+        assert main(["run", "--config", str(config)]) == 0
+        run_dirs.append(out)
+    report = workdir / "shuffle97_report"
+    assert main(["report", *[str(d) for d in run_dirs], "--out", str(report)]) == 0
+    return [*run_dirs, report]
 
 def test_c1_identity_pipeline_zero_lift(identity_run):
     with _report(1, "identity-pipeline zero lift"):
@@ -327,12 +347,34 @@ def test_c9_lift_arithmetic_spot_check():
                 hit=hit, ndcg=hit, entropy=entropy, vocab=19.5,
             )
 
-        result = lift(
-            row("diversity_accuracy", hit=0.351, entropy=2.93),
+        # one retriever, so each lift is the mean itself; the diversity stage copies the base
+        rows = [
             row("base", hit=0.154, entropy=2.86),
-        )
+            row("diversity", hit=0.154, entropy=2.86),
+            row("diversity_accuracy", hit=0.351, entropy=2.93),
+        ]
+        result = {
+            lift.metric: lift.mean_lift_pct
+            for lift in lift_rows_for_runs({"r": rows}, "cell_phones", [1])
+            if lift.comparison == "overall_vs_base"
+        }
         assert result["hit"] == pytest.approx(127.9, abs=0.1)
         assert result["entropy"] == pytest.approx(2.45, abs=0.1)
         # consistent with the headline claim: at least +50% accuracy, +2% diversity
         assert result["hit"] >= 50.0
         assert result["entropy"] >= 2.0
+
+
+def test_c10_shuffle_grid_and_report_golden_digests(shuffle_grid):
+    with _report(10, "shuffle grid and merged report byte-identical"):
+        digests = {
+            f"{run_dir.name}/{name}": digest
+            for run_dir in shuffle_grid
+            for name, digest in output_digests(run_dir).items()
+        }
+        assert digests == golden_digests("mock_grid_shuffle97.sha256")
+
+
+def test_c11_oracle_run_golden_digests(oracle_run):
+    with _report(11, "oracle run byte-identical"):
+        assert output_digests(oracle_run) == golden_digests("mock_run_oracle.sha256")

@@ -454,6 +454,14 @@ class TestRunCommand:
         report = tmp_path / "report12"
         assert main(["report", str(out_dir), str(sorted_dir), "--out", str(report)]) == 0
 
+    def test_rerun_without_audit_drops_the_old_audit_log(self, tmp_path):
+        config_path, out_dir = base_config(tmp_path, "rerun", agents={"mock": "shuffle:1"})
+        assert main(["run", "--config", str(config_path), "--audit"]) == 0
+        assert (out_dir / "audit.jsonl").read_text(encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--no-audit", "--mock", "identity"]) == 0
+        assert not (out_dir / "audit.jsonl").exists()
+        assert (out_dir / "dataset" / "items.jsonl").exists()
+
     def test_mock_and_endpoint_together_rejected(self, tmp_path, capsys):
         config_path, _ = base_config(
             tmp_path, "run9", agents={"mock": "identity", "endpoint": "http://x"}
@@ -548,6 +556,12 @@ MALFORMED = [
         (),
         "dataset.synth.edges_per_item",
         id="edges_per_item-infinity",
+    ),
+    pytest.param(
+        {"dataset": {"synth": {"n_items": 60, "edges_per_item": 1e308}}},
+        (),
+        "edges_per_item 1e+308 asks for inf edges",
+        id="edges_per_item-1e308",
     ),
     pytest.param(
         {"agents": {"mock": "identity", "timeout": 10**400}},
@@ -702,8 +716,18 @@ class TestReportCommand:
                 lambda payload: {**payload, "rows": [dict(row, stage="other") for row in payload["rows"]]},
                 "rows: expected one per stage and cutoff",
             ),
+            (
+                lambda payload: {
+                    **payload,
+                    "cutoffs": [*payload["cutoffs"], 1],
+                    "rows": payload["rows"] + [row for row in payload["rows"] if row["k"] == 1],
+                },
+                "cutoffs: repeated values in [1, 3, 5, 1]",
+            ),
         ],
-        ids=["empty-object", "row-value-null", "row-missing-key", "row-dropped", "unknown-stage"],
+        ids=[
+            "empty-object", "row-value-null", "row-missing-key", "row-dropped", "unknown-stage", "repeated-cutoff"
+        ],
     )
     def test_bad_metrics_file_fails_before_output(self, tmp_path, capsys, corrupt, message):
         run_dir = self.run_one(tmp_path, "rep4", "heuristic")

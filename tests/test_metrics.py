@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from complerank.metrics import (
     entropy_at_k,
     evaluate_results,
     hit_at_k,
-    lift,
     lift_rows_for_runs,
     lift_with_stderr,
     ndcg_at_k,
@@ -171,14 +171,14 @@ class TestAggregate:
             per_query("q1", "base", 1, 0, 0.0, 1.0, 19),
             per_query("q2", "base", 1, 1, 1.0, 2.0, 20),
         ]
-        [agg] = aggregate(rows, "r", "base", "ds", [1])
+        [agg] = aggregate(rows, "r", "ds")
         assert agg.hit == 0.5
         assert agg.vocab == 19.5
 
     def test_duplicated_queries_idempotent(self):
         row = per_query("q1", "base", 1, 1, 1.0, 2.5, 7)
-        [single] = aggregate([row], "r", "base", "ds", [1])
-        [doubled] = aggregate([row, row], "r", "base", "ds", [1])
+        [single] = aggregate([row], "r", "ds")
+        [doubled] = aggregate([row, row], "r", "ds")
         assert (single.hit, single.ndcg, single.entropy, single.vocab) == (
             doubled.hit,
             doubled.ndcg,
@@ -186,14 +186,23 @@ class TestAggregate:
             doubled.vocab,
         )
 
+    def test_every_stage_and_cutoff_in_row_order(self):
+        rows = [
+            per_query(query_id, stage, k, 1, 1.0, float(k), k)
+            for query_id in ("q1", "q2")
+            for stage in ("base", "diversity")
+            for k in (1, 3)
+        ]
+        aggregated = aggregate(rows, "r", "ds")
+        assert [(row.stage, row.k) for row in aggregated] == [
+            ("base", 1), ("base", 3), ("diversity", 1), ("diversity", 3)
+        ]
+        assert all(row.entropy == row.k for row in aggregated)
+        assert {(row.retriever, row.dataset) for row in aggregated} == {("r", "ds")}
+
     def test_empty_is_error(self):
         with pytest.raises(ValueError):
-            aggregate([], "r", "base", "ds", [1])
-
-    def test_missing_cutoff_is_error(self):
-        rows = [per_query("q1", "base", 1, 0, 0.0, 1.0, 5)]
-        with pytest.raises(ValueError):
-            aggregate(rows, "r", "base", "ds", [1, 3])
+            aggregate([], "r", "ds")
 
 
 def metrics_row(stage, k, hit, ndcg=0.5, entropy=1.0, vocab=10.0, dataset="ds"):
@@ -203,26 +212,34 @@ def metrics_row(stage, k, hit, ndcg=0.5, entropy=1.0, vocab=10.0, dataset="ds"):
     )
 
 
+def overall_lift(enhanced, base):
+    """One retriever's ``overall_vs_base`` lift row per metric; its diversity stage copies the base."""
+    rows = [base, replace(base, stage="diversity"), replace(enhanced, stage="diversity_accuracy")]
+    return {
+        row.metric: row
+        for row in lift_rows_for_runs({"r": rows}, "ds", [base.k])
+        if row.comparison == "overall_vs_base"
+    }
+
+
 class TestLift:
     def test_published_value_spot_checks(self):
         base = metrics_row("base", 1, hit=0.154, entropy=2.86)
         enhanced = metrics_row("diversity_accuracy", 1, hit=0.351, entropy=2.93)
-        result = lift(enhanced, base)
-        assert result["hit"] == pytest.approx(127.9, abs=0.1)
-        assert result["entropy"] == pytest.approx(2.45, abs=0.1)
+        result = overall_lift(enhanced, base)
+        assert result["hit"].mean_lift_pct == pytest.approx(127.9, abs=0.1)
+        assert result["entropy"].mean_lift_pct == pytest.approx(2.45, abs=0.1)
+        assert (result["hit"].std_err, result["hit"].n_retrievers) == (0.0, 1)
 
     def test_equal_rows_zero(self):
         row = metrics_row("base", 1, hit=0.3)
-        assert all(value == 0.0 for value in lift(row, row).values())
+        assert all(lift.mean_lift_pct == 0.0 for lift in overall_lift(row, row).values())
 
     def test_zero_base_reported_absent(self):
         base = metrics_row("base", 1, hit=0.0)
         enhanced = metrics_row("diversity_accuracy", 1, hit=0.2)
-        assert lift(enhanced, base)["hit"] is None
-
-    def test_mismatched_cutoff_rejected(self):
-        with pytest.raises(ValueError):
-            lift(metrics_row("diversity", 3, hit=0.2), metrics_row("base", 1, hit=0.1))
+        hit = overall_lift(enhanced, base)["hit"]
+        assert (hit.mean_lift_pct, hit.std_err, hit.n_retrievers) == (None, None, 0)
 
     @given(
         base=st.floats(0.01, 100),
@@ -230,13 +247,13 @@ class TestLift:
         scale=st.floats(0.001, 1000),
     )
     def test_scale_invariance(self, base, enhanced, scale):
-        lift_raw = lift(
-            metrics_row("diversity", 1, hit=enhanced), metrics_row("base", 1, hit=base)
-        )["hit"]
-        lift_scaled = lift(
-            metrics_row("diversity", 1, hit=enhanced * scale),
+        lift_raw = overall_lift(
+            metrics_row("diversity_accuracy", 1, hit=enhanced), metrics_row("base", 1, hit=base)
+        )["hit"].mean_lift_pct
+        lift_scaled = overall_lift(
+            metrics_row("diversity_accuracy", 1, hit=enhanced * scale),
             metrics_row("base", 1, hit=base * scale),
-        )["hit"]
+        )["hit"].mean_lift_pct
         assert lift_scaled == pytest.approx(lift_raw, rel=1e-9)
 
 

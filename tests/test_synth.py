@@ -17,6 +17,22 @@ class TestConfigValidation:
         with pytest.raises(SynthError):
             SynthConfig(n_items=10, cross_genre_edge_ratio=1.2)
 
+    def test_edges_beyond_the_pair_capacity(self):
+        message = "asks for 1000.0 edges, but 10 items have only 45 distinct pairs"
+        with pytest.raises(SynthError, match=message):
+            generate(SynthConfig(n_items=10, edges_per_item=200))
+
+    def test_edges_beyond_one_kind_of_pair(self):
+        with pytest.raises(SynthError, match="only 0 distinct cross-genre pairs"):
+            generate(SynthConfig(n_items=10, n_genres=1))
+        with pytest.raises(SynthError, match="only 0 distinct same-genre pairs"):
+            generate(SynthConfig(n_items=10, n_genres=10, cross_genre_edge_ratio=0.0))
+
+    def test_edges_at_the_pair_capacity(self):
+        config = SynthConfig(n_items=10, n_genres=1, edges_per_item=9, cross_genre_edge_ratio=0.0)
+        graph, _ = generate(config)
+        assert len(graph.edges) == 45
+
 
 def genre_pairs(graph, genre_of):
     return [(genre_of[a], genre_of[b]) for a, b in graph.edges]
