@@ -14,10 +14,12 @@ repairs it into a full permutation, flagging every repair for audit.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import re
 import time
+import urllib.parse
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -120,6 +122,16 @@ def build_prompt(query: Item, candidates: Sequence[Item], kind: AgentKind) -> Pr
     return PromptBundle(text=text, index_to_id=index_to_id)
 
 
+def is_http_url(url: str) -> bool:
+    """Whether ``url`` is an http:// or https:// URL with a host and, if it names one, a valid port."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+        parts.port  # raises ValueError for a port that is not a number in 0-65535
+    except ValueError:  # also raised for a bracketed host that is not an IPv6 address
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
+
+
 @dataclass(frozen=True)
 class LlmConfig:
     """Connection settings for an OpenAI-compatible chat-completions endpoint."""
@@ -133,6 +145,8 @@ class LlmConfig:
     backoff_seconds: float = 0.2
 
     def __post_init__(self) -> None:
+        if not is_http_url(self.base_url):
+            raise ValueError(f"base_url must be an http(s) URL with a host, got {self.base_url!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.timeout <= 0:
@@ -152,15 +166,19 @@ def complete(prompt: PromptBundle, config: LlmConfig) -> str:
     """POST the prompt as a single user message and return the assistant text.
 
     Retries transport errors and HTTP 408, 429 and 5xx up to ``max_retries``
-    times with exponential backoff; any other non-2xx status fails at once.
-    A retryable status whose ``Retry-After`` is a whole number of seconds
-    waits that long instead, at most ``timeout``.  Raises
-    :class:`TransportError` carrying the last failure, and for a completion
-    whose content is missing or not a string.  An empty or missing API key
-    sends no Authorization header (fine for unauthenticated local endpoints).
-    ``requests`` is imported on the first call, so mock runs never load it.
+    times with exponential backoff; any other non-2xx status fails at once,
+    a 307 or 308 redirect included (it is not followed).  A retryable status
+    whose ``Retry-After`` is a whole number of seconds waits that long
+    instead, at most ``timeout``.  Raises :class:`TransportError` carrying
+    the last failure, and for a completion that is not JSON or whose content
+    is missing or not a string.  An empty or missing API key sends no
+    Authorization header (fine for unauthenticated local endpoints).  The
+    standard-library HTTP client is imported on the first call, so mock runs
+    never load it; it opens one connection per attempt.
     """
-    import requests
+    import http.client
+    import urllib.error
+    import urllib.request
 
     url = config.base_url.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
@@ -172,6 +190,7 @@ def complete(prompt: PromptBundle, config: LlmConfig) -> str:
         "messages": [{"role": "user", "content": prompt.text}],
         "temperature": config.temperature,
     }
+    request = urllib.request.Request(url, json.dumps(body, allow_nan=False).encode("utf-8"), headers)
 
     retry_after = None  # seconds the last retryable answer asked to wait, if it said
     for attempt in range(config.max_retries + 1):
@@ -180,19 +199,23 @@ def complete(prompt: PromptBundle, config: LlmConfig) -> str:
             time.sleep(backoff if retry_after is None else min(retry_after, config.timeout))
             retry_after = None
         try:
-            response = requests.post(url, json=body, headers=headers, timeout=config.timeout)
-        except requests.RequestException as exc:
+            try:
+                with urllib.request.urlopen(request, timeout=config.timeout) as response:
+                    status, reply_headers, payload = response.status, response.headers, response.read()
+            except urllib.error.HTTPError as exc:  # a non-2xx answer; reading its body may still fail
+                with exc:
+                    status, reply_headers, payload = exc.code, exc.headers, exc.read()
+        except (http.client.HTTPException, OSError) as exc:  # OSError covers urllib.error.URLError
             last_failure = f"transport error: {exc}"
             continue
-        status = response.status_code
         if not 200 <= status < 300:
-            last_failure = f"HTTP {status}: {response.text[:200]}"
+            last_failure = f"HTTP {status}: {payload.decode('utf-8', errors='replace')[:200]}"
             if status in (408, 429) or status >= 500:
-                retry_after = _retry_after_seconds(response.headers.get("Retry-After"))
+                retry_after = _retry_after_seconds(reply_headers.get("Retry-After"))
                 continue
             break
         try:
-            content = response.json()["choices"][0]["message"]["content"]
+            content = json.loads(payload)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"unparseable completion payload from {url}: {exc!r}")
         if not isinstance(content, str):

@@ -124,6 +124,15 @@ def _check_schema(value: object, schema: object, key: str, required: bool = Fals
         raise ValueError(f"{key}: expected a finite number, got {json.dumps(value)}")
 
 
+def _check_endpoint(settings: dict, section: str) -> None:
+    """Raise a ValueError naming ``{section}.endpoint`` if it is set but not an http(s) URL with a host."""
+    if "endpoint" in settings and not agents.is_http_url(settings["endpoint"]):
+        raise ValueError(
+            f"{section}.endpoint: expected an http:// or https:// URL with a host,"
+            f" got {json.dumps(settings['endpoint'])}"
+        )
+
+
 def _agent(settings: dict, stage: str) -> tuple[pipeline.TransportFactory, dict[str, str]]:
     """One stage's transport factory and its description for ``run_config.json``."""
     policy = settings.pop("mock", None)
@@ -210,9 +219,12 @@ class RunConfig:
             depths = dict(zip(("n_div", "n_acc"), pipeline.PRESETS[preset]))
 
         shared = {k: v for k, v in agents_cfg.items() if k not in ("diversity", "accuracy")}
+        _check_endpoint(shared, "agents")
         factories, descs = {}, {}
         for stage in ("diversity", "accuracy"):
-            factories[stage], descs[stage] = _agent({**shared, **agents_cfg.get(stage, {})}, stage)
+            own = agents_cfg.get(stage, {})
+            _check_endpoint(own, f"agents.{stage}")
+            factories[stage], descs[stage] = _agent({**shared, **own}, stage)
         pipeline_config = pipeline.PipelineConfig(
             diversity_transport=factories["diversity"],
             accuracy_transport=factories["accuracy"],

@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
@@ -43,21 +44,34 @@ def prompt_fixture():
 class _ChatHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length)) if length else {}
+        raw = self.rfile.read(length)
         self.server.requests.append(
-            {"path": self.path, "body": body, "auth": self.headers.get("Authorization")}
+            {
+                "path": self.path,
+                "raw": raw,
+                "body": json.loads(raw) if length else {},
+                "auth": self.headers.get("Authorization"),
+            }
         )
-        status, payload, *headers = self.server.script[
-            min(len(self.server.requests) - 1, len(self.server.script) - 1)
-        ]
-        data = json.dumps(payload).encode("utf-8")
+        entry = self.server.script[min(len(self.server.requests) - 1, len(self.server.script) - 1)]
+        if entry[0] == "drop":
+            self.close_connection = True
+            return
+        if entry[0] == "sleep":
+            time.sleep(entry[1])
+            entry = entry[2:]
+        status, payload, *headers = entry
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         for name, value in (headers[0] if headers else {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
+        try:
+            self.end_headers()
+            self.wfile.write(data)
+        except (BrokenPipeError, ConnectionResetError):  # a client that timed out has gone
+            self.close_connection = True
 
     def log_message(self, *args):  # keep pytest output clean
         pass
@@ -67,8 +81,12 @@ class MockChatServer:
     """Local chat-completions endpoint with a scriptable response sequence.
 
     ``script`` is a list of (status, payload) pairs, each optionally followed
-    by a dict of extra response headers; the last entry repeats once the
-    sequence is exhausted.
+    by a dict of extra response headers; a ``bytes`` payload is sent as is,
+    any other is JSON-encoded.  ``("drop",)`` closes the connection without
+    answering, and ``("sleep", seconds, status, payload[, headers])`` waits
+    that long before answering.  The last entry repeats once the sequence is
+    exhausted.  Each request is recorded with its raw body bytes and the
+    parsed JSON.
     """
 
     def __init__(self):

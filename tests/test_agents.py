@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import sys
@@ -436,6 +437,52 @@ class TestComplete:
         with pytest.raises(TransportError, match="transport error"):
             complete(bundle, config)
 
+    def test_dropped_connection_retried(self, chat_server, prompt_fixture):
+        query, candidates = prompt_fixture
+        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        chat_server.set_script([("drop",)])
+        with pytest.raises(TransportError, match="transport error"):
+            complete(bundle, self.config(chat_server, max_retries=2))
+        assert len(chat_server.requests) == 3
+
+    def test_reply_slower_than_timeout(self, chat_server, prompt_fixture):
+        query, candidates = prompt_fixture
+        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        chat_server.set_script([("sleep", 0.5, 200, chat_server.completion("[0]"))])
+        with pytest.raises(TransportError, match="transport error"):
+            complete(bundle, self.config(chat_server, max_retries=0, timeout=0.1))
+
+    def test_non_json_body_unparseable(self, chat_server, prompt_fixture):
+        query, candidates = prompt_fixture
+        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        chat_server.set_script([(200, b"<html>not json</html>")])
+        with pytest.raises(TransportError, match="unparseable completion payload"):
+            complete(bundle, self.config(chat_server))
+        assert len(chat_server.requests) == 1
+
+    def test_request_body_bytes(self, chat_server):
+        bundle = agents.PromptBundle(text="Café — 音楽", index_to_id=["x"])
+        chat_server.set_script([(200, chat_server.completion("[0]"))])
+        complete(bundle, self.config(chat_server, temperature=0.5))
+        body = {
+            "model": "test-model",
+            "messages": [{"role": "user", "content": "Café — 音楽"}],
+            "temperature": 0.5,
+        }
+        request = chat_server.requests[0]
+        assert request["raw"] == json.dumps(body, allow_nan=False).encode()
+        assert request["body"]["messages"][0]["content"] == "Café — 音楽"
+
+    @pytest.mark.parametrize("status", [307, 308])
+    def test_redirect_not_followed(self, chat_server, prompt_fixture, status):
+        query, candidates = prompt_fixture
+        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        location = {"Location": chat_server.url + "/v2/chat/completions"}
+        chat_server.set_script([(status, {}, location), (200, chat_server.completion("[0]"))])
+        with pytest.raises(TransportError, match=f"HTTP {status}"):
+            complete(bundle, self.config(chat_server))
+        assert len(chat_server.requests) == 1
+
     def test_http_transport_wraps_complete(self, chat_server, prompt_fixture):
         query, candidates = prompt_fixture
         bundle = build_prompt(query, candidates[:2], AgentKind.DIVERSITY)
@@ -451,3 +498,6 @@ def test_llm_config_validation():
         LlmConfig(base_url="http://x", model="m", timeout=0)
     with pytest.raises(ValueError):
         LlmConfig(base_url="http://x", model="m", temperature=-0.1)
+    for url in ("localhost:8000/v1", "file:///v1", "ftp://h/v1", "http:///v1", "http://h:80a/v1", "http://[::1/v1"):
+        with pytest.raises(ValueError, match="base_url"):
+            LlmConfig(base_url=url, model="m")

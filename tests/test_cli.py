@@ -239,14 +239,14 @@ class TestRunCommand:
         for line in (out_dir / "retrieval.jsonl").read_text(encoding="utf-8").splitlines():
             assert all(math.isfinite(score) for _, score in json.loads(line)["candidates"])
 
-    def test_mock_run_never_imports_requests(self, tmp_path):
-        """``requests`` is loaded on the first HTTP request, so a mock run never imports it."""
+    def test_mock_run_never_imports_http_stack(self, tmp_path):
+        """The HTTP client is loaded on the first HTTP request, so a mock run never imports it."""
         config_path, _ = base_config(tmp_path, "lazy")
         script = (
             "import sys\n"
             "import complerank.cli\n"
             "assert complerank.cli.main(['run', '--config', sys.argv[1]]) == 0\n"
-            "print('requests' in sys.modules)\n"
+            "print(sorted({'requests', 'urllib.request', 'http.client', 'ssl'} & sys.modules.keys()))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script, str(config_path)],
@@ -256,7 +256,7 @@ class TestRunCommand:
             timeout=60,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "False"
+        assert result.stdout.splitlines()[-1] == "[]"
 
     def test_benchmark_tracer_hooks_still_fire(self, tmp_path):
         """``perfbench/layers.py`` patches functions by name; every hook must still record spans.
@@ -574,6 +574,30 @@ MALFORMED = [
         (),
         "temperature",
         id="temperature-not-number",
+    ),
+    pytest.param(
+        {"agents": {"endpoint": "localhost:8000/v1", "model": "m"}}, (), "agents.endpoint", id="endpoint-no-scheme"
+    ),
+    pytest.param(
+        {
+            "agents": {
+                "model": "m",
+                "diversity": {"endpoint": "http://127.0.0.1:9"},
+                "accuracy": {"endpoint": "ftp://h/v1"},
+            }
+        },
+        (),
+        "agents.accuracy.endpoint",
+        id="endpoint-ftp",
+    ),
+    pytest.param(
+        {"agents": {"model": "m", "diversity": {"endpoint": "http:///v1"}, "accuracy": {"mock": "identity"}}},
+        (),
+        "agents.diversity.endpoint",
+        id="endpoint-no-host",
+    ),
+    pytest.param(
+        {}, ("--endpoint", "http://127.0.0.1:80a/v1", "--model", "m"), "agents.endpoint", id="endpoint-flag-bad-port"
     ),
     pytest.param({"agents": {"mock": "shuffle:x"}}, (), "mock", id="shuffle-seed-not-int"),
     pytest.param(
