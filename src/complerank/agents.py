@@ -190,7 +190,7 @@ def complete(prompt: PromptBundle, config: LlmConfig) -> str:
         "messages": [{"role": "user", "content": prompt.text}],
         "temperature": config.temperature,
     }
-    request = urllib.request.Request(url, json.dumps(body, allow_nan=False).encode("utf-8"), headers)
+    data = json.dumps(body, allow_nan=False).encode("utf-8")
 
     retry_after = None  # seconds the last retryable answer asked to wait, if it said
     for attempt in range(config.max_retries + 1):
@@ -200,6 +200,8 @@ def complete(prompt: PromptBundle, config: LlmConfig) -> str:
             retry_after = None
         try:
             try:
+                # A fresh Request per attempt: urllib's proxy handling rewrites the one it sends.
+                request = urllib.request.Request(url, data, headers)
                 with urllib.request.urlopen(request, timeout=config.timeout) as response:
                     status, reply_headers, payload = response.status, response.headers, response.read()
             except urllib.error.HTTPError as exc:  # a non-2xx answer; reading its body may still fail

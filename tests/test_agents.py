@@ -483,6 +483,37 @@ class TestComplete:
             complete(bundle, self.config(chat_server))
         assert len(chat_server.requests) == 1
 
+    def test_every_attempt_through_https_proxy_tunnels(self, prompt_fixture, monkeypatch):
+        # urllib's proxy handling rewrites the Request it sends; a reused one
+        # would go out on later attempts as plain HTTP to the proxy.
+        import socket
+        import urllib.request
+
+        with socket.socket() as sock:  # a local port nothing listens on: every attempt is refused
+            sock.bind(("127.0.0.1", 0))
+            proxy_port = sock.getsockname()[1]
+        for name in ("NO_PROXY", "no_proxy", "https_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy_port}")
+        monkeypatch.setattr(urllib.request, "_opener", None)  # rebuilt from the environment above
+        seen = []
+        real_urlopen = urllib.request.urlopen
+
+        def recording_urlopen(request, *args, **kwargs):
+            seen.append((request.type, request._tunnel_host))
+            return real_urlopen(request, *args, **kwargs)
+
+        monkeypatch.setattr(urllib.request, "urlopen", recording_urlopen)
+        query, candidates = prompt_fixture
+        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        config = LlmConfig(
+            base_url="https://127.0.0.1:9/v1", model="m", max_retries=2, timeout=0.5,
+            backoff_seconds=0.0,
+        )
+        with pytest.raises(TransportError, match="transport error"):
+            complete(bundle, config)
+        assert seen == [("https", None)] * 3
+
     def test_http_transport_wraps_complete(self, chat_server, prompt_fixture):
         query, candidates = prompt_fixture
         bundle = build_prompt(query, candidates[:2], AgentKind.DIVERSITY)
