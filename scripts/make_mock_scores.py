@@ -40,16 +40,12 @@ def main() -> None:
     train, queries = catalog.split_holdout(graph, args.holdout, args.split_seed)
 
     pool = sorted(train.items)
-    neighbors: dict[str, set[str]] = {}  # the train graph's adjacency, built once
-    for a, b in train.edges:
-        neighbors.setdefault(a, set()).add(b)
-        neighbors.setdefault(b, set()).add(a)
     rng = random.Random(args.score_seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         for query in queries:
             skip = {query.query_id}
             if not args.keep_neighbors:
-                skip |= neighbors.get(query.query_id, set())
+                skip |= train.neighbors(query.query_id)
             scored = [(item_id, rng.random()) for item_id in pool if item_id not in skip]
             scored.sort(key=lambda pair: (-pair[1], pair[0]))
             record = {

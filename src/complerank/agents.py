@@ -162,12 +162,15 @@ def _retry_after_seconds(value: str | None) -> float | None:
     return float(value) if value.isascii() and value.isdigit() else None
 
 
+_opener = None  # the urllib opener of every request, built on the first (see complete)
+
+
 def complete(prompt: PromptBundle, config: LlmConfig) -> str:
     """POST the prompt as a single user message and return the assistant text.
 
     Retries transport errors and HTTP 408, 429 and 5xx up to ``max_retries``
     times with exponential backoff; any other non-2xx status fails at once,
-    a 307 or 308 redirect included (it is not followed).  A retryable status
+    a 3xx redirect included (none is followed).  A retryable status
     whose ``Retry-After`` is a whole number of seconds waits that long
     instead, at most ``timeout``.  Raises :class:`TransportError` carrying
     the last failure, and for a completion that is not JSON or whose content
@@ -176,9 +179,17 @@ def complete(prompt: PromptBundle, config: LlmConfig) -> str:
     standard-library HTTP client is imported on the first call, so mock runs
     never load it; it opens one connection per attempt.
     """
+    global _opener
     import http.client
     import urllib.error
     import urllib.request
+
+    if _opener is None:  # built once and kept, as urlopen keeps its own
+        class NoRedirect(urllib.request.HTTPRedirectHandler):
+            def redirect_request(self, *args):  # no new request: the 3xx is raised as an HTTPError
+                return None
+
+        _opener = urllib.request.build_opener(NoRedirect)
 
     url = config.base_url.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
@@ -202,7 +213,7 @@ def complete(prompt: PromptBundle, config: LlmConfig) -> str:
             try:
                 # A fresh Request per attempt: urllib's proxy handling rewrites the one it sends.
                 request = urllib.request.Request(url, data, headers)
-                with urllib.request.urlopen(request, timeout=config.timeout) as response:
+                with _opener.open(request, timeout=config.timeout) as response:
                     status, reply_headers, payload = response.status, response.headers, response.read()
             except urllib.error.HTTPError as exc:  # a non-2xx answer; reading its body may still fail
                 with exc:

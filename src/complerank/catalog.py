@@ -20,8 +20,11 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Container, Iterable
+from typing import Callable, Container, Iterable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 
 class CatalogError(ValueError):
@@ -94,13 +97,19 @@ class ComplementGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def _adjacency(self) -> dict[str, set[str]]:
+        adjacency: dict[str, set[str]] = {}
+        for a, b in self.edges:
+            adjacency.setdefault(a, set()).add(b)
+            adjacency.setdefault(b, set()).add(a)
+        return adjacency
+
     def neighbors(self, item_id: str) -> frozenset[str]:
         """Ids directly linked to ``item_id`` (empty set if isolated)."""
         if item_id not in self.items:
             raise CatalogError(f"unknown item id {item_id!r}")
-        return frozenset(
-            b if a == item_id else a for a, b in self.edges if item_id in (a, b)
-        )
+        return frozenset(self._adjacency.get(item_id, ()))
 
 
 @dataclass(frozen=True)
@@ -117,37 +126,60 @@ class QueryInstance:
             raise CatalogError(f"query {self.query_id!r} appears in its own ground truth")
 
 
-def _parse_item_line(path: Path, lineno: int, line: str) -> Item:
-    try:
-        record = json.loads(line)
-    except ValueError as exc:  # a JSONDecodeError, or an integer longer than ``int`` reads
-        message = getattr(exc, "msg", exc)
-        raise CatalogError(f"{path}:{lineno}: invalid JSON ({message})") from exc
+def read_json_lines(path: Path, parse: Callable[[object], T], error: type[Exception]) -> Iterator[T]:
+    """Yield ``parse(value)`` for each decoded nonblank line of a UTF-8 JSON Lines file.
+
+    A line that does not decode, or whose ``parse`` raises ``ValueError``, raises
+    ``error`` prefixed with ``path:line``; what the consumer raises passes unchanged.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                try:
+                    value = json.loads(line)
+                except ValueError as exc:  # a JSONDecodeError, or an integer longer than ``int`` reads
+                    raise ValueError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+                parsed = parse(value)
+            except ValueError as exc:
+                raise error(f"{path}:{lineno}: {exc}") from exc
+            yield parsed
+
+
+def _parse_item(record: object, items: Container[str]) -> Item:
     if not isinstance(record, dict):
-        raise CatalogError(f"{path}:{lineno}: expected a JSON object")
+        raise CatalogError("expected a JSON object")
     try:
         item_id = record["id"]
         title = record["title"]
     except KeyError as exc:
-        raise CatalogError(f"{path}:{lineno}: missing key {exc.args[0]!r}") from exc
+        raise CatalogError(f"missing key {exc.args[0]!r}") from exc
     categories = record.get("categories", [])
     price = record.get("price")
     if not isinstance(item_id, str) or not isinstance(title, str):
-        raise CatalogError(f"{path}:{lineno}: id and title must be strings")
+        raise CatalogError("id and title must be strings")
     if not isinstance(categories, list) or any(not isinstance(c, str) for c in categories):
-        raise CatalogError(f"{path}:{lineno}: categories must be an array of strings")
+        raise CatalogError("categories must be an array of strings")
     # NaN fails the comparison, and JSON's ``true`` is no number here.
     if price is not None and (type(price) not in (int, float) or not abs(price) <= sys.float_info.max):
-        raise CatalogError(f"{path}:{lineno}: price must be a finite number, got {json.dumps(price)}")
-    try:
-        return Item(
-            id=item_id,
-            title=title,
-            categories=tuple(categories),
-            price=None if price is None else float(price),
-        )
-    except CatalogError as exc:
-        raise CatalogError(f"{path}:{lineno}: {exc}") from exc
+        raise CatalogError(f"price must be a finite number, got {json.dumps(price)}")
+    item = Item(
+        id=item_id,
+        title=title,
+        categories=tuple(categories),
+        price=None if price is None else float(price),
+    )
+    if item.id in items:
+        raise CatalogError(f"duplicate item id {item.id!r}")
+    return item
+
+
+def _parse_edge(pair: object, items: Container[str]) -> tuple[str, str]:
+    if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(x, str) for x in pair):
+        raise CatalogError("expected a JSON array of two item ids")
+    return edge_key(*pair, items)
 
 
 def load_catalog(items_path: str | Path, edges_path: str | Path) -> ComplementGraph:
@@ -156,44 +188,10 @@ def load_catalog(items_path: str | Path, edges_path: str | Path) -> ComplementGr
     Duplicate edges (including reversed duplicates) collapse to one undirected
     edge.  Errors report the offending file line.
     """
-    items_path = Path(items_path)
-    edges_path = Path(edges_path)
-
     items: dict[str, Item] = {}
-    with items_path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            item = _parse_item_line(items_path, lineno, line)
-            if item.id in items:
-                raise CatalogError(f"{items_path}:{lineno}: duplicate item id {item.id!r}")
-            items[item.id] = item
-
-    edges: set[tuple[str, str]] = set()
-    with edges_path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                pair = json.loads(line)
-            except ValueError as exc:  # as in _parse_item_line
-                message = getattr(exc, "msg", exc)
-                raise CatalogError(f"{edges_path}:{lineno}: invalid JSON ({message})") from exc
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, str) for x in pair)
-            ):
-                raise CatalogError(
-                    f"{edges_path}:{lineno}: expected a JSON array of two item ids"
-                )
-            try:
-                edges.add(edge_key(*pair, items))
-            except CatalogError as exc:
-                raise CatalogError(f"{edges_path}:{lineno}: {exc}") from exc
-
+    for item in read_json_lines(Path(items_path), lambda record: _parse_item(record, items), CatalogError):
+        items[item.id] = item
+    edges = read_json_lines(Path(edges_path), lambda pair: _parse_edge(pair, items), CatalogError)
     return ComplementGraph(items=items, edges=frozenset(edges))
 
 

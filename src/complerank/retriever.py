@@ -14,15 +14,14 @@ non-increasing, ties broken by ascending item id.
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
-from .catalog import ComplementGraph, Item
+from .catalog import ComplementGraph, Item, read_json_lines
 
 
 class RetrievalError(ValueError):
@@ -137,38 +136,28 @@ class PrecomputedRetriever:
     def __init__(self, path: str | Path, items: Iterable[str], name: str | None = None):
         self.path = Path(path)
         self.name = name or self.path.stem
-        self._lists: dict[str, tuple[tuple[str, ...], array]] = {}
         canonical = {item_id: item_id for item_id in items}
-        with self.path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    query_id = record["query_id"]
-                    pairs = [
-                        (str(item_id), float(score)) for item_id, score in record["candidates"]
-                    ]
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise RetrievalError(f"{self.path}:{lineno}: malformed scores line ({exc})")
-                ids, scores = zip(*pairs) if pairs else ((), ())
-                scores = array("d", scores)
-                # A sum of finite scores is finite unless it overflows; only then look closer.
-                if not math.isfinite(sum(scores)):
-                    for item_id, score in pairs:
-                        if not math.isfinite(score):
-                            raise RetrievalError(
-                                f"{self.path}:{lineno}: candidate {item_id!r} has non-finite "
-                                f"score {score}"
-                            )
-                try:
-                    ids = tuple(map(canonical.__getitem__, ids))
-                except KeyError as exc:
-                    raise RetrievalError(
-                        f"{self.path}:{lineno}: candidate id {exc.args[0]!r} is not in the catalog"
-                    ) from None
-                self._lists[str(query_id)] = (ids, scores)
+
+        def parse(record: Any) -> tuple[str, tuple[tuple[str, ...], array]]:
+            try:
+                query_id = record["query_id"]
+                pairs = [(str(item_id), float(score)) for item_id, score in record["candidates"]]
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise RetrievalError(f"malformed scores line ({exc})") from exc
+            ids, scores = zip(*pairs) if pairs else ((), ())
+            scores = array("d", scores)
+            # A sum of finite scores is finite unless it overflows; only then look closer.
+            if not math.isfinite(sum(scores)):
+                for item_id, score in pairs:
+                    if not math.isfinite(score):
+                        raise RetrievalError(f"candidate {item_id!r} has non-finite score {score}")
+            try:
+                ids = tuple(map(canonical.__getitem__, ids))
+            except KeyError as exc:
+                raise RetrievalError(f"candidate id {exc.args[0]!r} is not in the catalog") from None
+            return str(query_id), (ids, scores)
+
+        self._lists = dict(read_json_lines(self.path, parse, RetrievalError))
 
     def check_coverage(self, query_ids: Sequence[str]) -> None:
         """Raise unless every query has a line naming some candidate other than itself."""

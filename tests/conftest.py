@@ -93,7 +93,10 @@ class MockChatServer:
         self.server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
         self.server.requests = []
         self.server.script = [(200, self.completion("[0]"))]
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # A short poll keeps ``shutdown`` (each teardown) from waiting out the 0.5 s default.
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         self.thread.start()
 
     @staticmethod

@@ -473,7 +473,7 @@ class TestComplete:
         assert request["raw"] == json.dumps(body, allow_nan=False).encode()
         assert request["body"]["messages"][0]["content"] == "Café — 音楽"
 
-    @pytest.mark.parametrize("status", [307, 308])
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
     def test_redirect_not_followed(self, chat_server, prompt_fixture, status):
         query, candidates = prompt_fixture
         bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
@@ -495,15 +495,15 @@ class TestComplete:
         for name in ("NO_PROXY", "no_proxy", "https_proxy"):
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("HTTPS_PROXY", f"http://127.0.0.1:{proxy_port}")
-        monkeypatch.setattr(urllib.request, "_opener", None)  # rebuilt from the environment above
+        monkeypatch.setattr(agents, "_opener", None)  # rebuilt from the environment above
         seen = []
-        real_urlopen = urllib.request.urlopen
+        real_open = urllib.request.OpenerDirector.open
 
-        def recording_urlopen(request, *args, **kwargs):
+        def recording_open(opener, request, *args, **kwargs):
             seen.append((request.type, request._tunnel_host))
-            return real_urlopen(request, *args, **kwargs)
+            return real_open(opener, request, *args, **kwargs)
 
-        monkeypatch.setattr(urllib.request, "urlopen", recording_urlopen)
+        monkeypatch.setattr(urllib.request.OpenerDirector, "open", recording_open)
         query, candidates = prompt_fixture
         bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
         config = LlmConfig(

@@ -14,6 +14,7 @@ from complerank.catalog import (
     split_holdout,
     write_catalog,
 )
+from complerank.retriever import PrecomputedRetriever, RetrievalError
 from complerank.synth import SynthConfig, generate
 
 
@@ -117,6 +118,94 @@ class TestLoadCatalog:
             load_catalog(tmp_path / "items.jsonl", tmp_path / "edges.jsonl")
 
 
+# One malformed line per row: the file it goes in (as line 3, after a good line
+# and a blank one), the exception class, and the message after ``path:line: ``.
+LONG_INT_MESSAGE = (
+    "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
+    "use sys.set_int_max_str_digits() to increase the limit"
+)
+LOADER_ERRORS = [
+    pytest.param(
+        "items", "{not json", CatalogError,
+        "invalid JSON (Expecting property name enclosed in double quotes)", id="items-invalid-json",
+    ),
+    pytest.param(
+        "items", '{"id": "C", "title": "gamma", "price": ' + "1" * 5000 + "}", CatalogError,
+        f"invalid JSON ({LONG_INT_MESSAGE})", id="items-5000-digits",
+    ),
+    pytest.param("items", '["C", "gamma"]', CatalogError, "expected a JSON object", id="items-not-object"),
+    pytest.param("items", '{"title": "gamma"}', CatalogError, "missing key 'id'", id="items-missing-id"),
+    pytest.param(
+        "items", '{"id": "C", "title": 3}', CatalogError, "id and title must be strings",
+        id="items-title-not-string",
+    ),
+    pytest.param(
+        "items", '{"id": "C", "title": "gamma", "categories": "x"}', CatalogError,
+        "categories must be an array of strings", id="items-categories-not-list",
+    ),
+    pytest.param(
+        "items", '{"id": "C", "title": "gamma", "price": NaN}', CatalogError,
+        "price must be a finite number, got NaN", id="items-nan-price",
+    ),
+    pytest.param(
+        "items", '{"id": "C", "title": ""}', CatalogError, "item 'C': title must be nonempty",
+        id="items-empty-title",
+    ),
+    pytest.param(
+        "items", '{"id": "A", "title": "again"}', CatalogError, "duplicate item id 'A'",
+        id="items-duplicate-id",
+    ),
+    pytest.param("edges", '["A", ', CatalogError, "invalid JSON (Expecting value)", id="edges-invalid-json"),
+    pytest.param(
+        "edges", '["A"]', CatalogError, "expected a JSON array of two item ids", id="edges-not-pair",
+    ),
+    pytest.param(
+        "edges", '["A", "Z"]', CatalogError, "edge references unknown item id 'Z'", id="edges-unknown-id",
+    ),
+    pytest.param("edges", '["A", "A"]', CatalogError, "self-loop edge on 'A'", id="edges-self-loop"),
+    pytest.param(
+        "scores", '{"query_id": ', RetrievalError, "invalid JSON (Expecting value)", id="scores-invalid-json",
+    ),
+    pytest.param(
+        "scores", '{"query_id": "A"}', RetrievalError, "malformed scores line ('candidates')",
+        id="scores-missing-key",
+    ),
+    pytest.param(
+        "scores", '{"query_id": "A", "candidates": [["B", "x"]]}', RetrievalError,
+        "malformed scores line (could not convert string to float: 'x')", id="scores-score-x",
+    ),
+    pytest.param(
+        "scores", '{"query_id": "A", "candidates": [["B", Infinity]]}', RetrievalError,
+        "candidate 'B' has non-finite score inf", id="scores-non-finite",
+    ),
+    pytest.param(
+        "scores", '{"query_id": "A", "candidates": [["Z", 1.0]]}', RetrievalError,
+        "candidate id 'Z' is not in the catalog", id="scores-unknown-id",
+    ),
+    pytest.param(
+        "scores", '{"query_id": "A", "candidates": [["B", ' + "1" * 400 + "]]}", RetrievalError,
+        "malformed scores line (int too large to convert to float)", id="scores-400-digits",
+    ),
+]
+
+
+@pytest.mark.parametrize("bad_file, line, error, message", LOADER_ERRORS)
+def test_loader_error_message(tmp_path, bad_file, line, error, message):
+    files = {
+        "items": items_lines(("A", "alpha", [], {}), ("B", "beta", [], {})),
+        "edges": [json.dumps(["A", "B"])],
+        "scores": [json.dumps({"query_id": "B", "candidates": [["A", 1.0]]})],
+    }
+    files[bad_file].insert(1, line)
+    files[bad_file].insert(1, "")  # a blank line is skipped but counted
+    for name, lines in files.items():
+        write_lines(tmp_path / f"{name}.jsonl", lines)
+    with pytest.raises(error) as raised:
+        graph = load_catalog(tmp_path / "items.jsonl", tmp_path / "edges.jsonl")
+        PrecomputedRetriever(tmp_path / "scores.jsonl", graph.items)
+    assert str(raised.value) == f"{tmp_path / bad_file}.jsonl:3: {message}"
+
+
 def test_edge_key_normalizes():
     assert edge_key("B", "A", {"A", "B"}) == ("A", "B") == edge_key("A", "B", {"A", "B"})
 
@@ -144,6 +233,18 @@ def test_from_parts_normalizes_and_collapses_edges():
 def test_neighbors(tiny_graph):
     assert tiny_graph.neighbors("b2") == {"b1", "b3"}
     assert tiny_graph.neighbors("a2") == {"a1"}
+    isolated = ComplementGraph.from_parts([*tiny_graph.items.values(), Item(id="z", title="z")], tiny_graph.edges)
+    assert isolated.neighbors("z") == frozenset()
+    with pytest.raises(CatalogError, match="unknown item id 'nope'"):
+        tiny_graph.neighbors("nope")
+
+
+def test_neighbors_match_an_edge_scan():
+    graph, _ = generate(SynthConfig(n_items=60, n_genres=4, edges_per_item=3.0, seed=5))
+    train, _ = split_holdout(graph, 0.3, seed=2)  # a train graph's adjacency is its own
+    for g in (graph, train):
+        for item_id in g.items:
+            assert g.neighbors(item_id) == {b if a == item_id else a for a, b in g.edges if item_id in (a, b)}
 
 
 def test_query_instance_invariants():

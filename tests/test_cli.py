@@ -668,6 +668,12 @@ MALFORMED = [
         "scores.jsonl: no candidate for 2 of 5 queries, the first '10'",
         id="scores-query-only-itself",
     ),
+    pytest.param(
+        scores_without(extra='{"query_id": "1", "candidates": [["2", ' + "1" * 400 + "]]}\n"),
+        (),
+        "scores.jsonl:11: malformed scores line (int too large to convert to float)",
+        id="scores-400-digit-score",
+    ),
 ]
 
 
