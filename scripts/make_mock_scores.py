@@ -3,8 +3,8 @@
 
 Stands in for a trained model's exported candidate lists: it replays the same
 holdout split as a run (same dataset files, same split settings), then for
-each query scores the candidate pool with a seeded RNG and keeps the top
-``--depth``.  Feed the output to ``complerank run --retriever precomputed``
+each query scores the candidate pool (every item but the query and its
+train-graph neighbours) with a seeded RNG and keeps the top ``--depth``.  Feed the output to ``complerank run --retriever precomputed``
 with a config whose ``retriever.path`` points at it and whose split settings
 match.
 
@@ -28,11 +28,6 @@ def main() -> None:
     parser.add_argument("--split-seed", type=int, default=0)
     parser.add_argument("--score-seed", type=int, required=True)
     parser.add_argument("--depth", type=int, default=100)
-    parser.add_argument(
-        "--keep-neighbors",
-        action="store_true",
-        help="keep train-graph neighbors in the candidate pool",
-    )
     parser.add_argument("--out", required=True)
     args = parser.parse_args()
 
@@ -43,9 +38,7 @@ def main() -> None:
     rng = random.Random(args.score_seed)
     with open(args.out, "w", encoding="utf-8") as fh:
         for query in queries:
-            skip = {query.query_id}
-            if not args.keep_neighbors:
-                skip |= train.neighbors(query.query_id)
+            skip = {query.query_id} | train.neighbors(query.query_id)
             scored = [(item_id, rng.random()) for item_id in pool if item_id not in skip]
             scored.sort(key=lambda pair: (-pair[1], pair[0]))
             record = {

@@ -181,15 +181,14 @@ def complete(prompt: PromptBundle, config: LlmConfig) -> str:
     """
     global _opener
     import http.client
-    import urllib.error
     import urllib.request
 
     if _opener is None:  # built once and kept, as urlopen keeps its own
-        class NoRedirect(urllib.request.HTTPRedirectHandler):
-            def redirect_request(self, *args):  # no new request: the 3xx is raised as an HTTPError
-                return None
-
-        _opener = urllib.request.build_opener(NoRedirect)
+        # Without HTTPErrorProcessor every status is the response, so no redirect is followed.
+        _opener = urllib.request.OpenerDirector()
+        for handler in (urllib.request.ProxyHandler, urllib.request.UnknownHandler,
+                        urllib.request.HTTPHandler, urllib.request.HTTPSHandler):
+            _opener.add_handler(handler())
 
     url = config.base_url.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
@@ -210,14 +209,10 @@ def complete(prompt: PromptBundle, config: LlmConfig) -> str:
             time.sleep(backoff if retry_after is None else min(retry_after, config.timeout))
             retry_after = None
         try:
-            try:
-                # A fresh Request per attempt: urllib's proxy handling rewrites the one it sends.
-                request = urllib.request.Request(url, data, headers)
-                with _opener.open(request, timeout=config.timeout) as response:
-                    status, reply_headers, payload = response.status, response.headers, response.read()
-            except urllib.error.HTTPError as exc:  # a non-2xx answer; reading its body may still fail
-                with exc:
-                    status, reply_headers, payload = exc.code, exc.headers, exc.read()
+            # A fresh Request per attempt: urllib's proxy handling rewrites the one it sends.
+            request = urllib.request.Request(url, data, headers)
+            with _opener.open(request, timeout=config.timeout) as response:
+                status, reply_headers, payload = response.status, response.headers, response.read()
         except (http.client.HTTPException, OSError) as exc:  # OSError covers urllib.error.URLError
             last_failure = f"transport error: {exc}"
             continue

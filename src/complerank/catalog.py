@@ -148,6 +148,21 @@ def read_json_lines(path: Path, parse: Callable[[object], T], error: type[Except
             yield parsed
 
 
+def write_json_lines(path: str | Path, records: Iterable[object]) -> None:
+    """Write one sorted-key JSON line per record, the format :func:`read_json_lines` reads."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(encode(record) + "\n")
+
+
+def write_json(payload: object, path: str | Path) -> None:
+    """Write ``payload`` as sorted-key JSON indented by 2, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _parse_item(record: object, items: Container[str]) -> Item:
     if not isinstance(record, dict):
         raise CatalogError("expected a JSON object")
@@ -197,22 +212,10 @@ def load_catalog(items_path: str | Path, edges_path: str | Path) -> ComplementGr
 
 def write_catalog(graph: ComplementGraph, items_path: str | Path, edges_path: str | Path) -> None:
     """Write a catalog in the items/edges file formats (sorted, reloadable)."""
-    items_path = Path(items_path)
-    edges_path = Path(edges_path)
-    with items_path.open("w", encoding="utf-8") as fh:
-        for item_id in sorted(graph.items):
-            item = graph.items[item_id]
-            record: dict[str, object] = {
-                "id": item.id,
-                "title": item.title,
-                "categories": list(item.categories),
-            }
-            if item.price is not None:
-                record["price"] = item.price
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-    with edges_path.open("w", encoding="utf-8") as fh:
-        for a, b in sorted(graph.edges):
-            fh.write(json.dumps([a, b]) + "\n")
+    # ``price`` is the one item field that may be None; an absent price is left out.
+    records = ({k: v for k, v in vars(graph.items[i]).items() if v is not None} for i in sorted(graph.items))
+    write_json_lines(items_path, records)
+    write_json_lines(edges_path, sorted(graph.edges))
 
 
 def split_holdout(

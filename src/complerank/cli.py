@@ -14,38 +14,29 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
+import math
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from itertools import product
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import agents, catalog, metrics, pipeline, retriever, synth
 
-# A JSON string or number; reading past strings finds the numbers that ``json`` reads.
-_JSON_STRING_OR_NUMBER = re.compile(r'"(?:[^"\\]|\\.)*"|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
 
-
-def _line_of_long_int(text: str) -> int:
-    """The line of the first JSON integer with more digits than ``int`` reads (1 if none)."""
-    limit = sys.get_int_max_str_digits()
-    for match in _JSON_STRING_OR_NUMBER.finditer(text):
-        digits = match.group().lstrip("-")
-        if digits.isdigit() and len(digits) > limit:
-            return text.count("\n", 0, match.start()) + 1
-    return 1
+def _read_int(token: str) -> int | float:
+    """``int(token)``, or ±inf past the digits ``int`` reads (so the schema check names the key)."""
+    try:
+        return int(token)
+    except ValueError:
+        return -math.inf if token.startswith("-") else math.inf
 
 
 def _load_json(path: str | Path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        loaded = json.loads(text)
+        loaded = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=_read_int)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    except ValueError as exc:  # an integer with more digits than ``int`` reads
-        raise ValueError(f"{path}:{_line_of_long_int(text)}: {exc}") from None
     if not isinstance(loaded, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     return loaded
@@ -131,6 +122,13 @@ def _check_endpoint(settings: dict, section: str) -> None:
             f"{section}.endpoint: expected an http:// or https:// URL with a host,"
             f" got {json.dumps(settings['endpoint'])}"
         )
+
+
+def _check_unused(settings: dict, section: str) -> None:
+    """Raise a ValueError naming a key of a mock agent's ``settings`` that only an endpoint agent takes."""
+    unused = sorted(settings.keys() - {"mock"})
+    if unused:
+        raise ValueError(f"{section}.{unused[0]}: only an endpoint agent takes this key")
 
 
 def _agent(settings: dict, stage: str) -> tuple[pipeline.TransportFactory, dict[str, str]]:
@@ -225,6 +223,10 @@ class RunConfig:
             own = agents_cfg.get(stage, {})
             _check_endpoint(own, f"agents.{stage}")
             factories[stage], descs[stage] = _agent({**shared, **own}, stage)
+            if "mock" in descs[stage]:
+                _check_unused(own, f"agents.{stage}")
+        if all("mock" in desc for desc in descs.values()):
+            _check_unused(shared, "agents")
         pipeline_config = pipeline.PipelineConfig(
             diversity_transport=factories["diversity"],
             accuracy_transport=factories["accuracy"],
@@ -264,35 +266,22 @@ class RunConfig:
         )
 
 
-_JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
-def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
-    encode = _JSONL_ENCODER.encode
-    with path.open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(encode(record) + "\n")
-
-
-def _write_stages(out_dir: Path, results: Iterable[pipeline.QueryResult], audit: bool) -> None:
-    """Write ``stages.jsonl`` and, with ``audit``, ``audit.jsonl`` (reranked stages) in one pass."""
-    encode = _JSONL_ENCODER.encode
-    with (
-        (out_dir / "stages.jsonl").open("w", encoding="utf-8") as stages,
-        ((out_dir / "audit.jsonl").open("w", encoding="utf-8") if audit else nullcontext()) as audits,
-    ):
-        for r in results:
-            for outcome in r.stages:
-                record = {
-                    "query_id": r.query.query_id,
-                    "stage": outcome.stage,
-                    "repairs": sorted(outcome.repairs),
-                    "failed": outcome.failed,
-                }
-                stages.write(encode({**record, "order": outcome.order}) + "\n")
-                if audits is not None and outcome.stage != pipeline.STAGE_BASE:
-                    record.update(prompt=outcome.prompt, response=outcome.response)
-                    audits.write(encode(record) + "\n")
+def _stage_records(results: Iterable[pipeline.QueryResult], audit: bool) -> Iterator[dict]:
+    """The ``stages.jsonl`` records or, with ``audit``, the ``audit.jsonl`` ones (reranked stages only)."""
+    for r in results:
+        for outcome in r.stages:
+            if audit and outcome.stage == pipeline.STAGE_BASE:
+                continue
+            own = (
+                {"prompt": outcome.prompt, "response": outcome.response} if audit else {"order": outcome.order}
+            )
+            yield {
+                "query_id": r.query.query_id,
+                "stage": outcome.stage,
+                "repairs": sorted(outcome.repairs),
+                "failed": outcome.failed,
+                **own,
+            }
 
 
 def _write_tables(
@@ -372,7 +361,7 @@ def cmd_run(cfg: RunConfig) -> Path:
         },
         out_dir / "run_config.json",
     )
-    _write_jsonl(
+    catalog.write_json_lines(
         out_dir / "retrieval.jsonl",
         (
             {
@@ -384,8 +373,10 @@ def cmd_run(cfg: RunConfig) -> Path:
             for r in results
         ),
     )
-    _write_stages(out_dir, results, cfg.audit)
-    _write_jsonl(out_dir / "per_query.jsonl", map(vars, per_query_rows))  # the rows' own field dicts
+    catalog.write_json_lines(out_dir / "stages.jsonl", _stage_records(results, audit=False))
+    if cfg.audit:
+        catalog.write_json_lines(out_dir / "audit.jsonl", _stage_records(results, audit=True))
+    catalog.write_json_lines(out_dir / "per_query.jsonl", map(vars, per_query_rows))  # the rows' field dicts
     header = {"dataset": dataset_name, "retriever": retr.name, "cutoffs": list(cutoffs)}
     _write_tables(out_dir, ("metrics", "lift"), header, {retr.name: metrics_rows})
     return out_dir

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import json
 import math
 import re
 import statistics
@@ -27,8 +26,10 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
+# ``cli`` writes its JSON tables through ``metrics.write_json``, where the benchmark tracer wraps it.
+from .catalog import write_json
 from .pipeline import STAGE_BASE, STAGE_DIVERSITY, STAGE_FINAL, QueryResult
 
 METRIC_NAMES = ("hit", "ndcg", "entropy", "vocab")
@@ -150,7 +151,7 @@ def _evaluate(
     stage: str,
     order: Sequence[str],
     ground_truth: frozenset[str] | set[str],
-    tokens_by_id: Mapping[str, list[str]],
+    tokens_of: Callable[[str], list[str]],
     cutoffs: Sequence[int],
 ) -> list[PerQueryRow]:
     """One walk down ``order`` over every sorted cutoff, with prefix accumulators.
@@ -175,7 +176,7 @@ def _evaluate(
             hit = 1
             dcg += 1.0 / math.log2(hit_positions[next_hit] + 1)
             next_hit += 1
-        counts.update(chain.from_iterable(map(tokens_by_id.__getitem__, top[depth:k])))
+        counts.update(chain.from_iterable(map(tokens_of, top[depth:k])))
         depth = k
         total = sum(counts.values())
         terms = _entropy_terms(total)
@@ -185,30 +186,19 @@ def _evaluate(
     return rows
 
 
-class _TokensById(dict):
-    """``tokenize(titles_by_id[item_id])`` by item id, each title tokenized on first use."""
-
-    def __init__(self, titles_by_id: Mapping[str, str]):
-        super().__init__()
-        self._titles = titles_by_id
-
-    def __missing__(self, item_id: str) -> list[str]:
-        tokens = self[item_id] = tokenize(self._titles[item_id])
-        return tokens
-
-
 def evaluate_results(
     results: Iterable[QueryResult],
     titles_by_id: Mapping[str, str],
     cutoffs: Sequence[int],
 ) -> list[PerQueryRow]:
     """Per-query rows for every stage of every pipeline result, against its query's ground truth."""
-    tokens_by_id = _TokensById(titles_by_id)
+    # Each title is tokenized once, on first use.
+    tokens_of = functools.cache(lambda item_id: tokenize(titles_by_id[item_id]))
     rows: list[PerQueryRow] = []
     for result in results:
         query_id, truth = result.query.query_id, result.query.ground_truth
         for outcome in result.stages:
-            rows.extend(_evaluate(query_id, outcome.stage, outcome.order, truth, tokens_by_id, cutoffs))
+            rows.extend(_evaluate(query_id, outcome.stage, outcome.order, truth, tokens_of, cutoffs))
     return rows
 
 
@@ -289,9 +279,3 @@ def write_lift_csv(rows: Sequence[LiftRow], path: str | Path) -> None:
 def rows_to_dicts(rows: Sequence) -> list[dict]:
     """Copies of the rows' field dicts (the fields are scalars, so no deep copy as in ``asdict``)."""
     return [dict(vars(row)) for row in rows]
-
-
-def write_json(payload: object, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -101,8 +101,6 @@ def rerank_stage(
     failure (after the transport's own retries) keeps the input order and
     the rendered prompt, and marks the outcome ``failed``.
     """
-    if not candidates:
-        raise ValueError(f"query {query.id!r}: cannot rerank an empty candidate list")
     bundle = build_prompt(query, candidates, kind)
     stage = _STAGE_BY_KIND[kind]
     try:

@@ -10,13 +10,12 @@ datasets.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .catalog import ComplementGraph, Item, edge_key, write_catalog
+from .catalog import ComplementGraph, Item, edge_key, write_catalog, write_json
 
 
 class SynthError(ValueError):
@@ -146,7 +145,5 @@ def write_dataset(
     edges_path = out / "edges.jsonl"
     genres_path = out / "genres.json"
     write_catalog(graph, items_path, edges_path)
-    with genres_path.open("w", encoding="utf-8") as fh:
-        json.dump(genre_of, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(genre_of, genres_path)
     return items_path, edges_path, genres_path

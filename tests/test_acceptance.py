@@ -8,6 +8,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from complerank.agents import parse_permutation
 from complerank.cli import main
-from test_cli import golden_digests, output_digests
+from test_cli import golden_digests, output_digests, src_pythonpath
 from complerank.metrics import (
     MetricsRow,
     entropy_at_k,
@@ -131,6 +132,7 @@ def grid_runs(workdir, dataset, identity_run):
              "--score-seed", str(score_seed), "--depth", "60", "--out", str(scores)],
             check=True,
             capture_output=True,
+            env={**os.environ, "PYTHONPATH": src_pythonpath()},
         )
         config, out = run_config(
             workdir, dataset, name,

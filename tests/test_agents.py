@@ -514,6 +514,19 @@ class TestComplete:
             complete(bundle, config)
         assert seen == [("https", None)] * 3
 
+    def test_proxy_of_unknown_scheme_refused(self, prompt_fixture, monkeypatch):
+        # urllib reads no socks5 proxy; without its UnknownHandler the request
+        # would go out as plain HTTP to the proxy's host and port.
+        for name in ("NO_PROXY", "no_proxy", "http_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTP_PROXY", "socks5://127.0.0.1:9")
+        monkeypatch.setattr(agents, "_opener", None)  # rebuilt from the environment above
+        query, candidates = prompt_fixture
+        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        config = LlmConfig(base_url="http://127.0.0.1:9/v1", model="m", max_retries=0, timeout=0.5)
+        with pytest.raises(TransportError, match="unknown url type: socks5"):
+            complete(bundle, config)
+
     def test_http_transport_wraps_complete(self, chat_server, prompt_fixture):
         query, candidates = prompt_fixture
         bundle = build_prompt(query, candidates[:2], AgentKind.DIVERSITY)

@@ -479,6 +479,13 @@ def long_int_concurrency(tmp_path):
     return config_path.read_text(encoding="utf-8")[:-1] + ',\n "concurrency": ' + LONG_INT + "}"
 
 
+def long_negative_holdout(tmp_path):
+    """The base config's text with ``split.holdout_fraction`` a negative 5 001-digit integer."""
+    config_path, _ = base_config(tmp_path, "bad")
+    text = config_path.read_text(encoding="utf-8")
+    return text.replace('"holdout_fraction": 0.2', '"holdout_fraction": -' + LONG_INT)
+
+
 def long_int_price(tmp_path):
     """An items file whose second line has a 5 001-digit ``price``."""
     items, edges = tmp_path / "long_items.jsonl", tmp_path / "long_edges.jsonl"
@@ -601,6 +608,30 @@ MALFORMED = [
     ),
     pytest.param({"agents": {"mock": "shuffle:x"}}, (), "mock", id="shuffle-seed-not-int"),
     pytest.param(
+        {"agents": {"mock": "identity", "timeout": -1, "max_retries": -3, "temperature": -2}},
+        (),
+        "agents.max_retries: only an endpoint agent takes this key",
+        id="endpoint-keys-under-mock",
+    ),
+    pytest.param(
+        {"agents": {"model": "m", "diversity": {"mock": "identity"}, "accuracy": {"mock": "reverse"}}},
+        (),
+        "agents.model: only an endpoint agent takes this key",
+        id="shared-model-under-two-mocks",
+    ),
+    pytest.param(
+        {
+            "agents": {
+                "model": "m",
+                "diversity": {"endpoint": "http://127.0.0.1:9"},
+                "accuracy": {"mock": "identity", "timeout": 5},
+            }
+        },
+        (),
+        "agents.accuracy.timeout: only an endpoint agent takes this key",
+        id="stage-timeout-under-mock",
+    ),
+    pytest.param(
         '{"out": "x",\n  "dataset": }\n', (), "config_bad.json:2:14: Expecting value", id="invalid-json"
     ),
     pytest.param(
@@ -629,7 +660,13 @@ MALFORMED = [
         id="weights-after-retriever-flag",
     ),
     pytest.param(
-        long_int_concurrency, (), "config_bad.json:2: Exceeds the limit", id="concurrency-5001-digits"
+        long_int_concurrency, (), "concurrency: expected int, got Infinity", id="concurrency-5001-digits"
+    ),
+    pytest.param(
+        long_negative_holdout,
+        (),
+        "split.holdout_fraction: expected a finite number, got -Infinity",
+        id="holdout_fraction-minus-5001-digits",
     ),
     pytest.param(long_int_price, (), "long_items.jsonl:2: invalid JSON", id="items-price-5001-digits"),
     *(
@@ -754,16 +791,23 @@ class TestReportCommand:
                 },
                 "cutoffs: repeated values in [1, 3, 5, 1]",
             ),
+            (
+                # A string is the file's whole text: here rows[0].k has 5 001 digits.
+                lambda payload: json.dumps(payload).replace('"k": 1,', f'"k": {LONG_INT},', 1),
+                "rows[0].k: expected int, got Infinity",
+            ),
         ],
         ids=[
-            "empty-object", "row-value-null", "row-missing-key", "row-dropped", "unknown-stage", "repeated-cutoff"
+            "empty-object", "row-value-null", "row-missing-key", "row-dropped", "unknown-stage", "repeated-cutoff",
+            "k-5001-digits",
         ],
     )
     def test_bad_metrics_file_fails_before_output(self, tmp_path, capsys, corrupt, message):
         run_dir = self.run_one(tmp_path, "rep4", "heuristic")
         path = run_dir / "metrics.json"
         payload = json.loads(path.read_text(encoding="utf-8"))
-        path.write_text(json.dumps(corrupt(payload)), encoding="utf-8")
+        corrupted = corrupt(payload)
+        path.write_text(corrupted if isinstance(corrupted, str) else json.dumps(corrupted), encoding="utf-8")
         out = tmp_path / "report4"
         assert main(["report", str(run_dir), "--out", str(out)]) == 1
         assert f"{path}: {message}" in capsys.readouterr().err
