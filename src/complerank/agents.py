@@ -22,7 +22,7 @@ import time
 import urllib.parse
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from .catalog import Item
 
@@ -80,10 +80,11 @@ _OUTPUT_FORMAT = (
 
 @dataclass
 class PromptBundle:
-    """A rendered prompt plus the mapping from local integer IDs to item ids."""
+    """A rendered prompt, the mapping from local integer IDs to item ids, and the query's id."""
 
     text: str
     index_to_id: list[str]
+    query_id: str
 
 
 def build_prompt(query: Item, candidates: Sequence[Item], kind: AgentKind) -> PromptBundle:
@@ -119,7 +120,7 @@ def build_prompt(query: Item, candidates: Sequence[Item], kind: AgentKind) -> Pr
         "\n"
         f"{_OUTPUT_FORMAT}\n"
     )
-    return PromptBundle(text=text, index_to_id=index_to_id)
+    return PromptBundle(text=text, index_to_id=index_to_id, query_id=query.id)
 
 
 def is_http_url(url: str) -> bool:
@@ -136,7 +137,7 @@ def is_http_url(url: str) -> bool:
 class LlmConfig:
     """Connection settings for an OpenAI-compatible chat-completions endpoint."""
 
-    base_url: str
+    endpoint: str
     model: str
     api_key_env: str = "OPENAI_API_KEY"
     temperature: float = 0.0
@@ -145,8 +146,8 @@ class LlmConfig:
     backoff_seconds: float = 0.2
 
     def __post_init__(self) -> None:
-        if not is_http_url(self.base_url):
-            raise ValueError(f"base_url must be an http(s) URL with a host, got {self.base_url!r}")
+        if not is_http_url(self.endpoint):
+            raise ValueError(f"endpoint must be an http(s) URL with a host, got {self.endpoint!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.timeout <= 0:
@@ -190,7 +191,7 @@ def complete(prompt: PromptBundle, config: LlmConfig) -> str:
                         urllib.request.HTTPHandler, urllib.request.HTTPSHandler):
             _opener.add_handler(handler())
 
-    url = config.base_url.rstrip("/") + "/chat/completions"
+    url = config.endpoint.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(config.api_key_env, "")
     if api_key:
@@ -333,14 +334,14 @@ def _render(order: Iterable[int]) -> str:
     return "[" + ", ".join(str(v) for v in order) + "]"
 
 
-def mock_agent(policy: str, ground_truth: Iterable[str] | None = None) -> Transport:
+def mock_agent(policy: str, ground_truth: Mapping[str, Container[str]] | None = None) -> Transport:
     """Deterministic stand-ins for :func:`complete`, for tests and dry runs.
 
     ``policy`` is ``identity|reverse|shuffle:<seed>|oracle``: ``identity``
     echoes the input order, ``reverse`` flips it, ``shuffle:<seed>`` returns a
     seed-deterministic permutation (independent of call order), and
-    ``oracle`` moves ``ground_truth`` candidates to the front while preserving
-    input order within both groups.
+    ``oracle`` moves the candidates in ``ground_truth[bundle.query_id]`` to
+    the front while preserving input order within both groups.
     """
     if policy == "identity":
         return lambda bundle: _render(range(len(bundle.index_to_id)))
@@ -365,10 +366,10 @@ def mock_agent(policy: str, ground_truth: Iterable[str] | None = None) -> Transp
         return shuffled
     if policy == "oracle":
         if ground_truth is None:
-            raise ValueError("oracle requires a ground-truth id set")
-        truth = frozenset(ground_truth)
+            raise ValueError("oracle requires the ground-truth ids of each query")
 
         def oracled(bundle: PromptBundle) -> str:
+            truth = ground_truth[bundle.query_id]
             hits = [k for k, item_id in enumerate(bundle.index_to_id) if item_id in truth]
             misses = [k for k, item_id in enumerate(bundle.index_to_id) if item_id not in truth]
             return _render(hits + misses)

@@ -48,11 +48,7 @@ def _keys_of(cls: type, *skip: str) -> dict[str, type]:
     return {f.name: types[f.type] for f in fields(cls) if f.name not in skip}
 
 
-_AGENT_KEYS = {
-    "mock": str,
-    "endpoint": str,
-    **_keys_of(agents.LlmConfig, "base_url", "backoff_seconds"),
-}
+_AGENT_KEYS = {"mock": str, **_keys_of(agents.LlmConfig, "backoff_seconds")}
 # Every key a run config may set, with its JSON type or its allowed values
 # (README "Run config").
 _SCHEMA = {
@@ -131,21 +127,20 @@ def _check_unused(settings: dict, section: str) -> None:
         raise ValueError(f"{section}.{unused[0]}: only an endpoint agent takes this key")
 
 
-def _agent(settings: dict, stage: str) -> tuple[pipeline.TransportFactory, dict[str, str]]:
-    """One stage's transport factory and its description for ``run_config.json``."""
+def _agent(settings: dict, stage: str) -> str | agents.LlmConfig:
+    """One stage's agent: its mock policy, or its endpoint's settings."""
     policy = settings.pop("mock", None)
     if policy is not None and "endpoint" in settings:
         raise ValueError(f"agents: the {stage} agent sets both 'mock' and 'endpoint'")
-    if policy == "oracle":
-        factory = lambda query: agents.mock_agent("oracle", ground_truth=query.ground_truth)
-        return factory, {"mock": policy}
     if policy is not None:
-        return pipeline.constant_transport(agents.mock_agent(policy)), {"mock": policy}
+        agents.mock_agent(policy, ground_truth={})  # an unknown policy fails here, before any input is read
+        return policy
     if "endpoint" not in settings or "model" not in settings:
         raise ValueError(f"agents: the {stage} agent needs either 'mock' or 'endpoint' and 'model'")
-    llm = agents.LlmConfig(base_url=settings.pop("endpoint"), **settings)
-    desc = {"endpoint": llm.base_url, "model": llm.model}
-    return pipeline.constant_transport(agents.http_transport(llm)), desc
+    try:
+        return agents.LlmConfig(**settings)
+    except ValueError as exc:
+        raise ValueError(f"agents.{stage}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -163,7 +158,7 @@ class RunConfig:
     scores: Path | None  # the precomputed retriever's file; None for the heuristic retriever
     pipeline_config: pipeline.PipelineConfig
     cutoffs: tuple[int, ...]  # sorted, without duplicates
-    agents: dict[str, dict[str, str]]  # stage -> its description for run_config.json
+    agents: dict[str, str | agents.LlmConfig]  # stage -> its mock policy or endpoint settings
     audit: bool
     concurrency: int
 
@@ -218,20 +213,17 @@ class RunConfig:
 
         shared = {k: v for k, v in agents_cfg.items() if k not in ("diversity", "accuracy")}
         _check_endpoint(shared, "agents")
-        factories, descs = {}, {}
+        stage_agents = {}
         for stage in ("diversity", "accuracy"):
             own = agents_cfg.get(stage, {})
             _check_endpoint(own, f"agents.{stage}")
-            factories[stage], descs[stage] = _agent({**shared, **own}, stage)
-            if "mock" in descs[stage]:
+            stage_agents[stage] = _agent({**shared, **own}, stage)
+            if isinstance(stage_agents[stage], str):
                 _check_unused(own, f"agents.{stage}")
-        if all("mock" in desc for desc in descs.values()):
+        all_mocks = all(isinstance(agent, str) for agent in stage_agents.values())
+        if all_mocks:
             _check_unused(shared, "agents")
-        pipeline_config = pipeline.PipelineConfig(
-            diversity_transport=factories["diversity"],
-            accuracy_transport=factories["accuracy"],
-            **depths,
-        )
+        pipeline_config = pipeline.PipelineConfig(**depths)
         cutoffs = tuple(sorted(set(pipe.get("cutoffs", (1, 3, 5, 10)))))
         if not cutoffs:
             raise ValueError("pipeline.cutoffs: must be nonempty")
@@ -260,8 +252,8 @@ class RunConfig:
             scores=Path(retr["path"]) if precomputed else None,
             pipeline_config=pipeline_config,
             cutoffs=cutoffs,
-            agents=descs,
-            audit=raw.get("audit", any("endpoint" in desc for desc in descs.values())),
+            agents=stage_agents,
+            audit=raw.get("audit", not all_mocks),
             concurrency=concurrency,
         )
 
@@ -332,6 +324,11 @@ def cmd_run(cfg: RunConfig) -> Path:
     else:
         retr = retriever.PrecomputedRetriever(cfg.scores, train.items, name=cfg.retriever_name)
         retr.check_coverage([query.query_id for query in queries])
+    truth = {query.query_id: query.ground_truth for query in queries}
+    transports = tuple(
+        agents.mock_agent(agent, ground_truth=truth) if isinstance(agent, str) else agents.http_transport(agent)
+        for agent in (cfg.agents["diversity"], cfg.agents["accuracy"])
+    )
     out_dir = cfg.out
     out_dir.mkdir(parents=True, exist_ok=True)
     if not cfg.audit:  # a rerun into the same directory leaves no stale audit log
@@ -340,7 +337,7 @@ def cmd_run(cfg: RunConfig) -> Path:
         synth.write_dataset(graph, genre_of, out_dir / "dataset")
     config = cfg.pipeline_config
     cutoffs, dataset_name = cfg.cutoffs, cfg.dataset_name
-    results = pipeline.run_all(queries, retr, train.items, config, concurrency=cfg.concurrency)
+    results = pipeline.run_all(queries, retr, train.items, config, transports, concurrency=cfg.concurrency)
 
     titles_by_id = {item_id: item.title for item_id, item in train.items.items()}
     per_query_rows = metrics.evaluate_results(results, titles_by_id, cutoffs)
@@ -356,7 +353,10 @@ def cmd_run(cfg: RunConfig) -> Path:
             "n_div": config.n_div,
             "n_acc": config.n_acc,
             "cutoffs": list(cutoffs),
-            "agents": cfg.agents,
+            "agents": {
+                stage: {"mock": a} if isinstance(a, str) else {"endpoint": a.endpoint, "model": a.model}
+                for stage, a in cfg.agents.items()
+            },
             "concurrency": cfg.concurrency,
         },
         out_dir / "run_config.json",

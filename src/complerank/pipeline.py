@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 from .agents import (
     MAX_CANDIDATES,
@@ -38,14 +38,6 @@ _STAGE_BY_KIND = {AgentKind.DIVERSITY: STAGE_DIVERSITY, AgentKind.ACCURACY: STAG
 # Named hyperparameter presets: (rerank depth n_div, refinement depth n_acc).
 PRESETS = {"fig1": (50, 25), "fig2": (100, 50)}
 
-# Factory so per-query transports (e.g. the oracle mock) can see the query.
-TransportFactory = Callable[[QueryInstance], Transport]
-
-
-def constant_transport(transport: Transport) -> TransportFactory:
-    return lambda query: transport
-
-
 class Retriever(Protocol):
     name: str
 
@@ -54,8 +46,6 @@ class Retriever(Protocol):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    diversity_transport: TransportFactory
-    accuracy_transport: TransportFactory
     n_div: int = 50
     n_acc: int = 25
 
@@ -117,8 +107,9 @@ def run_pipeline(
     retriever: Retriever,
     items: Mapping[str, Item],
     config: PipelineConfig,
+    transports: tuple[Transport, Transport],
 ) -> QueryResult:
-    """Run all three stages for one query.
+    """Run all three stages for one query, through the (diversity, accuracy) ``transports``.
 
     Stage order is strictly sequential (diversity before accuracy); the
     accuracy agent only ever sees the first ``n_acc`` survivors of the
@@ -129,13 +120,9 @@ def run_pipeline(
     query_item = items[query.query_id]
 
     div_items = [items[item_id] for item_id in base.order]
-    diversity = rerank_stage(
-        query_item, div_items, AgentKind.DIVERSITY, config.diversity_transport(query)
-    )
+    diversity = rerank_stage(query_item, div_items, AgentKind.DIVERSITY, transports[0])
     acc_items = [items[item_id] for item_id in diversity.order[: config.n_acc]]
-    final = rerank_stage(
-        query_item, acc_items, AgentKind.ACCURACY, config.accuracy_transport(query)
-    )
+    final = rerank_stage(query_item, acc_items, AgentKind.ACCURACY, transports[1])
     return QueryResult(query, retrieval, (base, diversity, final))
 
 
@@ -144,16 +131,17 @@ def run_all(
     retriever: Retriever,
     items: Mapping[str, Item],
     config: PipelineConfig,
+    transports: tuple[Transport, Transport],
     concurrency: int = 1,
 ) -> list[QueryResult]:
     """Process queries independently with a bounded in-flight limit.
 
     Results come back in input query order regardless of concurrency, so
-    downstream writers stay deterministic.
+    downstream writers stay deterministic.  Every query shares ``transports``.
     """
     if concurrency < 1:
         raise ValueError("concurrency must be positive")
     if concurrency == 1 or len(queries) <= 1:
-        return [run_pipeline(q, retriever, items, config) for q in queries]
+        return [run_pipeline(q, retriever, items, config, transports) for q in queries]
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return list(pool.map(lambda q: run_pipeline(q, retriever, items, config), queries))
+        return list(pool.map(lambda q: run_pipeline(q, retriever, items, config, transports), queries))

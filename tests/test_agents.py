@@ -88,6 +88,10 @@ class TestBuildPrompt:
         assert "ID:0 title:" in bundle.text
         assert "ID:1" not in bundle.text
 
+    def test_bundle_names_the_query(self, prompt_fixture):
+        query, candidates = prompt_fixture
+        assert build_prompt(query, candidates, AgentKind.ACCURACY).query_id == "q1"
+
     def test_determinism(self, prompt_fixture):
         query, candidates = prompt_fixture
         first = build_prompt(query, candidates, AgentKind.DIVERSITY).text
@@ -286,11 +290,11 @@ class TestMockAgents:
 
     def test_oracle_moves_truth_first(self, prompt_fixture):
         # candidate at local ID 2 is item c3
-        agent = mock_agent("oracle", ground_truth={"c3"})
+        agent = mock_agent("oracle", ground_truth={"q1": {"c3"}})
         assert agent(self.bundle(prompt_fixture)) == "[2, 0, 1]"
 
     def test_oracle_preserves_order_within_groups(self, prompt_fixture):
-        agent = mock_agent("oracle", ground_truth={"c1", "c3"})
+        agent = mock_agent("oracle", ground_truth={"q1": {"c1", "c3"}})
         assert agent(self.bundle(prompt_fixture)) == "[0, 2, 1]"
 
     def test_shuffle_deterministic(self, prompt_fixture):
@@ -318,6 +322,13 @@ class TestMockAgents:
             with pytest.raises(ValueError):
                 mock_agent(policy)
 
+    def test_oracle_answers_by_the_bundles_query_id(self, prompt_fixture):
+        query, candidates = prompt_fixture
+        agent = mock_agent("oracle", ground_truth={"q1": {"c2"}, "q2": {"c3"}})
+        other = build_prompt(Item(id="q2", title="Kettle Base"), candidates[:3], AgentKind.ACCURACY)
+        assert agent(self.bundle(prompt_fixture)) == "[1, 0, 2]"
+        assert agent(other) == "[2, 0, 1]"
+
     def test_oracle_requires_ground_truth(self):
         with pytest.raises(ValueError):
             mock_agent("oracle")
@@ -330,7 +341,7 @@ class TestMockAgents:
 class TestComplete:
     def config(self, server, **overrides):
         defaults = dict(
-            base_url=server.url,
+            endpoint=server.url,
             model="test-model",
             api_key_env="COMPLERANK_TEST_KEY",
             max_retries=3,
@@ -431,7 +442,7 @@ class TestComplete:
         query, candidates = prompt_fixture
         bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
         config = LlmConfig(
-            base_url="http://127.0.0.1:9", model="m", max_retries=0, timeout=0.5,
+            endpoint="http://127.0.0.1:9", model="m", max_retries=0, timeout=0.5,
             backoff_seconds=0.01,
         )
         with pytest.raises(TransportError, match="transport error"):
@@ -461,7 +472,7 @@ class TestComplete:
         assert len(chat_server.requests) == 1
 
     def test_request_body_bytes(self, chat_server):
-        bundle = agents.PromptBundle(text="Café — 音楽", index_to_id=["x"])
+        bundle = agents.PromptBundle(text="Café — 音楽", index_to_id=["x"], query_id="q")
         chat_server.set_script([(200, chat_server.completion("[0]"))])
         complete(bundle, self.config(chat_server, temperature=0.5))
         body = {
@@ -507,7 +518,7 @@ class TestComplete:
         query, candidates = prompt_fixture
         bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
         config = LlmConfig(
-            base_url="https://127.0.0.1:9/v1", model="m", max_retries=2, timeout=0.5,
+            endpoint="https://127.0.0.1:9/v1", model="m", max_retries=2, timeout=0.5,
             backoff_seconds=0.0,
         )
         with pytest.raises(TransportError, match="transport error"):
@@ -523,7 +534,7 @@ class TestComplete:
         monkeypatch.setattr(agents, "_opener", None)  # rebuilt from the environment above
         query, candidates = prompt_fixture
         bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
-        config = LlmConfig(base_url="http://127.0.0.1:9/v1", model="m", max_retries=0, timeout=0.5)
+        config = LlmConfig(endpoint="http://127.0.0.1:9/v1", model="m", max_retries=0, timeout=0.5)
         with pytest.raises(TransportError, match="unknown url type: socks5"):
             complete(bundle, config)
 
@@ -537,11 +548,11 @@ class TestComplete:
 
 def test_llm_config_validation():
     with pytest.raises(ValueError):
-        LlmConfig(base_url="http://x", model="m", max_retries=-1)
+        LlmConfig(endpoint="http://x", model="m", max_retries=-1)
     with pytest.raises(ValueError):
-        LlmConfig(base_url="http://x", model="m", timeout=0)
+        LlmConfig(endpoint="http://x", model="m", timeout=0)
     with pytest.raises(ValueError):
-        LlmConfig(base_url="http://x", model="m", temperature=-0.1)
+        LlmConfig(endpoint="http://x", model="m", temperature=-0.1)
     for url in ("localhost:8000/v1", "file:///v1", "ftp://h/v1", "http:///v1", "http://h:80a/v1", "http://[::1/v1"):
-        with pytest.raises(ValueError, match="base_url"):
-            LlmConfig(base_url=url, model="m")
+        with pytest.raises(ValueError, match="endpoint"):
+            LlmConfig(endpoint=url, model="m")

@@ -711,6 +711,57 @@ MALFORMED = [
         "scores.jsonl:11: malformed scores line (int too large to convert to float)",
         id="scores-400-digit-score",
     ),
+    pytest.param(
+        {"agents": {"model": "m", "endpoint": "http://127.0.0.1:9", "accuracy": {"max_retries": -1}}},
+        (),
+        "agents.accuracy: max_retries must be >= 0",
+        id="stage-max_retries-negative",
+    ),
+    pytest.param(
+        {"agents": {"model": "m", "endpoint": "http://127.0.0.1:9", "timeout": 0}},
+        (),
+        "agents.diversity: timeout must be positive",
+        id="shared-timeout-zero",
+    ),
+    pytest.param({"retriever": {"kind": "foo"}}, (), "retriever.kind: expected one of", id="retriever-kind-unknown"),
+    pytest.param({"split": 3}, (), "split: expected a JSON object", id="split-not-object"),
+    pytest.param("[1]", (), "expected a JSON object at top level", id="top-level-list"),
+    pytest.param(
+        {"agents": {"endpoint": "http://127.0.0.1:9"}},
+        (),
+        "agents: the diversity agent needs either 'mock' or 'endpoint' and 'model'",
+        id="endpoint-without-model",
+    ),
+    pytest.param(
+        {"dataset": {"synth": {"n_genres": 3}}}, (), "dataset.synth.n_items: required key is missing", id="synth-no-n_items"
+    ),
+    pytest.param(
+        {"dataset": {"synth": {"n_items": 60}, "items": "i.jsonl", "edges": "e.jsonl"}},
+        (),
+        "dataset: set either 'synth'",
+        id="synth-and-files",
+    ),
+    pytest.param(
+        {"split": {"holdout_fraction": 1.5}}, (), "split.holdout_fraction: must be in (0, 1)", id="holdout_fraction-1.5"
+    ),
+    pytest.param(
+        {"retriever": {"kind": "precomputed"}},
+        (),
+        "retriever.path: the precomputed retriever needs a scores file",
+        id="precomputed-without-path",
+    ),
+    pytest.param(
+        lambda tmp_path: json.dumps(overrides_of(base_config(tmp_path, "bad")[0])),
+        (),
+        "out: no output directory",
+        id="no-out",
+    ),
+    pytest.param(
+        lambda tmp_path: {"dataset": write_catalog_files(tmp_path, HEURISTIC_ITEMS, [], "noedges")},
+        (),
+        "cannot split a graph with no edges",
+        id="edges-file-empty",
+    ),
 ]
 
 
@@ -729,10 +780,11 @@ def test_malformed_config_fails_before_output(tmp_path, capsys, overrides, flags
 
 
 class TestReportCommand:
-    def run_one(self, tmp_path, name, retriever_name, cutoffs=(1, 3, 5)):
+    def run_one(self, tmp_path, name, retriever_name, cutoffs=(1, 3, 5), dataset="synthtest"):
         config_path, out_dir = base_config(
             tmp_path,
             name,
+            dataset={"synth": {"n_items": 60, "n_genres": 3, "edges_per_item": 3.0, "seed": 5}, "name": dataset},
             retriever={"kind": "heuristic", "name": retriever_name},
             pipeline={"n_div": 10, "n_acc": 5, "cutoffs": list(cutoffs)},
         )
@@ -753,6 +805,14 @@ class TestReportCommand:
         run_b = self.run_one(tmp_path, "rep2b", "retB", cutoffs=(1, 3))
         assert main(["report", str(run_a), str(run_b), "--out", str(tmp_path / "r2")]) == 1
         assert "cutoffs" in capsys.readouterr().err
+
+    def test_dataset_mismatch_fails_before_output(self, tmp_path, capsys):
+        run_a = self.run_one(tmp_path, "rep5a", "retA", dataset="dsA")
+        run_b = self.run_one(tmp_path, "rep5b", "retB", dataset="dsB")
+        out = tmp_path / "r5"
+        assert main(["report", str(run_a), str(run_b), "--out", str(out)]) == 1
+        assert "runs cover different datasets: ['dsA', 'dsB']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_duplicate_retriever_names_rejected(self, tmp_path, capsys):
         run_a = self.run_one(tmp_path, "rep3a", "same")
