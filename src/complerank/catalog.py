@@ -75,27 +75,12 @@ class ComplementGraph:
 
     ``edges`` holds normalized (sorted) id pairs of known items (see
     :func:`edge_key`).  Instances are immutable by convention and safe to
-    share across concurrent readers.  Build through :meth:`from_parts` to get
-    normalization and validation.
+    share across concurrent readers.  :func:`load_catalog` is the one validating
+    entry: it reports a duplicate id or a bad edge with ``path:line``.
     """
 
     items: dict[str, Item]
     edges: frozenset[tuple[str, str]]
-
-    @classmethod
-    def from_parts(
-        cls, items: Iterable[Item], edge_pairs: Iterable[tuple[str, str]]
-    ) -> "ComplementGraph":
-        by_id: dict[str, Item] = {}
-        for item in items:
-            if item.id in by_id:
-                raise CatalogError(f"duplicate item id {item.id!r}")
-            by_id[item.id] = item
-        return cls(items=by_id, edges=frozenset(edge_key(a, b, by_id) for a, b in edge_pairs))
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
 
     @cached_property
     def _adjacency(self) -> dict[str, set[str]]:
@@ -129,15 +114,15 @@ class QueryInstance:
 def read_json_lines(path: Path, parse: Callable[[object], T], error: type[Exception]) -> Iterator[T]:
     """Yield ``parse(value)`` for each decoded nonblank line of a UTF-8 JSON Lines file.
 
-    A line that does not decode, or whose ``parse`` raises ``ValueError``, raises
+    A line that is not UTF-8 or not JSON, or whose ``parse`` raises ``ValueError``, raises
     ``error`` prefixed with ``path:line``; what the consumer raises passes unchanged.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:  # decoded line by line, so that a bad byte is reported with its line
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8").strip()  # a UnicodeDecodeError is a ValueError
+                if not line:
+                    continue
                 try:
                     value = json.loads(line)
                 except ValueError as exc:  # a JSONDecodeError, or an integer longer than ``int`` reads
@@ -231,12 +216,12 @@ def split_holdout(
     """
     if not 0.0 < holdout_fraction < 1.0:
         raise CatalogError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
-    if graph.n_edges == 0:
+    if not graph.edges:
         raise CatalogError("cannot split a graph with no edges")
-    count = math.floor(holdout_fraction * graph.n_edges + 0.5)
+    count = math.floor(holdout_fraction * len(graph.edges) + 0.5)
     if count == 0:
         raise CatalogError(
-            f"holdout_fraction {holdout_fraction} of {graph.n_edges} edges rounds to zero held-out edges"
+            f"holdout_fraction {holdout_fraction} of {len(graph.edges)} edges rounds to zero held-out edges"
         )
     rng = random.Random(seed)
     held = rng.sample(sorted(graph.edges), count)

@@ -19,9 +19,11 @@ import sys
 from dataclasses import dataclass, fields
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TypeVar
 
 from . import agents, catalog, metrics, pipeline, retriever, synth
+
+T = TypeVar("T")
 
 
 def _read_int(token: str) -> int | float:
@@ -37,6 +39,8 @@ def _load_json(path: str | Path) -> dict:
         loaded = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=_read_int)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 ({exc})") from None
     if not isinstance(loaded, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     return loaded
@@ -127,6 +131,14 @@ def _check_unused(settings: dict, section: str) -> None:
         raise ValueError(f"{section}.{unused[0]}: only an endpoint agent takes this key")
 
 
+def _build(cls: type[T], settings: dict, section: str) -> T:
+    """``cls(**settings)``, its range errors prefixed with the config ``section``."""
+    try:
+        return cls(**settings)
+    except ValueError as exc:
+        raise ValueError(f"{section}: {exc}") from None
+
+
 def _agent(settings: dict, stage: str) -> str | agents.LlmConfig:
     """One stage's agent: its mock policy, or its endpoint's settings."""
     policy = settings.pop("mock", None)
@@ -137,10 +149,7 @@ def _agent(settings: dict, stage: str) -> str | agents.LlmConfig:
         return policy
     if "endpoint" not in settings or "model" not in settings:
         raise ValueError(f"agents: the {stage} agent needs either 'mock' or 'endpoint' and 'model'")
-    try:
-        return agents.LlmConfig(**settings)
-    except ValueError as exc:
-        raise ValueError(f"agents.{stage}: {exc}") from None
+    return _build(agents.LlmConfig, settings, f"agents.{stage}")
 
 
 @dataclass(frozen=True)
@@ -183,7 +192,7 @@ class RunConfig:
         if "synth" in dataset and not files:
             if "n_items" not in dataset["synth"]:
                 raise ValueError("dataset.synth.n_items: required key is missing")
-            source = synth.SynthConfig(**dataset["synth"])
+            source = _build(synth.SynthConfig, dataset["synth"], "dataset.synth")
             dataset_name = dataset.get("name", "synth")
         elif files == {"items", "edges"} and "synth" not in dataset:
             source = (Path(dataset["items"]), Path(dataset["edges"]))
@@ -223,7 +232,7 @@ class RunConfig:
         all_mocks = all(isinstance(agent, str) for agent in stage_agents.values())
         if all_mocks:
             _check_unused(shared, "agents")
-        pipeline_config = pipeline.PipelineConfig(**depths)
+        pipeline_config = _build(pipeline.PipelineConfig, depths, "pipeline")
         cutoffs = tuple(sorted(set(pipe.get("cutoffs", (1, 3, 5, 10)))))
         if not cutoffs:
             raise ValueError("pipeline.cutoffs: must be nonempty")
@@ -335,24 +344,22 @@ def cmd_run(cfg: RunConfig) -> Path:
         (out_dir / "audit.jsonl").unlink(missing_ok=True)
     if isinstance(cfg.dataset, synth.SynthConfig):
         synth.write_dataset(graph, genre_of, out_dir / "dataset")
-    config = cfg.pipeline_config
-    cutoffs, dataset_name = cfg.cutoffs, cfg.dataset_name
-    results = pipeline.run_all(queries, retr, train.items, config, transports, concurrency=cfg.concurrency)
+    results = pipeline.run_all(queries, retr, train.items, cfg.pipeline_config, transports, cfg.concurrency)
 
     titles_by_id = {item_id: item.title for item_id, item in train.items.items()}
-    per_query_rows = metrics.evaluate_results(results, titles_by_id, cutoffs)
-    metrics_rows = metrics.aggregate(per_query_rows, retr.name, dataset_name)
+    per_query_rows = metrics.evaluate_results(results, titles_by_id, cfg.cutoffs)
+    metrics_rows = metrics.aggregate(per_query_rows, retr.name, cfg.dataset_name)
 
     metrics.write_json(
         {
-            "dataset": dataset_name,
+            "dataset": cfg.dataset_name,
             "retriever": retr.name,
             "n_queries": len(queries),
             "holdout_fraction": cfg.holdout_fraction,
             "seed": cfg.seed,
-            "n_div": config.n_div,
-            "n_acc": config.n_acc,
-            "cutoffs": list(cutoffs),
+            "n_div": cfg.pipeline_config.n_div,
+            "n_acc": cfg.pipeline_config.n_acc,
+            "cutoffs": list(cfg.cutoffs),
             "agents": {
                 stage: {"mock": a} if isinstance(a, str) else {"endpoint": a.endpoint, "model": a.model}
                 for stage, a in cfg.agents.items()
@@ -377,7 +384,7 @@ def cmd_run(cfg: RunConfig) -> Path:
     if cfg.audit:
         catalog.write_json_lines(out_dir / "audit.jsonl", _stage_records(results, audit=True))
     catalog.write_json_lines(out_dir / "per_query.jsonl", map(vars, per_query_rows))  # the rows' field dicts
-    header = {"dataset": dataset_name, "retriever": retr.name, "cutoffs": list(cutoffs)}
+    header = {"dataset": cfg.dataset_name, "retriever": retr.name, "cutoffs": list(cfg.cutoffs)}
     _write_tables(out_dir, ("metrics", "lift"), header, {retr.name: metrics_rows})
     return out_dir
 
@@ -483,8 +490,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             out_dir = cmd_report(args.run_dirs, args.out)
             print(out_dir)
-    except (ValueError, agents.TransportError, OSError) as exc:
-        # CatalogError, SynthError, RetrievalError and PromptError are ValueErrors.
+    except (ValueError, OSError) as exc:
+        # Catalog, synth, retrieval and prompt errors are ValueErrors; rerank_stage catches TransportError.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -20,17 +20,18 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import operator
 import re
 import statistics
 from collections import Counter
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 # ``cli`` writes its JSON tables through ``metrics.write_json``, where the benchmark tracer wraps it.
 from .catalog import write_json
-from .pipeline import STAGE_BASE, STAGE_DIVERSITY, STAGE_FINAL, QueryResult
+from .pipeline import STAGE_BASE, STAGE_DIVERSITY, STAGE_FINAL, QueryResult, StageOutcome
 
 METRIC_NAMES = ("hit", "ndcg", "entropy", "vocab")
 
@@ -69,7 +70,8 @@ def ndcg_at_k(order: Sequence[str], ground_truth: frozenset[str] | set[str], k: 
         if item_id in ground_truth:
             dcg += 1.0 / math.log2(position + 1)
     ideal_hits = min(len(ground_truth), k)
-    idcg = sum(1.0 / math.log2(position + 1) for position in range(1, ideal_hits + 1))
+    # Left to right, as ``_evaluate`` adds: since Python 3.12 ``sum`` of floats is compensated.
+    idcg = functools.reduce(operator.add, (1.0 / math.log2(p + 1) for p in range(1, ideal_hits + 1)))
     return dcg / idcg
 
 
@@ -133,11 +135,6 @@ class LiftRow:
     n_retrievers: int
 
 
-@functools.lru_cache(maxsize=128)
-def _ideal_dcg(hits: int) -> float:
-    return sum(1.0 / math.log2(position + 1) for position in range(1, hits + 1))
-
-
 # Bounded: a table holds ``total + 1`` floats, and pools of very long titles
 # could otherwise keep thousands of large tables alive.
 @functools.lru_cache(maxsize=128)
@@ -148,25 +145,26 @@ def _entropy_terms(total: int) -> tuple[float, ...]:
 
 def _evaluate(
     query_id: str,
-    stage: str,
-    order: Sequence[str],
+    outcome: StageOutcome,
     ground_truth: frozenset[str] | set[str],
     tokens_of: Callable[[str], list[str]],
     cutoffs: Sequence[int],
+    discounts: Sequence[float],
+    ideal_dcg: Sequence[float],
 ) -> list[PerQueryRow]:
-    """One walk down ``order`` over every sorted cutoff, with prefix accumulators.
+    """One walk down ``outcome.order`` over every sorted cutoff, with prefix accumulators.
 
-    Each value equals, float for float, the one the per-cutoff kernels give:
-    the dcg is summed in the same order, the ideal dcg by the same expression,
-    and each entropy term by the same expression, under ``math.fsum``, which
-    is exactly rounded, so the order of its terms does not matter.
+    ``discounts[p - 1]`` is the gain of a hit at position p, ``ideal_dcg[h - 1]`` that of h hits.
+    Each value equals, float for float, the one the per-cutoff kernels give: the dcg and the ideal
+    dcg add the same terms left to right, and each entropy term has the same expression, under
+    ``math.fsum``, which is exactly rounded, so the order of its terms does not matter.
     """
     ks = sorted(cutoffs)
     if not ks:
         return []
     if ks[0] < 1:
         raise ValueError(f"k must be >= 1, got {ks[0]}")
-    top = order[: ks[-1]]
+    top = outcome.order[: ks[-1]]
     hit_positions = [p for p, item_id in enumerate(top, start=1) if item_id in ground_truth]
     rows = []
     counts: Counter[str] = Counter()
@@ -174,15 +172,15 @@ def _evaluate(
     for k in ks:
         while next_hit < len(hit_positions) and hit_positions[next_hit] <= k:
             hit = 1
-            dcg += 1.0 / math.log2(hit_positions[next_hit] + 1)
+            dcg += discounts[hit_positions[next_hit] - 1]
             next_hit += 1
         counts.update(chain.from_iterable(map(tokens_of, top[depth:k])))
         depth = k
         total = sum(counts.values())
         terms = _entropy_terms(total)
         entropy = -math.fsum(map(terms.__getitem__, counts.values())) if total else 0.0
-        ndcg = dcg / _ideal_dcg(min(len(ground_truth), k))
-        rows.append(PerQueryRow(query_id, stage, k, hit, ndcg, entropy, len(counts)))
+        ndcg = dcg / ideal_dcg[min(len(ground_truth), k) - 1]
+        rows.append(PerQueryRow(query_id, outcome.stage, k, hit, ndcg, entropy, len(counts)))
     return rows
 
 
@@ -194,11 +192,13 @@ def evaluate_results(
     """Per-query rows for every stage of every pipeline result, against its query's ground truth."""
     # Each title is tokenized once, on first use.
     tokens_of = functools.cache(lambda item_id: tokenize(titles_by_id[item_id]))
+    discounts = [1.0 / math.log2(p + 1) for p in range(1, max(cutoffs, default=0) + 1)]
+    ideal_dcg = list(accumulate(discounts))
     rows: list[PerQueryRow] = []
     for result in results:
         query_id, truth = result.query.query_id, result.query.ground_truth
         for outcome in result.stages:
-            rows.extend(_evaluate(query_id, outcome.stage, outcome.order, truth, tokens_of, cutoffs))
+            rows.extend(_evaluate(query_id, outcome, truth, tokens_of, cutoffs, discounts, ideal_dcg))
     return rows
 
 
@@ -211,8 +211,9 @@ def aggregate(rows: Sequence[PerQueryRow], retriever: str, dataset: str) -> list
         groups.setdefault((row.stage, row.k), []).append(row)
     out = []
     for (stage, k), at_k in groups.items():
-        means = (sum(getattr(row, metric) for row in at_k) / len(at_k) for metric in METRIC_NAMES)
-        out.append(MetricsRow(retriever, dataset, stage, k, *means))
+        # Left to right: since Python 3.12 ``sum`` of floats is compensated, which moves the last digits.
+        totals = [functools.reduce(operator.add, [getattr(row, m) for row in at_k]) for m in METRIC_NAMES]
+        out.append(MetricsRow(retriever, dataset, stage, k, *(total / len(at_k) for total in totals)))
     return out
 
 

@@ -139,8 +139,6 @@ def run_all(
     Results come back in input query order regardless of concurrency, so
     downstream writers stay deterministic.  Every query shares ``transports``.
     """
-    if concurrency < 1:
-        raise ValueError("concurrency must be positive")
     if concurrency == 1 or len(queries) <= 1:
         return [run_pipeline(q, retriever, items, config, transports) for q in queries]
     with ThreadPoolExecutor(max_workers=concurrency) as pool:

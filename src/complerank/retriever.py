@@ -14,6 +14,7 @@ non-increasing, ties broken by ascending item id.
 
 from __future__ import annotations
 
+import json
 import math
 from array import array
 from dataclasses import dataclass
@@ -87,6 +88,7 @@ def _normalized(query_id: str, scored: list[tuple[str, float]], n: int) -> list[
     return ordered[:n]
 
 
+@dataclass
 class HeuristicRetriever:
     """Top-n items of a train graph by :func:`score_pair` against the query.
 
@@ -95,17 +97,10 @@ class HeuristicRetriever:
     than n candidates when the pool is smaller.
     """
 
-    def __init__(
-        self,
-        graph: ComplementGraph,
-        weights: ScoreWeights = ScoreWeights(),
-        exclude_neighbors: bool = True,
-        name: str = "heuristic",
-    ):
-        self.graph = graph
-        self.weights = weights
-        self.exclude_neighbors = exclude_neighbors
-        self.name = name
+    graph: ComplementGraph
+    weights: ScoreWeights = ScoreWeights()
+    exclude_neighbors: bool = True
+    name: str = "heuristic"
 
     def retrieve(self, query_id: str, n: int) -> list[tuple[str, float]]:
         if query_id not in self.graph.items:
@@ -125,18 +120,19 @@ class HeuristicRetriever:
 class PrecomputedRetriever:
     """Per-query ranked candidate lists loaded from an exported scores file.
 
-    Each JSON Lines record is ``{"query_id": ..., "candidates": [[item_id,
-    score], ...]}``.  Every candidate id must be in ``items`` (the catalog)
-    and every score finite; a malformed line, a NaN or infinite score or an
-    unknown id fails at load with ``path:line``, checked in that order.  Each
-    list is held as two columns: a tuple of the catalog's own id strings and
-    an ``array("d")`` of the scores.
+    Each JSON Lines record is ``{"query_id": ..., "candidates": [[item_id, score], ...]}``,
+    one per query id (``10`` and ``"10"`` name the same one).  Every candidate id must be
+    in ``items`` (the catalog) and every score finite; a malformed line, a query id that is
+    no string or integer or is repeated, a NaN or infinite score or an unknown id fails at
+    load with ``path:line``, checked in that order.  Each list is held as two columns: a
+    tuple of the catalog's own id strings and an ``array("d")`` of the scores.
     """
 
     def __init__(self, path: str | Path, items: Iterable[str], name: str | None = None):
         self.path = Path(path)
         self.name = name or self.path.stem
         canonical = {item_id: item_id for item_id in items}
+        self._lists: dict[str, tuple[tuple[str, ...], array]] = {}
 
         def parse(record: Any) -> tuple[str, tuple[tuple[str, ...], array]]:
             try:
@@ -144,6 +140,10 @@ class PrecomputedRetriever:
                 pairs = [(str(item_id), float(score)) for item_id, score in record["candidates"]]
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise RetrievalError(f"malformed scores line ({exc})") from exc
+            if type(query_id) not in (str, int):
+                raise RetrievalError(f"query_id must be a string or an integer, got {json.dumps(query_id)}")
+            if str(query_id) in self._lists:
+                raise RetrievalError(f"duplicate query id {str(query_id)!r}")
             ids, scores = zip(*pairs) if pairs else ((), ())
             scores = array("d", scores)
             # A sum of finite scores is finite unless it overflows; only then look closer.
@@ -157,7 +157,8 @@ class PrecomputedRetriever:
                 raise RetrievalError(f"candidate id {exc.args[0]!r} is not in the catalog") from None
             return str(query_id), (ids, scores)
 
-        self._lists = dict(read_json_lines(self.path, parse, RetrievalError))
+        for query_id, columns in read_json_lines(self.path, parse, RetrievalError):
+            self._lists[query_id] = columns
 
     def check_coverage(self, query_ids: Sequence[str]) -> None:
         """Raise unless every query has a line naming some candidate other than itself."""

@@ -24,7 +24,7 @@ def tiny_graph() -> ComplementGraph:
         Item(id="b3", title="bread knife sharp", categories=("kitchen", "tools"), price=20.0),
     ]
     edges = [("a1", "a2"), ("a1", "a3"), ("b1", "b2"), ("b2", "b3")]
-    return ComplementGraph.from_parts(items, edges)
+    return ComplementGraph(items={item.id: item for item in items}, edges=frozenset(edges))
 
 
 @pytest.fixture

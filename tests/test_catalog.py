@@ -19,7 +19,8 @@ from complerank.synth import SynthConfig, generate
 
 
 def write_lines(path, lines):
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """UTF-8 lines, where a lone surrogate such as ``"\\udce9"`` writes the byte it escapes (0xE9)."""
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
 
 
 def items_lines(*specs):
@@ -70,7 +71,7 @@ class TestLoadCatalog:
             tmp_path / "edges.jsonl", [json.dumps(["A", "B"]), json.dumps(["B", "A"])]
         )
         graph = load_catalog(tmp_path / "items.jsonl", tmp_path / "edges.jsonl")
-        assert graph.n_edges == 1
+        assert len(graph.edges) == 1
 
     def test_unknown_edge_endpoint_named(self, tmp_path):
         write_lines(tmp_path / "items.jsonl", items_lines(("A", "alpha", [], {})))
@@ -155,7 +156,15 @@ LOADER_ERRORS = [
         "items", '{"id": "A", "title": "again"}', CatalogError, "duplicate item id 'A'",
         id="items-duplicate-id",
     ),
+    pytest.param(
+        "items", '{"id": "C", "title": "caf\udce9"}', CatalogError,
+        "'utf-8' codec can't decode byte 0xe9 in position 25: invalid continuation byte", id="items-not-utf8",
+    ),
     pytest.param("edges", '["A", ', CatalogError, "invalid JSON (Expecting value)", id="edges-invalid-json"),
+    pytest.param(
+        "edges", '["A", "B\udce9"]', CatalogError,
+        "'utf-8' codec can't decode byte 0xe9 in position 8: invalid continuation byte", id="edges-not-utf8",
+    ),
     pytest.param(
         "edges", '["A"]', CatalogError, "expected a JSON array of two item ids", id="edges-not-pair",
     ),
@@ -169,6 +178,18 @@ LOADER_ERRORS = [
     pytest.param(
         "scores", '{"query_id": "A"}', RetrievalError, "malformed scores line ('candidates')",
         id="scores-missing-key",
+    ),
+    pytest.param(
+        "scores", '{"query_id": "B\udce9", "candidates": []}', RetrievalError,
+        "'utf-8' codec can't decode byte 0xe9 in position 15: invalid continuation byte", id="scores-not-utf8",
+    ),
+    pytest.param(
+        "scores", '{"query_id": ["junk"], "candidates": []}', RetrievalError,
+        'query_id must be a string or an integer, got ["junk"]', id="scores-query-id-list",
+    ),
+    pytest.param(
+        "scores", '{"query_id": "B", "candidates": [["A", 2.0]]}', RetrievalError, "duplicate query id 'B'",
+        id="scores-duplicate-query",
     ),
     pytest.param(
         "scores", '{"query_id": "A", "candidates": [["B", "x"]]}', RetrievalError,
@@ -211,29 +232,22 @@ def test_edge_key_normalizes():
 
 
 @pytest.mark.parametrize(
-    "pairs, message",
+    "a, b, message",
     [
-        ([("A", "Z")], "unknown item id 'Z'"),
-        ([("Z", "Z")], "unknown item id 'Z'"),
-        ([("A", "A")], "self-loop edge on 'A'"),
+        ("A", "Z", "unknown item id 'Z'"),
+        ("Z", "Z", "unknown item id 'Z'"),  # an unknown id is reported before a self-loop
+        ("A", "A", "self-loop edge on 'A'"),
     ],
 )
-def test_from_parts_checks_every_edge(pairs, message):
+def test_edge_key_checks_both_endpoints(a, b, message):
     with pytest.raises(CatalogError, match=message):
-        ComplementGraph.from_parts([Item(id="A", title="a"), Item(id="B", title="b")], pairs)
-
-
-def test_from_parts_normalizes_and_collapses_edges():
-    graph = ComplementGraph.from_parts(
-        [Item(id="A", title="a"), Item(id="B", title="b")], [("B", "A"), ("A", "B")]
-    )
-    assert graph.edges == frozenset({("A", "B")})
+        edge_key(a, b, {"A", "B"})
 
 
 def test_neighbors(tiny_graph):
     assert tiny_graph.neighbors("b2") == {"b1", "b3"}
     assert tiny_graph.neighbors("a2") == {"a1"}
-    isolated = ComplementGraph.from_parts([*tiny_graph.items.values(), Item(id="z", title="z")], tiny_graph.edges)
+    isolated = ComplementGraph({**tiny_graph.items, "z": Item(id="z", title="z")}, tiny_graph.edges)
     assert isolated.neighbors("z") == frozenset()
     with pytest.raises(CatalogError, match="unknown item id 'nope'"):
         tiny_graph.neighbors("nope")
@@ -259,7 +273,7 @@ class TestSplitHoldout:
         # 4 edges at 0.5 -> 2 held out
         train_a, queries_a = split_holdout(tiny_graph, 0.5, seed=7)
         train_b, queries_b = split_holdout(tiny_graph, 0.5, seed=7)
-        assert train_a.n_edges == 2
+        assert len(train_a.edges) == 2
         assert train_a.edges == train_b.edges
         assert queries_a == queries_b
 
@@ -278,11 +292,9 @@ class TestSplitHoldout:
             split_holdout(tiny_graph, 0.01, seed=1)
 
     def test_single_edge_half_fraction(self):
-        graph = ComplementGraph.from_parts(
-            [Item(id="A", title="a"), Item(id="B", title="b")], [("A", "B")]
-        )
+        graph = ComplementGraph({"A": Item(id="A", title="a"), "B": Item(id="B", title="b")}, frozenset({("A", "B")}))
         train, queries = split_holdout(graph, 0.5, seed=1)
-        assert train.n_edges == 0
+        assert len(train.edges) == 0
         assert queries == [QueryInstance(query_id="A", ground_truth=frozenset({"B"}))]
 
     def test_invalid_fraction(self, tiny_graph):

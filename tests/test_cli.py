@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -226,6 +227,27 @@ class TestRunCommand:
             assert main(["run", "--config", str(config_path)]) == 0
             digests.update({f"{out_dir.name}/{name}": d for name, d in output_digests(out_dir).items()})
         assert digests == golden_digests("mock_run_heuristic_handmade.sha256")
+
+    @pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+    def test_goldens_hold_under_other_pythons(self, tmp_path, python):
+        """Outputs do not depend on the CPython version; ``complerank`` needs no package to run."""
+        exe = shutil.which(python)
+        if exe is None or subprocess.run([exe, "-c", ""], capture_output=True, timeout=60).returncode != 0:
+            pytest.skip(f"{python} is not on PATH or does not start")
+        runs = {
+            "mock_run_shuffle3.sha256": base_config(tmp_path, "golden", agents={"mock": "shuffle:3"}, audit=True),
+            "mock_run_precomputed.sha256": precomputed_config(tmp_path),
+        }
+        for golden, (config_path, out_dir) in runs.items():
+            result = subprocess.run(
+                [exe, "-m", "complerank.cli", "run", "--config", str(config_path)],
+                env={**os.environ, "PYTHONPATH": src_pythonpath()},
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            assert output_digests(out_dir) == golden_digests(golden)
 
     def test_prices_whose_ratio_leaves_the_float_range(self, tmp_path):
         """1e-300 over 1e300 underflows to 0; the price term still scores, finite, without a crash."""
@@ -524,7 +546,7 @@ def scores_without(*query_ids, extra=""):
     def overrides(tmp_path):
         lines = [
             line for line in PRECOMPUTED_SCORES.splitlines(keepends=True)
-            if json.loads(line)["query_id"] not in query_ids
+            if str(json.loads(line)["query_id"]) not in query_ids
         ]
         config_path, _ = precomputed_config(tmp_path, "".join(lines) + extra)
         return overrides_of(config_path)
@@ -735,6 +757,28 @@ MALFORMED = [
     pytest.param(
         {"dataset": {"synth": {"n_genres": 3}}}, (), "dataset.synth.n_items: required key is missing", id="synth-no-n_items"
     ),
+    *(
+        pytest.param({"dataset": {"synth": synth_settings}}, (), f"dataset.synth: {message}", id=f"synth-{name}")
+        for name, synth_settings, message in [
+            ("n_items-zero", {"n_items": 0}, "n_items must be positive"),
+            ("n_genres-zero", {"n_items": 5, "n_genres": 0}, "n_genres must be positive"),
+            ("edges_per_item-negative", {"n_items": 60, "edges_per_item": -1.0}, "edges_per_item must be nonnegative"),
+            ("title_tokens_min-zero", {"n_items": 60, "title_tokens_min": 0}, "title token counts must be positive"),
+            ("token_pool-zero", {"n_items": 60, "token_pool_per_genre": 0}, "token_pool_per_genre must be positive"),
+        ]
+    ),
+    pytest.param(
+        {"pipeline": {"n_div": 0, "n_acc": 5, "cutoffs": [1]}},
+        (),
+        "pipeline: n_div and n_acc must be positive",
+        id="n_div-zero",
+    ),
+    pytest.param(
+        '{"out": "caf\udce9"}',
+        (),
+        "config_bad.json: not UTF-8 ('utf-8' codec can't decode byte 0xe9 in position 12",
+        id="config-not-utf8",
+    ),
     pytest.param(
         {"dataset": {"synth": {"n_items": 60}, "items": "i.jsonl", "edges": "e.jsonl"}},
         (),
@@ -771,7 +815,7 @@ def test_malformed_config_fails_before_output(tmp_path, capsys, overrides, flags
         overrides = overrides(tmp_path)
     if isinstance(overrides, str):
         config_path, out_dir = base_config(tmp_path, "bad")
-        config_path.write_text(overrides, encoding="utf-8")
+        config_path.write_bytes(overrides.encode("utf-8", "surrogateescape"))  # "\udce9" writes the byte 0xE9
     else:
         config_path, out_dir = base_config(tmp_path, "bad", **overrides)
     assert main(["run", "--config", str(config_path), *flags]) == 1

@@ -406,3 +406,27 @@ def test_evaluate_results_equals_kernels_per_list():
         for values in _kernel_rows(outcome.order, r.query.ground_truth, titles, (5, 1, 3))
     ]
     assert [(r.query_id, r.stage, r.k, r.hit, r.ndcg, r.entropy, r.vocab) for r in rows] == expected
+
+
+def _left_to_right(terms):
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def test_means_add_left_to_right():
+    """Since Python 3.12 ``sum`` of floats is compensated; the means add left to right on every version."""
+    rows = [PerQueryRow(f"q{n}", "base", 1, 0, ndcg, 0.0, 0) for n, ndcg in enumerate([1e16, 1.0, -1e16])]
+    (row,) = aggregate(rows, "r", "ds")
+    assert row.ndcg == 0.0  # a compensated sum would give 1.0 / 3
+
+
+@pytest.mark.parametrize("n_truths", [6, 7, 8, 9])
+def test_ndcg_adds_left_to_right(n_truths):
+    """From 6 held-out complements on, a compensated ideal dcg differs in the last bit."""
+    order, truth = _IDS, set(_IDS[1 : n_truths + 1])
+    dcg = _left_to_right(1.0 / math.log2(p + 1) for p in range(2, n_truths + 2))
+    ideal = _left_to_right(1.0 / math.log2(p + 1) for p in range(1, n_truths + 1))
+    (row,) = evaluate_list(order, truth, {i: i for i in _IDS}, [12])
+    assert row.ndcg == ndcg_at_k(order, truth, 12) == dcg / ideal

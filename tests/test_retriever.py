@@ -92,7 +92,7 @@ class TestRetrieveHeuristic:
             item("c1", ["x"], price=10.0),
             item("c2", ["x"], price=10.0),
         ]
-        return ComplementGraph.from_parts(items, [])
+        return ComplementGraph(items={i.id: i for i in items}, edges=frozenset())
 
     def test_n_exceeding_pool_returns_all(self):
         ranked = HeuristicRetriever(self.make_graph()).retrieve("q", n=10)
@@ -284,11 +284,12 @@ class TestColumnarMatchesListOfTuples:
             ),
             min_size=1,
             max_size=4,
+            unique_by=lambda line: str(line[0]),  # a scores file names each query once
         ),
         n=st.integers(1, 14),
     )
     def test_retrieve_equals_oracle(self, tmp_path_factory, lines, n):
-        """Repeated ids, ties, signed zeros, the query's own id, integer ids, n above and below length."""
+        """Repeated candidate ids, ties, signed zeros, the query's own id, integer ids, n above and below length."""
         path = tmp_path_factory.mktemp("scores") / "scores.jsonl"
         path.write_text(
             "".join(json.dumps({"query_id": q, "candidates": pairs}) + "\n" for q, pairs in lines),
@@ -300,6 +301,16 @@ class TestColumnarMatchesListOfTuples:
             got, expected = columnar.retrieve(query_id, n), oracle.retrieve(query_id, n)
             assert repr(got) == repr(expected)
             assert columnar.name == oracle.name
+
+    @pytest.mark.parametrize("first, again", [('"q"', '"q"'), ("10", '"10"'), ('"7"', "7")])
+    def test_repeated_query_id_rejected(self, tmp_path, first, again):
+        """The integer 10 and the string "10" name one query, so its second line is refused."""
+        path = tmp_path / "scores.jsonl"
+        lines = [f'{{"query_id": {query_id}, "candidates": [["a", 1.0]]}}\n' for query_id in (first, again)]
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(RetrievalError) as raised:
+            PrecomputedRetriever(path, CATALOG_IDS)
+        assert str(raised.value) == f"{path}:2: duplicate query id {str(json.loads(first))!r}"
 
     def test_ids_are_the_catalogs_own_strings(self, tmp_path):
         path = tmp_path / "scores.jsonl"
