@@ -323,11 +323,7 @@ Transport = Callable[[PromptBundle], str]
 
 def http_transport(config: LlmConfig) -> Transport:
     """Wrap :func:`complete` as a per-prompt callable."""
-
-    def call(bundle: PromptBundle) -> str:
-        return complete(bundle, config)
-
-    return call
+    return lambda bundle: complete(bundle, config)
 
 
 def _render(order: Iterable[int]) -> str:

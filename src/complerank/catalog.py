@@ -133,12 +133,18 @@ def read_json_lines(path: Path, parse: Callable[[object], T], error: type[Except
             yield parsed
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def json_line(record: object) -> str:
+    """``record`` as one sorted-key JSON line, the format :func:`read_json_lines` reads."""
+    return _encode(record) + "\n"
+
+
 def write_json_lines(path: str | Path, records: Iterable[object]) -> None:
-    """Write one sorted-key JSON line per record, the format :func:`read_json_lines` reads."""
-    encode = json.JSONEncoder(sort_keys=True).encode
+    """Write each of ``records`` to ``path`` as its :func:`json_line`."""
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(encode(record) + "\n")
+        fh.writelines(map(json_line, records))
 
 
 def write_json(payload: object, path: str | Path) -> None:

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, fields
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator, TextIO, TypeVar
 
 from . import agents, catalog, metrics, pipeline, retriever, synth
 
@@ -285,6 +285,13 @@ def _stage_records(results: Iterable[pipeline.QueryResult], audit: bool) -> Iter
             }
 
 
+def _written(rows: Iterable[metrics.PerQueryRow], fh: TextIO) -> Iterator[metrics.PerQueryRow]:
+    """``rows``, each passed on once written to ``fh`` as one JSON line: one pass writes and averages them."""
+    for row in rows:
+        fh.write(catalog.json_line(vars(row)))
+        yield row
+
+
 def _write_tables(
     out: Path, names: tuple[str, str], header: dict, rows_by_retriever: dict[str, list[metrics.MetricsRow]]
 ) -> None:
@@ -344,11 +351,9 @@ def cmd_run(cfg: RunConfig) -> Path:
         (out_dir / "audit.jsonl").unlink(missing_ok=True)
     if isinstance(cfg.dataset, synth.SynthConfig):
         synth.write_dataset(graph, genre_of, out_dir / "dataset")
-    results = pipeline.run_all(queries, retr, train.items, cfg.pipeline_config, transports, cfg.concurrency)
-
-    titles_by_id = {item_id: item.title for item_id, item in train.items.items()}
-    per_query_rows = metrics.evaluate_results(results, titles_by_id, cfg.cutoffs)
-    metrics_rows = metrics.aggregate(per_query_rows, retr.name, cfg.dataset_name)
+    results = pipeline.run_all(
+        queries, retr, train.items, cfg.pipeline_config, transports, cfg.concurrency, audit=cfg.audit
+    )
 
     metrics.write_json(
         {
@@ -375,7 +380,7 @@ def cmd_run(cfg: RunConfig) -> Path:
                 "query_id": r.query.query_id,
                 "source": retr.name,
                 "ground_truth": sorted(r.query.ground_truth),
-                "candidates": r.retrieval,  # (id, score) tuples encode as arrays
+                "candidates": list(zip(r.stages[0].order, r.scores)),  # tuples encode as arrays
             }
             for r in results
         ),
@@ -383,7 +388,10 @@ def cmd_run(cfg: RunConfig) -> Path:
     catalog.write_json_lines(out_dir / "stages.jsonl", _stage_records(results, audit=False))
     if cfg.audit:
         catalog.write_json_lines(out_dir / "audit.jsonl", _stage_records(results, audit=True))
-    catalog.write_json_lines(out_dir / "per_query.jsonl", map(vars, per_query_rows))  # the rows' field dicts
+    titles_by_id = {item_id: item.title for item_id, item in train.items.items()}
+    rows = metrics.evaluate_results(results, titles_by_id, cfg.cutoffs)
+    with (out_dir / "per_query.jsonl").open("w", encoding="utf-8") as fh:
+        metrics_rows = metrics.aggregate(_written(rows, fh), retr.name, cfg.dataset_name)
     header = {"dataset": cfg.dataset_name, "retriever": retr.name, "cutoffs": list(cfg.cutoffs)}
     _write_tables(out_dir, ("metrics", "lift"), header, {retr.name: metrics_rows})
     return out_dir

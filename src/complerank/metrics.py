@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 # ``cli`` writes its JSON tables through ``metrics.write_json``, where the benchmark tracer wraps it.
 from .catalog import write_json
@@ -151,7 +151,7 @@ def _evaluate(
     cutoffs: Sequence[int],
     discounts: Sequence[float],
     ideal_dcg: Sequence[float],
-) -> list[PerQueryRow]:
+) -> Iterator[PerQueryRow]:
     """One walk down ``outcome.order`` over every sorted cutoff, with prefix accumulators.
 
     ``discounts[p - 1]`` is the gain of a hit at position p, ``ideal_dcg[h - 1]`` that of h hits.
@@ -161,12 +161,11 @@ def _evaluate(
     """
     ks = sorted(cutoffs)
     if not ks:
-        return []
+        return
     if ks[0] < 1:
         raise ValueError(f"k must be >= 1, got {ks[0]}")
     top = outcome.order[: ks[-1]]
     hit_positions = [p for p, item_id in enumerate(top, start=1) if item_id in ground_truth]
-    rows = []
     counts: Counter[str] = Counter()
     hit, dcg, depth, next_hit = 0, 0.0, 0, 0
     for k in ks:
@@ -180,41 +179,40 @@ def _evaluate(
         terms = _entropy_terms(total)
         entropy = -math.fsum(map(terms.__getitem__, counts.values())) if total else 0.0
         ndcg = dcg / ideal_dcg[min(len(ground_truth), k) - 1]
-        rows.append(PerQueryRow(query_id, outcome.stage, k, hit, ndcg, entropy, len(counts)))
-    return rows
+        yield PerQueryRow(query_id, outcome.stage, k, hit, ndcg, entropy, len(counts))
 
 
 def evaluate_results(
     results: Iterable[QueryResult],
     titles_by_id: Mapping[str, str],
     cutoffs: Sequence[int],
-) -> list[PerQueryRow]:
-    """Per-query rows for every stage of every pipeline result, against its query's ground truth."""
+) -> Iterator[PerQueryRow]:
+    """Per-query rows for every stage of every pipeline result, against its query's ground truth, lazily."""
     # Each title is tokenized once, on first use.
     tokens_of = functools.cache(lambda item_id: tokenize(titles_by_id[item_id]))
     discounts = [1.0 / math.log2(p + 1) for p in range(1, max(cutoffs, default=0) + 1)]
     ideal_dcg = list(accumulate(discounts))
-    rows: list[PerQueryRow] = []
     for result in results:
         query_id, truth = result.query.query_id, result.query.ground_truth
         for outcome in result.stages:
-            rows.extend(_evaluate(query_id, outcome, truth, tokens_of, cutoffs, discounts, ideal_dcg))
-    return rows
+            yield from _evaluate(query_id, outcome, truth, tokens_of, cutoffs, discounts, ideal_dcg)
 
 
-def aggregate(rows: Sequence[PerQueryRow], retriever: str, dataset: str) -> list[MetricsRow]:
-    """Unweighted means over queries of every (stage, k), in the order the rows first name them."""
-    if not rows:
-        raise ValueError("no per-query rows")
-    groups: dict[tuple[str, int], list[PerQueryRow]] = {}
+def aggregate(rows: Iterable[PerQueryRow], retriever: str, dataset: str) -> list[MetricsRow]:
+    """Unweighted means over queries of every (stage, k), in the order the rows first name them, in one pass."""
+    # (stage, k) -> [row count, *metric totals].  Each total starts at its first row's value (a 0.0 start
+    # would turn -0.0 into 0.0) and adds the rest left to right (since Python 3.12 ``sum`` compensates).
+    totals: dict[tuple[str, int], list] = {}
     for row in rows:
-        groups.setdefault((row.stage, row.k), []).append(row)
-    out = []
-    for (stage, k), at_k in groups.items():
-        # Left to right: since Python 3.12 ``sum`` of floats is compensated, which moves the last digits.
-        totals = [functools.reduce(operator.add, [getattr(row, m) for row in at_k]) for m in METRIC_NAMES]
-        out.append(MetricsRow(retriever, dataset, stage, k, *(total / len(at_k) for total in totals)))
-    return out
+        values = (1, row.hit, row.ndcg, row.entropy, row.vocab)
+        key = row.stage, row.k
+        totals[key] = list(map(operator.add, totals[key], values)) if key in totals else list(values)
+    if not totals:
+        raise ValueError("no per-query rows")
+    return [
+        MetricsRow(retriever, dataset, stage, k, *(total / count for total in metric_totals))
+        for (stage, k), (count, *metric_totals) in totals.items()
+    ]
 
 
 def lift_with_stderr(lifts: Sequence[float]) -> tuple[float, float]:

@@ -2,8 +2,8 @@
 
 Per query: retrieve the top ``n_div`` candidates, let the diversity agent
 rerank them, truncate to the top ``n_acc``, let the accuracy agent refine
-those.  A :class:`QueryResult` carries the query, its retrieved candidates
-and one flat :class:`StageOutcome` per stage, in ``STAGES`` order
+those.  A :class:`QueryResult` carries the query, its retrieval scores and
+one flat :class:`StageOutcome` per stage, in ``STAGES`` order
 (base / diversity / diversity_accuracy), so ablations can be evaluated side
 by side and each outcome written as one record.
 
@@ -14,6 +14,7 @@ evaluation denominators constant across methods.
 
 from __future__ import annotations
 
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
@@ -72,10 +73,10 @@ class StageOutcome:
 
 @dataclass
 class QueryResult:
-    """A query, its retrieved ``(id, score)`` candidates and its stage outcomes in ``STAGES`` order."""
+    """A query, its stage outcomes in ``STAGES`` order and the score of each id of ``stages[0].order``."""
 
     query: QueryInstance
-    retrieval: list[tuple[str, float]]
+    scores: array  # typecode "d"
     stages: tuple[StageOutcome, StageOutcome, StageOutcome]
 
 
@@ -84,22 +85,24 @@ def rerank_stage(
     candidates: Sequence[Item],
     kind: AgentKind,
     transport: Transport,
+    audit: bool = True,
 ) -> StageOutcome:
     """Prompt the agent with ``candidates`` and map its permutation back to ids.
 
     The output is always a permutation of the input item ids.  A transport
-    failure (after the transport's own retries) keeps the input order and
-    the rendered prompt, and marks the outcome ``failed``.
+    failure (after the transport's own retries) keeps the input order and marks
+    the outcome ``failed``.  Only with ``audit`` does it keep the prompt and answer.
     """
     bundle = build_prompt(query, candidates, kind)
     stage = _STAGE_BY_KIND[kind]
+    prompt = bundle.text if audit else None
     try:
         raw = transport(bundle)
     except TransportError:
-        return StageOutcome(stage, list(bundle.index_to_id), failed=True, prompt=bundle.text)
+        return StageOutcome(stage, list(bundle.index_to_id), failed=True, prompt=prompt)
     parsed = parse_permutation(raw, len(bundle.index_to_id))
     order = [bundle.index_to_id[k] for k in parsed.order]
-    return StageOutcome(stage, order, parsed.repairs, prompt=bundle.text, response=raw)
+    return StageOutcome(stage, order, parsed.repairs, prompt=prompt, response=raw if audit else None)
 
 
 def run_pipeline(
@@ -108,6 +111,7 @@ def run_pipeline(
     items: Mapping[str, Item],
     config: PipelineConfig,
     transports: tuple[Transport, Transport],
+    audit: bool = True,
 ) -> QueryResult:
     """Run all three stages for one query, through the (diversity, accuracy) ``transports``.
 
@@ -117,13 +121,14 @@ def run_pipeline(
     """
     retrieval = retriever.retrieve(query.query_id, config.n_div)
     base = StageOutcome(STAGE_BASE, [item_id for item_id, _ in retrieval])
+    scores = array("d", [score for _, score in retrieval])
     query_item = items[query.query_id]
 
     div_items = [items[item_id] for item_id in base.order]
-    diversity = rerank_stage(query_item, div_items, AgentKind.DIVERSITY, transports[0])
+    diversity = rerank_stage(query_item, div_items, AgentKind.DIVERSITY, transports[0], audit)
     acc_items = [items[item_id] for item_id in diversity.order[: config.n_acc]]
-    final = rerank_stage(query_item, acc_items, AgentKind.ACCURACY, transports[1])
-    return QueryResult(query, retrieval, (base, diversity, final))
+    final = rerank_stage(query_item, acc_items, AgentKind.ACCURACY, transports[1], audit)
+    return QueryResult(query, scores, (base, diversity, final))
 
 
 def run_all(
@@ -133,6 +138,7 @@ def run_all(
     config: PipelineConfig,
     transports: tuple[Transport, Transport],
     concurrency: int = 1,
+    audit: bool = True,
 ) -> list[QueryResult]:
     """Process queries independently with a bounded in-flight limit.
 
@@ -140,6 +146,6 @@ def run_all(
     downstream writers stay deterministic.  Every query shares ``transports``.
     """
     if concurrency == 1 or len(queries) <= 1:
-        return [run_pipeline(q, retriever, items, config, transports) for q in queries]
+        return [run_pipeline(q, retriever, items, config, transports, audit) for q in queries]
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return list(pool.map(lambda q: run_pipeline(q, retriever, items, config, transports), queries))
+        return list(pool.map(lambda q: run_pipeline(q, retriever, items, config, transports, audit), queries))

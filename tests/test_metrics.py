@@ -1,5 +1,6 @@
 import itertools
 import math
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -201,8 +202,26 @@ class TestAggregate:
         assert {(row.retriever, row.dataset) for row in aggregated} == {("r", "ds")}
 
     def test_empty_is_error(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no per-query rows"):
             aggregate([], "r", "ds")
+        with pytest.raises(ValueError, match="no per-query rows"):
+            aggregate(iter(()), "r", "ds")
+
+    def test_negative_zero_mean_stays_negative(self):
+        """Running totals start at the first row's values, as a left-to-right reduce does, not at 0.0."""
+        rows = [per_query(f"q{n}", "base", 1, 0, -0.0, -0.0, 0) for n in range(3)]
+        (row,) = aggregate(rows, "r", "ds")
+        assert math.copysign(1.0, row.entropy) == -1.0
+        assert math.copysign(1.0, row.ndcg) == -1.0
+
+    def test_one_shot_generator_equals_list(self):
+        rows = [
+            per_query(f"q{n}", stage, k, n % 2, n / 7, n / 3 - 1.0, n + k)
+            for n in range(5)
+            for stage in ("base", "diversity")
+            for k in (1, 3)
+        ]
+        assert aggregate((row for row in rows), "r", "ds") == aggregate(rows, "r", "ds")
 
 
 def metrics_row(stage, k, hit, ndcg=0.5, entropy=1.0, vocab=10.0, dataset="ds"):
@@ -326,8 +345,8 @@ class TestLiftRowsForRuns:
 
 def evaluate_list(order, truth, titles_by_id, cutoffs):
     """``evaluate_results`` on one query ``q`` whose one stage, ``base``, ranks ``order``."""
-    result = QueryResult(QueryInstance("q", frozenset(truth)), [], (StageOutcome("base", order),))
-    return evaluate_results([result], titles_by_id, cutoffs)
+    result = QueryResult(QueryInstance("q", frozenset(truth)), array("d"), (StageOutcome("base", order),))
+    return list(evaluate_results([result], titles_by_id, cutoffs))
 
 
 def test_evaluate_ranking_shapes():
@@ -387,6 +406,26 @@ def test_one_pass_preconditions_match_kernels():
     assert evaluate_list(["a"], {"a"}, titles, []) == []
 
 
+def test_evaluate_results_is_lazy():
+    """The first row is made from the first result, before the rest are read."""
+    titles = {item_id: f"title {item_id}" for item_id in _IDS}
+    pulled = []
+
+    def results():
+        for n, item_id in enumerate(_IDS[:4]):
+            pulled.append(n)
+            query = QueryInstance(item_id, frozenset({_IDS[-1]}))
+            yield QueryResult(query, array("d"), (StageOutcome("base", _IDS[4:8]),))
+
+    rows = evaluate_results(results(), titles, (1, 3))
+    assert pulled == []
+    first = next(rows)
+    assert (first.query_id, first.k) == ("i0", 1)
+    assert pulled == [0]
+    assert len(list(rows)) == 2 * 4 - 1
+    assert pulled == [0, 1, 2, 3]
+
+
 def test_evaluate_results_equals_kernels_per_list():
     titles = {item_id: f"Title {n % 3} shared-{n % 2} é{n}" for n, item_id in enumerate(_IDS)}
     queries = [QueryInstance("q1", frozenset({"i3", "i7"})), QueryInstance("q2", frozenset({"i0"}))]
@@ -397,7 +436,7 @@ def test_evaluate_results_equals_kernels_per_list():
             StageOutcome("diversity", order[::-1]),
             StageOutcome("diversity_accuracy", order[::-1][:4]),
         )
-        results.append(QueryResult(query, [(i, 1.0) for i in order], stages))
+        results.append(QueryResult(query, array("d", [1.0] * len(order)), stages))
     rows = evaluate_results(results, titles, (5, 1, 3))
     expected = [
         (r.query.query_id, outcome.stage, *values)

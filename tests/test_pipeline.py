@@ -102,7 +102,9 @@ class TestRunPipeline:
         result = run_pipeline(query, retriever, train.items, PipelineConfig(n_div=4, n_acc=2), mocks())
         assert result.query is query
         assert tuple(outcome.stage for outcome in result.stages) == STAGES
-        assert result.stages[0].order == [item_id for item_id, _ in result.retrieval]
+        retrieval = retriever.retrieve(query.query_id, 4)
+        assert result.stages[0].order == [item_id for item_id, _ in retrieval]
+        assert list(zip(result.stages[0].order, result.scores)) == retrieval
 
     def test_small_pool_uses_whole_pool(self, split_setup):
         train, queries, retriever = split_setup
@@ -168,6 +170,23 @@ class TestRunAll:
         train, queries, retriever = split_setup
         results = run_all(queries, retriever, train.items, PipelineConfig(n_div=4, n_acc=2), mocks())
         assert [r.query for r in results] == list(queries)
+
+    @pytest.mark.parametrize("concurrency", [1, 3])
+    def test_audit_off_keeps_no_prompt_or_response(self, split_setup, concurrency):
+        train, queries, retriever = split_setup
+
+        def flaky(bundle):
+            if bundle.query_id == queries[0].query_id:
+                raise TransportError("down")
+            return mock_agent("reverse")(bundle)
+
+        config, transports = PipelineConfig(n_div=4, n_acc=2), (flaky, mock_agent("identity"))
+        kept = run_all(queries, retriever, train.items, config, transports, concurrency)
+        dropped = run_all(queries, retriever, train.items, config, transports, concurrency, audit=False)
+        assert kept[0].stages[1].failed and dropped[0].stages[1].failed
+        assert all(o.prompt is not None for r in kept for o in r.stages[1:])
+        assert all(o.prompt is None and o.response is None for r in dropped for o in r.stages)
+        assert [[o.order for o in r.stages] for r in dropped] == [[o.order for o in r.stages] for r in kept]
 
     def test_concurrency_matches_sequential(self):
         graph, _ = generate(SynthConfig(n_items=60, n_genres=3, edges_per_item=3.0, seed=8))
