@@ -78,33 +78,14 @@ _OUTPUT_FORMAT = (
 )
 
 
-@dataclass
-class PromptBundle:
-    """A rendered prompt, the mapping from local integer IDs to item ids, and the query's id."""
+def render_prompt(query: Item, candidates: Sequence[Item], kind: AgentKind) -> str:
+    """The reranking prompt for ``candidates`` in input order, labeled ``ID:0 .. ID:n-1``.
 
-    text: str
-    index_to_id: list[str]
-    query_id: str
-
-
-def build_prompt(query: Item, candidates: Sequence[Item], kind: AgentKind) -> PromptBundle:
-    """Render the reranking prompt for ``candidates`` in input order.
-
-    Candidates are labeled ``ID:0 .. ID:n-1``; only titles are exposed to the
-    agent.  Rendering is deterministic: identical inputs give byte-identical
-    prompt text.
+    Only titles are exposed to the agent.  Rendering is deterministic:
+    identical inputs give byte-identical prompt text.
     """
-    candidates = list(candidates)
-    if not candidates:
-        raise PromptError("candidate list is empty")
-    if len(candidates) > MAX_CANDIDATES:
-        raise PromptError(f"{len(candidates)} candidates exceed the maximum of {MAX_CANDIDATES}")
-    index_to_id = [item.id for item in candidates]
-    if len(set(index_to_id)) != len(index_to_id):
-        raise PromptError("candidate list contains duplicate item ids")
-
     listing = "\n".join([f"ID:{k} title: {item.title}" for k, item in enumerate(candidates)])
-    text = (
+    return (
         "Considering a product, its basic information is:\n"
         f"{{title: {query.title}}}\n"
         "\n"
@@ -120,7 +101,41 @@ def build_prompt(query: Item, candidates: Sequence[Item], kind: AgentKind) -> Pr
         "\n"
         f"{_OUTPUT_FORMAT}\n"
     )
-    return PromptBundle(text=text, index_to_id=index_to_id, query_id=query.id)
+
+
+@dataclass
+class PromptBundle:
+    """A prompt's inputs and the mapping from local integer IDs to item ids.
+
+    ``text`` renders the prompt on each read and keeps nothing, so a bundle
+    holds no prompt text and a transport that never reads it renders none.
+    """
+
+    query: Item
+    candidates: list[Item]
+    kind: AgentKind
+    index_to_id: list[str]
+
+    @property
+    def query_id(self) -> str:
+        return self.query.id
+
+    @property
+    def text(self) -> str:
+        return render_prompt(self.query, self.candidates, self.kind)
+
+
+def build_prompt(query: Item, candidates: Sequence[Item], kind: AgentKind) -> PromptBundle:
+    """The prompt bundle for ``candidates`` in input order, checked now and rendered on read."""
+    candidates = list(candidates)
+    if not candidates:
+        raise PromptError("candidate list is empty")
+    if len(candidates) > MAX_CANDIDATES:
+        raise PromptError(f"{len(candidates)} candidates exceed the maximum of {MAX_CANDIDATES}")
+    index_to_id = [item.id for item in candidates]
+    if len(set(index_to_id)) != len(index_to_id):
+        raise PromptError("candidate list contains duplicate item ids")
+    return PromptBundle(query, candidates, kind, index_to_id)
 
 
 def is_http_url(url: str) -> bool:

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, fields
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO, TypeVar
+from typing import Iterable, Iterator, Mapping, TextIO, TypeVar
 
 from . import agents, catalog, metrics, pipeline, retriever, synth
 
@@ -211,6 +211,9 @@ class RunConfig:
             if key in retr:
                 kind = "heuristic" if precomputed else "precomputed"
                 raise ValueError(f"retriever.{key}: only the {kind} retriever takes this key")
+        for key, weight in retr.get("weights", {}).items():
+            if weight < 0:  # it would rank far prices or unrelated categories first
+                raise ValueError(f"retriever.weights.{key}: must be nonnegative, got {weight}")
 
         preset = pipe.get("preset")
         if preset is None:
@@ -267,22 +270,26 @@ class RunConfig:
         )
 
 
-def _stage_records(results: Iterable[pipeline.QueryResult], audit: bool) -> Iterator[dict]:
-    """The ``stages.jsonl`` records or, with ``audit``, the ``audit.jsonl`` ones (reranked stages only)."""
+def _record(result: pipeline.QueryResult, outcome: pipeline.StageOutcome, **own: object) -> dict:
+    """One stage's output record: its query, stage, repairs and failure, then ``own``."""
+    return {
+        "query_id": result.query.query_id,
+        "stage": outcome.stage,
+        "repairs": sorted(outcome.repairs),
+        "failed": outcome.failed,
+        **own,
+    }
+
+
+def _audit_records(
+    results: Iterable[pipeline.QueryResult], items: Mapping[str, catalog.Item]
+) -> Iterator[dict]:
+    """The ``audit.jsonl`` records of the reranked stages, each prompt rendered again from its input."""
     for r in results:
-        for outcome in r.stages:
-            if audit and outcome.stage == pipeline.STAGE_BASE:
-                continue
-            own = (
-                {"prompt": outcome.prompt, "response": outcome.response} if audit else {"order": outcome.order}
-            )
-            yield {
-                "query_id": r.query.query_id,
-                "stage": outcome.stage,
-                "repairs": sorted(outcome.repairs),
-                "failed": outcome.failed,
-                **own,
-            }
+        query = items[r.query.query_id]
+        for outcome, kind, order in pipeline.reranked_stages(r):
+            prompt = agents.render_prompt(query, [items[item_id] for item_id in order], kind)
+            yield _record(r, outcome, prompt=prompt, response=outcome.response)
 
 
 def _written(rows: Iterable[metrics.PerQueryRow], fh: TextIO) -> Iterator[metrics.PerQueryRow]:
@@ -385,9 +392,10 @@ def cmd_run(cfg: RunConfig) -> Path:
             for r in results
         ),
     )
-    catalog.write_json_lines(out_dir / "stages.jsonl", _stage_records(results, audit=False))
+    stage_records = (_record(r, outcome, order=outcome.order) for r in results for outcome in r.stages)
+    catalog.write_json_lines(out_dir / "stages.jsonl", stage_records)
     if cfg.audit:
-        catalog.write_json_lines(out_dir / "audit.jsonl", _stage_records(results, audit=True))
+        catalog.write_json_lines(out_dir / "audit.jsonl", _audit_records(results, train.items))
     titles_by_id = {item_id: item.title for item_id, item in train.items.items()}
     rows = metrics.evaluate_results(results, titles_by_id, cfg.cutoffs)
     with (out_dir / "per_query.jsonl").open("w", encoding="utf-8") as fh:

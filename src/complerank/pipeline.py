@@ -61,13 +61,16 @@ class PipelineConfig:
 
 @dataclass
 class StageOutcome:
-    """One stage's ordered ids plus parse-repair flags and transport bookkeeping."""
+    """One stage's ordered ids plus parse-repair flags and transport bookkeeping.
+
+    No prompt is kept: it is a pure function of the stage's input, which
+    :func:`reranked_stages` finds again.
+    """
 
     stage: str
     order: list[str]
     repairs: frozenset[str] = field(default_factory=frozenset)
     failed: bool = False
-    prompt: str | None = None
     response: str | None = None
 
 
@@ -91,18 +94,31 @@ def rerank_stage(
 
     The output is always a permutation of the input item ids.  A transport
     failure (after the transport's own retries) keeps the input order and marks
-    the outcome ``failed``.  Only with ``audit`` does it keep the prompt and answer.
+    the outcome ``failed``.  Only with ``audit`` does it keep the answer.
     """
     bundle = build_prompt(query, candidates, kind)
     stage = _STAGE_BY_KIND[kind]
-    prompt = bundle.text if audit else None
     try:
         raw = transport(bundle)
     except TransportError:
-        return StageOutcome(stage, list(bundle.index_to_id), failed=True, prompt=prompt)
+        return StageOutcome(stage, list(bundle.index_to_id), failed=True)
     parsed = parse_permutation(raw, len(bundle.index_to_id))
     order = [bundle.index_to_id[k] for k in parsed.order]
-    return StageOutcome(stage, order, parsed.repairs, prompt=prompt, response=raw if audit else None)
+    return StageOutcome(stage, order, parsed.repairs, response=raw if audit else None)
+
+
+def reranked_stages(result: QueryResult) -> tuple[tuple[StageOutcome, AgentKind, list[str]], ...]:
+    """Each reranked stage's outcome, agent kind and input ids, as :func:`run_pipeline` prompted it.
+
+    The diversity stage reranked the base order; the accuracy stage, the head
+    of the diversity order as long as its own order (also after a failed
+    diversity stage, or a retrieved list shorter than ``n_acc``).
+    """
+    base, diversity, final = result.stages
+    return (
+        (diversity, AgentKind.DIVERSITY, base.order),
+        (final, AgentKind.ACCURACY, diversity.order[: len(final.order)]),
+    )
 
 
 def run_pipeline(

@@ -472,17 +472,19 @@ class TestComplete:
         assert len(chat_server.requests) == 1
 
     def test_request_body_bytes(self, chat_server):
-        bundle = agents.PromptBundle(text="Café — 音楽", index_to_id=["x"], query_id="q")
+        bundle = build_prompt(Item(id="q", title="q"), [Item(id="x", title="Café — 音楽")], AgentKind.DIVERSITY)
+        text = bundle.text
+        assert "ID:0 title: Café — 音楽\n" in text
         chat_server.set_script([(200, chat_server.completion("[0]"))])
         complete(bundle, self.config(chat_server, temperature=0.5))
         body = {
             "model": "test-model",
-            "messages": [{"role": "user", "content": "Café — 音楽"}],
+            "messages": [{"role": "user", "content": text}],
             "temperature": 0.5,
         }
         request = chat_server.requests[0]
         assert request["raw"] == json.dumps(body, allow_nan=False).encode()
-        assert request["body"]["messages"][0]["content"] == "Café — 音楽"
+        assert request["body"]["messages"][0]["content"] == text
 
     @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
     def test_redirect_not_followed(self, chat_server, prompt_fixture, status):

@@ -10,7 +10,13 @@ from pathlib import Path
 
 import pytest
 
+from complerank import agents
+from complerank.agents import AgentKind, mock_agent, render_prompt
+from complerank.catalog import load_catalog, split_holdout
 from complerank.cli import main
+from complerank.pipeline import PipelineConfig, run_all
+from complerank.retriever import HeuristicRetriever
+from complerank.synth import SynthConfig, generate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
@@ -448,6 +454,37 @@ class TestRunCommand:
         prompts = [request["body"]["messages"][0]["content"] for request in chat_server.requests]
         assert [entry["prompt"] for entry in audit] == prompts  # one request each: 400 is final
 
+    def test_audit_prompts_are_the_bytes_sent(self, tmp_path, chat_server):
+        """Each audited prompt, rendered again at write time, is the request's message byte for byte."""
+        ok, rejected = (200, chat_server.completion("[1, 0]")), (400, {"error": "bad request"})
+        # At concurrency 1 the requests go diversity, accuracy per query; a 400 is final, so one request each.
+        chat_server.set_script([rejected, ok, ok, rejected, ok])
+        config_path, out_dir = base_config(
+            tmp_path, "audit_bytes", agents={"endpoint": chat_server.url, "model": "test-model"}, concurrency=1
+        )
+        assert main(["run", "--config", str(config_path)]) == 0
+        audit = [json.loads(line) for line in (out_dir / "audit.jsonl").read_text(encoding="utf-8").splitlines()]
+        requests = chat_server.requests
+        assert len(audit) == len(requests) > 4
+        assert [entry["failed"] for entry in audit[:5]] == [True, False, False, True, False]
+        for entry, request in zip(audit, requests):
+            sent = request["body"]["messages"][0]["content"]
+            assert entry["prompt"].encode("utf-8") == sent.encode("utf-8")
+            assert json.dumps(entry["prompt"]).encode("utf-8") in request["raw"]
+
+        # The accuracy stage after the failed diversity stage reranked the base order's first n_acc ids.
+        dataset = out_dir / "dataset"
+        items = load_catalog(dataset / "items.jsonl", dataset / "edges.jsonl").items
+        query_id = audit[0]["query_id"]
+        base = next(
+            record["order"]
+            for record in map(json.loads, (out_dir / "stages.jsonl").read_text(encoding="utf-8").splitlines())
+            if record["query_id"] == query_id and record["stage"] == "base"
+        )
+        expected = render_prompt(items[query_id], [items[item_id] for item_id in base[:5]], AgentKind.ACCURACY)
+        assert (audit[1]["query_id"], audit[1]["stage"]) == (query_id, "diversity_accuracy")
+        assert audit[1]["prompt"] == expected
+
     def test_unknown_candidate_in_scores_names_line(self, tmp_path, capsys):
         scores = tmp_path / "scores.jsonl"
         scores.write_text(
@@ -573,6 +610,18 @@ MALFORMED = [
         (),
         "retriever.weights.price",
         id="weights-price-nan",
+    ),
+    pytest.param(
+        {"retriever": {"kind": "heuristic", "weights": {"price": -2.0}}},
+        (),
+        "retriever.weights.price: must be nonnegative, got -2.0",
+        id="weights-price-negative",
+    ),
+    pytest.param(
+        {"retriever": {"kind": "heuristic", "weights": {"category": -1, "price": 0.5}}},
+        (),
+        "retriever.weights.category: must be nonnegative, got -1.0",
+        id="weights-category-negative",
     ),
     pytest.param(
         {"agents": {"endpoint": "http://127.0.0.1:9", "model": "m", "temperature": float("nan")}},
@@ -821,6 +870,46 @@ def test_malformed_config_fails_before_output(tmp_path, capsys, overrides, flags
     assert main(["run", "--config", str(config_path), *flags]) == 1
     assert key in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+class TestPromptRendering:
+    """A run holds no prompt text: a prompt is rendered where it is read, and only there."""
+
+    @pytest.fixture
+    def renders(self, monkeypatch):
+        """The (query id, agent kind) of every prompt rendered while the test runs."""
+        seen = []
+        render = agents.render_prompt
+
+        def counted(query, candidates, kind):
+            seen.append((query.id, kind))
+            return render(query, candidates, kind)
+
+        monkeypatch.setattr(agents, "render_prompt", counted)
+        return seen
+
+    @pytest.mark.parametrize("audit", [False, True])
+    def test_mock_run_renders_only_the_audited_prompts_once(self, tmp_path, renders, audit):
+        config_path, out_dir = base_config(tmp_path, "renders", agents={"mock": "shuffle:2"}, audit=audit)
+        assert main(["run", "--config", str(config_path)]) == 0
+        query_ids = [
+            json.loads(line)["query_id"]
+            for line in (out_dir / "retrieval.jsonl").read_text(encoding="utf-8").splitlines()
+        ]
+        every_prompt = [(query_id, kind) for query_id in query_ids for kind in AgentKind]
+        assert sorted(renders) == (sorted(every_prompt) if audit else [])
+
+    @pytest.mark.parametrize("concurrency", [1, 3])
+    def test_run_all_holds_no_prompt(self, renders, concurrency):
+        graph, _ = generate(SynthConfig(n_items=60, n_genres=3, edges_per_item=3.0, seed=8))
+        train, queries = split_holdout(graph, 0.25, seed=2)
+        transports = (mock_agent("shuffle:1"), mock_agent("reverse"))
+        results = run_all(
+            queries, HeuristicRetriever(train), train.items, PipelineConfig(n_div=10, n_acc=5), transports, concurrency
+        )
+        assert renders == []
+        held = [value for r in results for o in r.stages for value in vars(o).values() if isinstance(value, str)]
+        assert held and not any("candidate products" in value for value in held)  # the stage names and answers
 
 
 class TestReportCommand:

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from complerank.agents import AgentKind, TransportError, build_prompt, mock_agent
+from complerank.agents import AgentKind, TransportError, build_prompt, mock_agent, render_prompt
 from complerank.catalog import QueryInstance, split_holdout
 from complerank.pipeline import (
     PRESETS,
@@ -13,6 +13,7 @@ from complerank.pipeline import (
     STAGES,
     PipelineConfig,
     rerank_stage,
+    reranked_stages,
     run_all,
     run_pipeline,
 )
@@ -62,8 +63,10 @@ class TestRerankStage:
 
     def test_transport_error_falls_back_to_identity(self, prompt_fixture):
         query, candidates = prompt_fixture
+        sent = []
 
         def broken(bundle):
+            sent.append(bundle.text)
             raise TransportError("down")
 
         outcome = rerank_stage(query, candidates, AgentKind.DIVERSITY, broken)
@@ -71,7 +74,11 @@ class TestRerankStage:
         assert outcome.order == [item.id for item in candidates]
         assert outcome.stage == STAGE_DIVERSITY
         assert outcome.repairs == frozenset()
-        assert outcome.prompt == build_prompt(query, candidates, AgentKind.DIVERSITY).text
+        # No prompt is kept; the one sent is rendered again from the stage's input, which the fallback keeps.
+        assert not hasattr(outcome, "prompt")
+        by_id = {item.id: item for item in candidates}
+        assert sent == [render_prompt(query, [by_id[i] for i in outcome.order], AgentKind.DIVERSITY)]
+        assert sent == [build_prompt(query, candidates, AgentKind.DIVERSITY).text]
         assert outcome.response is None
 
     def test_empty_candidates_rejected(self, prompt_fixture):
@@ -149,6 +156,29 @@ class TestRunPipeline:
         assert not final.failed
         assert final.order == base.order[:2]
 
+    @pytest.mark.parametrize("n_div, n_acc", [(4, 2), (50, 25)])  # 50 retrieves the 5-item pool, under n_acc
+    def test_reranked_stages_give_each_prompts_input(self, split_setup, n_div, n_acc):
+        train, queries, retriever = split_setup
+        sent = []
+
+        def broken(bundle):
+            sent.append(bundle.index_to_id)
+            raise TransportError("down")
+
+        def reverse(bundle):
+            sent.append(bundle.index_to_id)
+            return mock_agent("reverse")(bundle)
+
+        for diversity in (broken, reverse):
+            sent.clear()
+            config = PipelineConfig(n_div, n_acc)
+            result = run_pipeline(queries[0], retriever, train.items, config, (diversity, reverse))
+            assert result.stages[1].failed == (diversity is broken)
+            assert reranked_stages(result) == (
+                (result.stages[1], AgentKind.DIVERSITY, sent[0]),
+                (result.stages[2], AgentKind.ACCURACY, sent[1]),
+            )
+
     def test_no_duplicates_and_query_excluded(self, split_setup):
         train, queries, retriever = split_setup
         config, transports = PipelineConfig(n_div=5, n_acc=3), mocks("reverse", "reverse")
@@ -184,8 +214,16 @@ class TestRunAll:
         kept = run_all(queries, retriever, train.items, config, transports, concurrency)
         dropped = run_all(queries, retriever, train.items, config, transports, concurrency, audit=False)
         assert kept[0].stages[1].failed and dropped[0].stages[1].failed
-        assert all(o.prompt is not None for r in kept for o in r.stages[1:])
-        assert all(o.prompt is None and o.response is None for r in dropped for o in r.stages)
+        # Neither keeps a prompt; with audit on, each is rendered again from the stage's input.
+        assert not any(hasattr(o, "prompt") for r in kept + dropped for o in r.stages)
+        prompts = [
+            render_prompt(train.items[r.query.query_id], [train.items[i] for i in order], kind)
+            for r in kept
+            for _, kind, order in reranked_stages(r)
+        ]
+        assert len(prompts) == 2 * len(queries) and all("candidate products" in p for p in prompts)
+        assert all(o.response is not None for r in kept for o in r.stages[1:] if not o.failed)
+        assert all(o.response is None for r in dropped for o in r.stages)
         assert [[o.order for o in r.stages] for r in dropped] == [[o.order for o in r.stages] for r in kept]
 
     def test_concurrency_matches_sequential(self):
