@@ -18,6 +18,7 @@ import json
 import os
 import random
 import re
+import threading
 import time
 import urllib.parse
 from dataclasses import dataclass, field
@@ -42,40 +43,12 @@ class TransportError(RuntimeError):
 
 MAX_CANDIDATES = 100
 
-_TASK_DEFINITION = (
-    "The task is identifying the complementary relation between the given product and candidates.\n"
-    "Complementary is defined as: products are likely to be purchased or used at the same time, "
-    "but it is not a direct substitute."
-)
-
-_FEW_SHOT_EXAMPLES = (
-    "A complementary product can be:\n"
-    "- An accessory of the given product (e.g., iPhone Case is complementary to iPhone)\n"
-    "- Both accessories to the same product (e.g., Speaker Cables can be complementary to Speaker Stands)\n"
-    "- Products used together for the same activity (e.g., Bowl can be complementary to Plate)"
-)
-
-_RANKING_COMMON = (
-    "Then rerank the candidates based on above given information. The order of reranking result "
-    "should represent how likely the candidate is a complementary product."
-)
-
 _INSTRUCTION = {
-    AgentKind.DIVERSITY: (
-        "Meanwhile, focus on the diversity aspect "
-        "(more items with different 'genre' feature at the top of the list)."
-    ),
-    AgentKind.ACCURACY: (
-        "Meanwhile, focus on the accuracy aspect "
-        "(choose items that are most precisely and correctly complementary to the given product)."
-    ),
+    AgentKind.DIVERSITY: "Meanwhile, focus on the diversity aspect \
+(more items with different 'genre' feature at the top of the list).",
+    AgentKind.ACCURACY: "Meanwhile, focus on the accuracy aspect \
+(choose items that are most precisely and correctly complementary to the given product).",
 }
-
-_OUTPUT_FORMAT = (
-    "Your answer should ONLY rank all mentioned candidates ID, do NOT repeat or include Name. "
-    "And omit anything else such as your thinking and decision-making process.\n"
-    "Example answer format for 5 candidates: [1, 4, 3, 0, 2]"
-)
 
 
 def render_prompt(query: Item, candidates: Sequence[Item], kind: AgentKind) -> str:
@@ -85,27 +58,34 @@ def render_prompt(query: Item, candidates: Sequence[Item], kind: AgentKind) -> s
     identical inputs give byte-identical prompt text.
     """
     listing = "\n".join([f"ID:{k} title: {item.title}" for k, item in enumerate(candidates)])
-    return (
-        "Considering a product, its basic information is:\n"
-        f"{{title: {query.title}}}\n"
-        "\n"
-        "Here's a list of the candidate products:\n"
-        f"{listing}\n"
-        "\n"
-        f"{_TASK_DEFINITION}\n"
-        "\n"
-        f"{_FEW_SHOT_EXAMPLES}\n"
-        "\n"
-        f"{_RANKING_COMMON}\n"
-        f"{_INSTRUCTION[kind]}\n"
-        "\n"
-        f"{_OUTPUT_FORMAT}\n"
-    )
+    return f"""Considering a product, its basic information is:
+{{title: {query.title}}}
+
+Here's a list of the candidate products:
+{listing}
+
+The task is identifying the complementary relation between the given product and candidates.
+Complementary is defined as: products are likely to be purchased or used at the same time, \
+but it is not a direct substitute.
+
+A complementary product can be:
+- An accessory of the given product (e.g., iPhone Case is complementary to iPhone)
+- Both accessories to the same product (e.g., Speaker Cables can be complementary to Speaker Stands)
+- Products used together for the same activity (e.g., Bowl can be complementary to Plate)
+
+Then rerank the candidates based on above given information. \
+The order of reranking result should represent how likely the candidate is a complementary product.
+{_INSTRUCTION[kind]}
+
+Your answer should ONLY rank all mentioned candidates ID, do NOT repeat or include Name. \
+And omit anything else such as your thinking and decision-making process.
+Example answer format for 5 candidates: [1, 4, 3, 0, 2]
+"""
 
 
 @dataclass
 class PromptBundle:
-    """A prompt's inputs and the mapping from local integer IDs to item ids.
+    """A prompt's inputs; local integer ID ``k`` names ``candidates[k]``.
 
     ``text`` renders the prompt on each read and keeps nothing, so a bundle
     holds no prompt text and a transport that never reads it renders none.
@@ -114,7 +94,6 @@ class PromptBundle:
     query: Item
     candidates: list[Item]
     kind: AgentKind
-    index_to_id: list[str]
 
     @property
     def query_id(self) -> str:
@@ -132,14 +111,15 @@ def build_prompt(query: Item, candidates: Sequence[Item], kind: AgentKind) -> Pr
         raise PromptError("candidate list is empty")
     if len(candidates) > MAX_CANDIDATES:
         raise PromptError(f"{len(candidates)} candidates exceed the maximum of {MAX_CANDIDATES}")
-    index_to_id = [item.id for item in candidates]
-    if len(set(index_to_id)) != len(index_to_id):
+    if len({item.id for item in candidates}) != len(candidates):
         raise PromptError("candidate list contains duplicate item ids")
-    return PromptBundle(query, candidates, kind, index_to_id)
+    return PromptBundle(query, candidates, kind)
 
 
 def is_http_url(url: str) -> bool:
-    """Whether ``url`` is an http:// or https:// URL with a host and, if it names one, a valid port."""
+    """Whether ``url`` is an http(s) URL with a host and a valid port if any, in printable ASCII without spaces."""
+    if not (url.isascii() and url.isprintable()) or " " in url:  # http.client sends no other URL
+        return False
     try:
         parts = urllib.parse.urlsplit(url)
         parts.port  # raises ValueError for a port that is not a number in 0-65535
@@ -165,8 +145,8 @@ class LlmConfig:
             raise ValueError(f"endpoint must be an http(s) URL with a host, got {self.endpoint!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout <= threading.TIMEOUT_MAX:  # the most a socket or a lock can wait
+            raise ValueError(f"timeout must be positive and at most {threading.TIMEOUT_MAX:.0f} seconds")
         if self.temperature < 0:
             raise ValueError("temperature must be nonnegative")
 
@@ -355,9 +335,9 @@ def mock_agent(policy: str, ground_truth: Mapping[str, Container[str]] | None = 
     the front while preserving input order within both groups.
     """
     if policy == "identity":
-        return lambda bundle: _render(range(len(bundle.index_to_id)))
+        return lambda bundle: _render(range(len(bundle.candidates)))
     if policy == "reverse":
-        return lambda bundle: _render(reversed(range(len(bundle.index_to_id))))
+        return lambda bundle: _render(reversed(range(len(bundle.candidates))))
     if policy.startswith("shuffle:"):
         try:
             seed = int(policy[len("shuffle:"):])
@@ -367,7 +347,7 @@ def mock_agent(policy: str, ground_truth: Mapping[str, Container[str]] | None = 
         rendered: dict[int, str] = {}  # the answer depends only on (seed, n)
 
         def shuffled(bundle: PromptBundle) -> str:
-            n = len(bundle.index_to_id)
+            n = len(bundle.candidates)
             if n not in rendered:
                 order = list(range(n))
                 random.Random(f"{seed}:{n}").shuffle(order)
@@ -381,8 +361,8 @@ def mock_agent(policy: str, ground_truth: Mapping[str, Container[str]] | None = 
 
         def oracled(bundle: PromptBundle) -> str:
             truth = ground_truth[bundle.query_id]
-            hits = [k for k, item_id in enumerate(bundle.index_to_id) if item_id in truth]
-            misses = [k for k, item_id in enumerate(bundle.index_to_id) if item_id not in truth]
+            hits = [k for k, item in enumerate(bundle.candidates) if item.id in truth]
+            misses = [k for k, item in enumerate(bundle.candidates) if item.id not in truth]
             return _render(hits + misses)
 
         return oracled

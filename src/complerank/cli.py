@@ -120,7 +120,7 @@ def _check_endpoint(settings: dict, section: str) -> None:
     if "endpoint" in settings and not agents.is_http_url(settings["endpoint"]):
         raise ValueError(
             f"{section}.endpoint: expected an http:// or https:// URL with a host,"
-            f" got {json.dumps(settings['endpoint'])}"
+            f" in printable ASCII without spaces, got {json.dumps(settings['endpoint'])}"
         )
 
 
@@ -211,9 +211,10 @@ class RunConfig:
             if key in retr:
                 kind = "heuristic" if precomputed else "precomputed"
                 raise ValueError(f"retriever.{key}: only the {kind} retriever takes this key")
-        for key, weight in retr.get("weights", {}).items():
-            if weight < 0:  # it would rank far prices or unrelated categories first
-                raise ValueError(f"retriever.weights.{key}: must be nonnegative, got {weight}")
+        try:
+            weights = retriever.ScoreWeights(**retr.get("weights", {}))
+        except ValueError as exc:
+            raise ValueError(f"retriever.weights.{exc}") from None
 
         preset = pipe.get("preset")
         if preset is None:
@@ -259,7 +260,7 @@ class RunConfig:
             holdout_fraction=holdout_fraction,
             seed=split.get("seed", 0),
             retriever_name=retr.get("name"),
-            weights=retriever.ScoreWeights(**retr.get("weights", {})),
+            weights=weights,
             exclude_neighbors=retr.get("exclude_neighbors", True),
             scores=Path(retr["path"]) if precomputed else None,
             pipeline_config=pipeline_config,

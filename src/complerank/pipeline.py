@@ -101,9 +101,9 @@ def rerank_stage(
     try:
         raw = transport(bundle)
     except TransportError:
-        return StageOutcome(stage, list(bundle.index_to_id), failed=True)
-    parsed = parse_permutation(raw, len(bundle.index_to_id))
-    order = [bundle.index_to_id[k] for k in parsed.order]
+        return StageOutcome(stage, [item.id for item in bundle.candidates], failed=True)
+    parsed = parse_permutation(raw, len(bundle.candidates))
+    order = [bundle.candidates[k].id for k in parsed.order]
     return StageOutcome(stage, order, parsed.repairs, response=raw if audit else None)
 
 

@@ -34,6 +34,11 @@ class ScoreWeights:
     category: float = 1.0
     price: float = 1.0
 
+    def __post_init__(self) -> None:
+        for name, weight in vars(self).items():
+            if not weight >= 0:  # NaN too; it would rank far prices or unrelated categories first
+                raise ValueError(f"{name}: must be nonnegative, got {weight}")
+
 
 def category_overlap(a: tuple[str, ...], b: tuple[str, ...]) -> float:
     """Longest common category prefix over the longer path length, in [0, 1].

@@ -205,19 +205,12 @@ def test_c2_oracle_upper_bound(oracle_run):
         checked = 0
         for query_id in truth:
             reachable = len(truth[query_id] & top[query_id])
+            assert final_rows[(query_id, 1)]["hit"] == (1 if reachable else 0), query_id
             for k in CUTOFFS:
                 if reachable >= min(len(truth[query_id]), k):
                     assert final_rows[(query_id, k)]["ndcg"] == 1.0
                     checked += 1
         assert checked > 0
-
-        result = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "oracle_check.py"), str(oracle_run)],
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "all checks passed" in result.stdout
 
 
 def test_c3_ndcg_brute_force_equivalence():

@@ -80,7 +80,7 @@ class TestBuildPrompt:
         bundle = build_prompt(query, candidates, AgentKind.DIVERSITY)
         for k, item in enumerate(candidates):
             assert f"ID:{k} title: {item.title}" in bundle.text
-        assert bundle.index_to_id == [item.id for item in candidates]
+        assert bundle.candidates == list(candidates)
 
     def test_single_candidate(self, prompt_fixture):
         query, candidates = prompt_fixture
@@ -551,10 +551,12 @@ class TestComplete:
 def test_llm_config_validation():
     with pytest.raises(ValueError):
         LlmConfig(endpoint="http://x", model="m", max_retries=-1)
-    with pytest.raises(ValueError):
-        LlmConfig(endpoint="http://x", model="m", timeout=0)
+    for timeout in (0, 1e10, float("nan")):  # 1e10 s overflows the socket's timeout
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            LlmConfig(endpoint="http://x", model="m", timeout=timeout)
     with pytest.raises(ValueError):
         LlmConfig(endpoint="http://x", model="m", temperature=-0.1)
-    for url in ("localhost:8000/v1", "file:///v1", "ftp://h/v1", "http:///v1", "http://h:80a/v1", "http://[::1/v1"):
+    for url in ("localhost:8000/v1", "file:///v1", "ftp://h/v1", "http:///v1", "http://h:80a/v1", "http://[::1/v1",
+                "http://h/v 1", "http://h/v\n1", "http://h/v\t1", "http://h/v\x7f1", "http://h/v\u00e91"):
         with pytest.raises(ValueError, match="endpoint"):
             LlmConfig(endpoint=url, model="m")

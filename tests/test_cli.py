@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -13,7 +14,7 @@ import pytest
 from complerank import agents
 from complerank.agents import AgentKind, mock_agent, render_prompt
 from complerank.catalog import load_catalog, split_holdout
-from complerank.cli import main
+from complerank.cli import RunConfig, main
 from complerank.pipeline import PipelineConfig, run_all
 from complerank.retriever import HeuristicRetriever
 from complerank.synth import SynthConfig, generate
@@ -677,6 +678,37 @@ MALFORMED = [
     pytest.param(
         {}, ("--endpoint", "http://127.0.0.1:80a/v1", "--model", "m"), "agents.endpoint", id="endpoint-flag-bad-port"
     ),
+    # http.client refuses a URL with a space or a control character and cannot encode one that is not ASCII.
+    pytest.param(
+        {"agents": {"endpoint": "http://127.0.0.1:9/v 1", "model": "m", "max_retries": 0}},
+        (),
+        "agents.endpoint",
+        id="endpoint-space",
+    ),
+    pytest.param(
+        {
+            "agents": {
+                "model": "m",
+                "diversity": {"endpoint": "http://127.0.0.1:9/v\n1"},
+                "accuracy": {"mock": "identity"},
+            }
+        },
+        (),
+        "agents.diversity.endpoint",
+        id="endpoint-newline",
+    ),
+    pytest.param(
+        {
+            "agents": {
+                "model": "m",
+                "endpoint": "http://127.0.0.1:9/v1",
+                "accuracy": {"endpoint": "http://127.0.0.1:9/v\u00e91"},
+            }
+        },
+        (),
+        "agents.accuracy.endpoint",
+        id="endpoint-non-ascii",
+    ),
     pytest.param({"agents": {"mock": "shuffle:x"}}, (), "mock", id="shuffle-seed-not-int"),
     pytest.param(
         {"agents": {"mock": "identity", "timeout": -1, "max_retries": -3, "temperature": -2}},
@@ -794,6 +826,12 @@ MALFORMED = [
         "agents.diversity: timeout must be positive",
         id="shared-timeout-zero",
     ),
+    pytest.param(
+        {"agents": {"model": "m", "endpoint": "http://127.0.0.1:9/v1", "timeout": 1e10}},
+        (),
+        "agents.diversity: timeout must be positive and at most",
+        id="timeout-past-socket-limit",
+    ),
     pytest.param({"retriever": {"kind": "foo"}}, (), "retriever.kind: expected one of", id="retriever-kind-unknown"),
     pytest.param({"split": 3}, (), "split: expected a JSON object", id="split-not-object"),
     pytest.param("[1]", (), "expected a JSON object at top level", id="top-level-list"),
@@ -856,6 +894,15 @@ MALFORMED = [
         id="edges-file-empty",
     ),
 ]
+
+
+def test_readme_run_config_example_parses():
+    """The JSON example under README "Run config" sets only keys the run config takes."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Run config\n", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    config = RunConfig.parse(json.loads(example), argparse.Namespace())
+    assert config.out == Path("runs/identity")
 
 
 @pytest.mark.parametrize("overrides, flags, key", MALFORMED)

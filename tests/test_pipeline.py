@@ -162,11 +162,11 @@ class TestRunPipeline:
         sent = []
 
         def broken(bundle):
-            sent.append(bundle.index_to_id)
+            sent.append([item.id for item in bundle.candidates])
             raise TransportError("down")
 
         def reverse(bundle):
-            sent.append(bundle.index_to_id)
+            sent.append([item.id for item in bundle.candidates])
             return mock_agent("reverse")(bundle)
 
         for diversity in (broken, reverse):

@@ -83,6 +83,13 @@ class TestScorePair:
         assert category_overlap(tuple(a), tuple(b)) == category_overlap(tuple(b), tuple(a))
 
 
+@pytest.mark.parametrize("weights", [{"price": -2.0}, {"category": -1e-300}, {"category": math.nan}])
+def test_score_weights_must_be_nonnegative(weights):
+    [(name, value)] = weights.items()
+    with pytest.raises(ValueError, match=f"^{name}: must be nonnegative, got {value}$"):
+        ScoreWeights(**weights)
+
+
 class TestRetrieveHeuristic:
     def make_graph(self):
         from complerank.catalog import ComplementGraph
