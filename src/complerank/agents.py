@@ -21,7 +21,7 @@ import re
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Container, Iterable, Mapping, Sequence
 
@@ -117,8 +117,9 @@ def build_prompt(query: Item, candidates: Sequence[Item], kind: AgentKind) -> Pr
 
 
 def is_http_url(url: str) -> bool:
-    """Whether ``url`` is an http(s) URL with a host and a valid port if any, in printable ASCII without spaces."""
-    if not (url.isascii() and url.isprintable()) or " " in url:  # http.client sends no other URL
+    """Whether ``url`` is an http(s) URL with a host and a valid port if any, in printable ASCII without " ?#"."""
+    # http.client sends no other URL, and ``complete`` appends a path that must not follow a ``?`` or ``#``.
+    if not (url.isascii() and url.isprintable()) or any(c in url for c in " ?#"):
         return False
     try:
         parts = urllib.parse.urlsplit(url)
@@ -138,7 +139,6 @@ class LlmConfig:
     temperature: float = 0.0
     max_retries: int = 3
     timeout: float = 30.0
-    backoff_seconds: float = 0.2
 
     def __post_init__(self) -> None:
         if not is_http_url(self.endpoint):
@@ -147,7 +147,7 @@ class LlmConfig:
             raise ValueError("max_retries must be >= 0")
         if not 0 < self.timeout <= threading.TIMEOUT_MAX:  # the most a socket or a lock can wait
             raise ValueError(f"timeout must be positive and at most {threading.TIMEOUT_MAX:.0f} seconds")
-        if self.temperature < 0:
+        if not self.temperature >= 0:  # also rejects NaN
             raise ValueError("temperature must be nonnegative")
 
 
@@ -158,6 +158,7 @@ def _retry_after_seconds(value: str | None) -> float | None:
     return float(value) if value.isascii() and value.isdigit() else None
 
 
+BACKOFF_SECONDS = 0.2  # the wait before the first retry; each later one doubles
 _opener = None  # the urllib opener of every request, built on the first (see complete)
 
 
@@ -201,7 +202,7 @@ def complete(prompt: PromptBundle, config: LlmConfig) -> str:
     retry_after = None  # seconds the last retryable answer asked to wait, if it said
     for attempt in range(config.max_retries + 1):
         if attempt:
-            backoff = config.backoff_seconds * 2 ** (attempt - 1)
+            backoff = BACKOFF_SECONDS * 2 ** (attempt - 1)
             time.sleep(backoff if retry_after is None else min(retry_after, config.timeout))
             retry_after = None
         try:
@@ -310,7 +311,7 @@ class ParsedPermutation:
     """A repaired ranking: ``order`` is always a permutation of ``0..n-1``."""
 
     order: list[int]
-    repairs: frozenset[str] = field(default_factory=frozenset)
+    repairs: frozenset[str]
 
 
 Transport = Callable[[PromptBundle], str]

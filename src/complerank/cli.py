@@ -46,13 +46,13 @@ def _load_json(path: str | Path) -> dict:
     return loaded
 
 
-def _keys_of(cls: type, *skip: str) -> dict[str, type]:
+def _keys_of(cls: type) -> dict[str, type]:
     """The JSON type of each field of the dataclass ``cls``, by name."""
     types = {"int": int, "float": float, "str": str}
-    return {f.name: types[f.type] for f in fields(cls) if f.name not in skip}
+    return {f.name: types[f.type] for f in fields(cls)}
 
 
-_AGENT_KEYS = {"mock": str, **_keys_of(agents.LlmConfig, "backoff_seconds")}
+_AGENT_KEYS = {"mock": str, **_keys_of(agents.LlmConfig)}
 # Every key a run config may set, with its JSON type or its allowed values
 # (README "Run config").
 _SCHEMA = {
@@ -120,7 +120,7 @@ def _check_endpoint(settings: dict, section: str) -> None:
     if "endpoint" in settings and not agents.is_http_url(settings["endpoint"]):
         raise ValueError(
             f"{section}.endpoint: expected an http:// or https:// URL with a host,"
-            f" in printable ASCII without spaces, got {json.dumps(settings['endpoint'])}"
+            f" in printable ASCII without spaces, '?' or '#', got {json.dumps(settings['endpoint'])}"
         )
 
 

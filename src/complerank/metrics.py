@@ -27,11 +27,11 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 # ``cli`` writes its JSON tables through ``metrics.write_json``, where the benchmark tracer wraps it.
 from .catalog import write_json
-from .pipeline import STAGE_BASE, STAGE_DIVERSITY, STAGE_FINAL, QueryResult, StageOutcome
+from .pipeline import STAGE_BASE, STAGE_DIVERSITY, STAGE_FINAL, QueryResult
 
 METRIC_NAMES = ("hit", "ndcg", "entropy", "vocab")
 
@@ -70,7 +70,7 @@ def ndcg_at_k(order: Sequence[str], ground_truth: frozenset[str] | set[str], k: 
         if item_id in ground_truth:
             dcg += 1.0 / math.log2(position + 1)
     ideal_hits = min(len(ground_truth), k)
-    # Left to right, as ``_evaluate`` adds: since Python 3.12 ``sum`` of floats is compensated.
+    # Left to right, as ``evaluate_results`` adds: since Python 3.12 ``sum`` of floats is compensated.
     idcg = functools.reduce(operator.add, (1.0 / math.log2(p + 1) for p in range(1, ideal_hits + 1)))
     return dcg / idcg
 
@@ -143,59 +143,46 @@ def _entropy_terms(total: int) -> tuple[float, ...]:
     return (0.0, *((c / total) * math.log(c / total) for c in range(1, total + 1)))
 
 
-def _evaluate(
-    query_id: str,
-    outcome: StageOutcome,
-    ground_truth: frozenset[str] | set[str],
-    tokens_of: Callable[[str], list[str]],
+def evaluate_results(
+    results: Iterable[QueryResult],
+    titles_by_id: Mapping[str, str],
     cutoffs: Sequence[int],
-    discounts: Sequence[float],
-    ideal_dcg: Sequence[float],
 ) -> Iterator[PerQueryRow]:
-    """One walk down ``outcome.order`` over every sorted cutoff, with prefix accumulators.
+    """Per-query rows for every stage of every pipeline result, against its query's ground truth, lazily.
 
-    ``discounts[p - 1]`` is the gain of a hit at position p, ``ideal_dcg[h - 1]`` that of h hits.
-    Each value equals, float for float, the one the per-cutoff kernels give: the dcg and the ideal
-    dcg add the same terms left to right, and each entropy term has the same expression, under
-    ``math.fsum``, which is exactly rounded, so the order of its terms does not matter.
+    One walk down each stage's order covers every sorted cutoff, with prefix accumulators.  Each value
+    equals, float for float, the one the per-cutoff kernels give: the dcg and the ideal dcg add the same
+    terms left to right, and each entropy term has the same expression, under ``math.fsum``, which is
+    exactly rounded, so the order of its terms does not matter.
     """
     ks = sorted(cutoffs)
     if not ks:
         return
     if ks[0] < 1:
         raise ValueError(f"k must be >= 1, got {ks[0]}")
-    top = outcome.order[: ks[-1]]
-    hit_positions = [p for p, item_id in enumerate(top, start=1) if item_id in ground_truth]
-    counts: Counter[str] = Counter()
-    hit, dcg, depth, next_hit = 0, 0.0, 0, 0
-    for k in ks:
-        while next_hit < len(hit_positions) and hit_positions[next_hit] <= k:
-            hit = 1
-            dcg += discounts[hit_positions[next_hit] - 1]
-            next_hit += 1
-        counts.update(chain.from_iterable(map(tokens_of, top[depth:k])))
-        depth = k
-        total = sum(counts.values())
-        terms = _entropy_terms(total)
-        entropy = -math.fsum(map(terms.__getitem__, counts.values())) if total else 0.0
-        ndcg = dcg / ideal_dcg[min(len(ground_truth), k) - 1]
-        yield PerQueryRow(query_id, outcome.stage, k, hit, ndcg, entropy, len(counts))
-
-
-def evaluate_results(
-    results: Iterable[QueryResult],
-    titles_by_id: Mapping[str, str],
-    cutoffs: Sequence[int],
-) -> Iterator[PerQueryRow]:
-    """Per-query rows for every stage of every pipeline result, against its query's ground truth, lazily."""
     # Each title is tokenized once, on first use.
     tokens_of = functools.cache(lambda item_id: tokenize(titles_by_id[item_id]))
-    discounts = [1.0 / math.log2(p + 1) for p in range(1, max(cutoffs, default=0) + 1)]
+    # ``discounts[p - 1]`` is the gain of a hit at position p, ``ideal_dcg[h - 1]`` that of h hits.
+    discounts = [1.0 / math.log2(p + 1) for p in range(1, ks[-1] + 1)]
     ideal_dcg = list(accumulate(discounts))
     for result in results:
         query_id, truth = result.query.query_id, result.query.ground_truth
         for outcome in result.stages:
-            yield from _evaluate(query_id, outcome, truth, tokens_of, cutoffs, discounts, ideal_dcg)
+            top = outcome.order[: ks[-1]]
+            hit_positions = [p for p, item_id in enumerate(top, start=1) if item_id in truth]
+            counts: Counter[str] = Counter()
+            dcg, depth, next_hit = 0.0, 0, 0  # next_hit counts the hits in the first k
+            for k in ks:
+                while next_hit < len(hit_positions) and hit_positions[next_hit] <= k:
+                    dcg += discounts[hit_positions[next_hit] - 1]
+                    next_hit += 1
+                counts.update(chain.from_iterable(map(tokens_of, top[depth:k])))
+                depth = k
+                total = sum(counts.values())
+                terms = _entropy_terms(total)
+                entropy = -math.fsum(map(terms.__getitem__, counts.values())) if total else 0.0
+                ndcg = dcg / ideal_dcg[min(len(truth), k) - 1]
+                yield PerQueryRow(query_id, outcome.stage, k, int(next_hit > 0), ndcg, entropy, len(counts))
 
 
 def aggregate(rows: Iterable[PerQueryRow], retriever: str, dataset: str) -> list[MetricsRow]:

@@ -47,8 +47,8 @@ class Retriever(Protocol):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    n_div: int = 50
-    n_acc: int = 25
+    n_div: int = PRESETS["fig1"][0]
+    n_acc: int = PRESETS["fig1"][1]
 
     def __post_init__(self) -> None:
         if self.n_div < 1 or self.n_acc < 1:

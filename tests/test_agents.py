@@ -339,6 +339,10 @@ class TestMockAgents:
 
 
 class TestComplete:
+    @pytest.fixture(autouse=True)
+    def short_backoff(self, monkeypatch):
+        monkeypatch.setattr(agents, "BACKOFF_SECONDS", 0.01)
+
     def config(self, server, **overrides):
         defaults = dict(
             endpoint=server.url,
@@ -346,7 +350,6 @@ class TestComplete:
             api_key_env="COMPLERANK_TEST_KEY",
             max_retries=3,
             timeout=5.0,
-            backoff_seconds=0.01,
         )
         defaults.update(overrides)
         return LlmConfig(**defaults)
@@ -441,10 +444,7 @@ class TestComplete:
     def test_unreachable_host_no_retries(self, prompt_fixture):
         query, candidates = prompt_fixture
         bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
-        config = LlmConfig(
-            endpoint="http://127.0.0.1:9", model="m", max_retries=0, timeout=0.5,
-            backoff_seconds=0.01,
-        )
+        config = LlmConfig(endpoint="http://127.0.0.1:9", model="m", max_retries=0, timeout=0.5)
         with pytest.raises(TransportError, match="transport error"):
             complete(bundle, config)
 
@@ -519,10 +519,7 @@ class TestComplete:
         monkeypatch.setattr(urllib.request.OpenerDirector, "open", recording_open)
         query, candidates = prompt_fixture
         bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
-        config = LlmConfig(
-            endpoint="https://127.0.0.1:9/v1", model="m", max_retries=2, timeout=0.5,
-            backoff_seconds=0.0,
-        )
+        config = LlmConfig(endpoint="https://127.0.0.1:9/v1", model="m", max_retries=2, timeout=0.5)
         with pytest.raises(TransportError, match="transport error"):
             complete(bundle, config)
         assert seen == [("https", None)] * 3
@@ -554,9 +551,11 @@ def test_llm_config_validation():
     for timeout in (0, 1e10, float("nan")):  # 1e10 s overflows the socket's timeout
         with pytest.raises(ValueError, match="timeout must be positive"):
             LlmConfig(endpoint="http://x", model="m", timeout=timeout)
-    with pytest.raises(ValueError):
-        LlmConfig(endpoint="http://x", model="m", temperature=-0.1)
+    for temperature in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            LlmConfig(endpoint="http://x", model="m", temperature=temperature)
     for url in ("localhost:8000/v1", "file:///v1", "ftp://h/v1", "http:///v1", "http://h:80a/v1", "http://[::1/v1",
-                "http://h/v 1", "http://h/v\n1", "http://h/v\t1", "http://h/v\x7f1", "http://h/v\u00e91"):
+                "http://h/v 1", "http://h/v\n1", "http://h/v\t1", "http://h/v\x7f1", "http://h/v\u00e91",
+                "http://h/v1?key=abc", "http://h/v1?", "http://h/v1#x", "http://h/v1#"):
         with pytest.raises(ValueError, match="endpoint"):
             LlmConfig(endpoint=url, model="m")

@@ -709,6 +709,13 @@ MALFORMED = [
         "agents.accuracy.endpoint",
         id="endpoint-non-ascii",
     ),
+    # After a "?" or "#", the "/chat/completions" a request appends would be query or fragment.
+    pytest.param(
+        {"agents": {"endpoint": "http://127.0.0.1:9/v1?key=abc", "model": "m"}},
+        (),
+        "agents.endpoint",
+        id="endpoint-query",
+    ),
     pytest.param({"agents": {"mock": "shuffle:x"}}, (), "mock", id="shuffle-seed-not-int"),
     pytest.param(
         {"agents": {"mock": "identity", "timeout": -1, "max_retries": -3, "temperature": -2}},
