@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Container, Iterable, Iterator, TypeVar
+from typing import Callable, Container, Iterable, Iterator, Mapping, TypeVar
 
 T = TypeVar("T")
 
@@ -154,7 +154,7 @@ def write_json(payload: object, path: str | Path) -> None:
         fh.write("\n")
 
 
-def _parse_item(record: object, items: Container[str]) -> Item:
+def _parse_item(record: object, items: Container[str], paths: dict[tuple[str, ...], tuple[str, ...]]) -> Item:
     if not isinstance(record, dict):
         raise CatalogError("expected a JSON object")
     try:
@@ -171,10 +171,11 @@ def _parse_item(record: object, items: Container[str]) -> Item:
     # NaN fails the comparison, and JSON's ``true`` is no number here.
     if price is not None and (type(price) not in (int, float) or not abs(price) <= sys.float_info.max):
         raise CatalogError(f"price must be a finite number, got {json.dumps(price)}")
+    path = tuple(categories)
     item = Item(
         id=item_id,
         title=title,
-        categories=tuple(categories),
+        categories=paths.setdefault(path, path),  # items with equal paths share one tuple
         price=None if price is None else float(price),
     )
     if item.id in items:
@@ -182,20 +183,23 @@ def _parse_item(record: object, items: Container[str]) -> Item:
     return item
 
 
-def _parse_edge(pair: object, items: Container[str]) -> tuple[str, str]:
+def _parse_edge(pair: object, items: Mapping[str, Item]) -> tuple[str, str]:
     if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(x, str) for x in pair):
         raise CatalogError("expected a JSON array of two item ids")
-    return edge_key(*pair, items)
+    a, b = edge_key(*pair, items)
+    return items[a].id, items[b].id  # the catalog's own strings, not the ones decoded from this line
 
 
 def load_catalog(items_path: str | Path, edges_path: str | Path) -> ComplementGraph:
     """Load and validate a catalog from an items file and an edges file.
 
     Duplicate edges (including reversed duplicates) collapse to one undirected
-    edge.  Errors report the offending file line.
+    edge.  Errors report the offending file line.  Edges hold the items' own id
+    strings, and items with equal category paths share one tuple.
     """
     items: dict[str, Item] = {}
-    for item in read_json_lines(Path(items_path), lambda record: _parse_item(record, items), CatalogError):
+    paths: dict[tuple[str, ...], tuple[str, ...]] = {}
+    for item in read_json_lines(Path(items_path), lambda record: _parse_item(record, items, paths), CatalogError):
         items[item.id] = item
     edges = read_json_lines(Path(edges_path), lambda pair: _parse_edge(pair, items), CatalogError)
     return ComplementGraph(items=items, edges=frozenset(edges))

@@ -511,6 +511,9 @@ def main(argv: list[str] | None = None) -> int:
         # Catalog, synth, retrieval and prompt errors are ValueErrors; rerank_stage catches TransportError.
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # Ctrl-C: one line, not a traceback, and the shell's exit code for SIGINT
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

@@ -22,7 +22,6 @@ import functools
 import math
 import operator
 import re
-import statistics
 from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import accumulate, chain
@@ -160,8 +159,14 @@ def evaluate_results(
         return
     if ks[0] < 1:
         raise ValueError(f"k must be >= 1, got {ks[0]}")
-    # Each title is tokenized once, on first use.
-    tokens_of = functools.cache(lambda item_id: tokenize(titles_by_id[item_id]))
+    # Each title is tokenized once, on first use, into a tuple of token strings shared across titles.
+    shared: dict[str, str] = {}
+
+    @functools.cache
+    def tokens_of(item_id: str) -> tuple[str, ...]:
+        tokens = tokenize(titles_by_id[item_id])
+        return tuple(map(shared.setdefault, tokens, tokens))
+
     # ``discounts[p - 1]`` is the gain of a hit at position p, ``ideal_dcg[h - 1]`` that of h hits.
     discounts = [1.0 / math.log2(p + 1) for p in range(1, ks[-1] + 1)]
     ideal_dcg = list(accumulate(discounts))
@@ -213,6 +218,8 @@ def lift_with_stderr(lifts: Sequence[float]) -> tuple[float, float]:
     mean = math.fsum(lifts) / len(lifts)
     if len(lifts) < 2:
         return mean, 0.0
+    import statistics  # only a report over two or more runs needs it
+
     return mean, statistics.stdev(lifts) / math.sqrt(len(lifts))
 
 

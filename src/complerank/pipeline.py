@@ -15,7 +15,6 @@ evaluation denominators constant across methods.
 from __future__ import annotations
 
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence
 
@@ -163,5 +162,7 @@ def run_all(
     """
     if concurrency == 1 or len(queries) <= 1:
         return [run_pipeline(q, retriever, items, config, transports, audit) for q in queries]
+    from concurrent.futures import ThreadPoolExecutor  # only a concurrent run needs it
+
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
         return list(pool.map(lambda q: run_pipeline(q, retriever, items, config, transports, audit), queries))

@@ -20,7 +20,7 @@ from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NoReturn, Sequence
 
 from .catalog import ComplementGraph, Item, read_json_lines
 
@@ -122,15 +122,27 @@ class HeuristicRetriever:
         return _normalized(query_id, scored, n)
 
 
+# The decoded JSON types a scores file may use for an id and for a score.  Types are
+# compared exactly, so a JSON ``true`` (a bool) is neither.
+_ID = frozenset((str, int))
+_NUMBER = frozenset((int, float))
+
+
+def _reject(values: Sequence[object], types: frozenset[type], what: str) -> NoReturn:
+    wrong = next(value for value in values if type(value) not in types)
+    raise RetrievalError(f"{what}, got {json.dumps(wrong)}")
+
+
 class PrecomputedRetriever:
     """Per-query ranked candidate lists loaded from an exported scores file.
 
     Each JSON Lines record is ``{"query_id": ..., "candidates": [[item_id, score], ...]}``,
-    one per query id (``10`` and ``"10"`` name the same one).  Every candidate id must be
-    in ``items`` (the catalog) and every score finite; a malformed line, a query id that is
-    no string or integer or is repeated, a NaN or infinite score or an unknown id fails at
-    load with ``path:line``, checked in that order.  Each list is held as two columns: a
-    tuple of the catalog's own id strings and an ``array("d")`` of the scores.
+    one per query id (``10`` and ``"10"`` name the same one).  Every candidate id must be a
+    string or an integer in ``items`` (the catalog) and every score a finite JSON number; a
+    malformed line, a query id that is no string or integer or is repeated, a NaN or infinite
+    score, a candidate id or score of another JSON type or an unknown id fails at load with
+    ``path:line``, checked in that order.  Each list is held as two columns: a tuple of the
+    catalog's own id strings and an ``array("d")`` of the scores.
     """
 
     def __init__(self, path: str | Path, items: Iterable[str], name: str | None = None):
@@ -142,22 +154,29 @@ class PrecomputedRetriever:
         def parse(record: Any) -> tuple[str, tuple[tuple[str, ...], array]]:
             try:
                 query_id = record["query_id"]
-                pairs = [(str(item_id), float(score)) for item_id, score in record["candidates"]]
+                pairs = [(item_id, score) for item_id, score in record["candidates"]]
+                ids, values = zip(*pairs) if pairs else ((), ())
+                # The JSON types of each column, found once.  A score of another type goes through
+                # ``float``, so a string that spells no number, such as "x", fails here as malformed.
+                id_types, score_types = set(map(type, ids)), set(map(type, values))
+                scores = array("d", values if score_types <= _NUMBER else map(float, values))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise RetrievalError(f"malformed scores line ({exc})") from exc
-            if type(query_id) not in (str, int):
+            if type(query_id) not in _ID:
                 raise RetrievalError(f"query_id must be a string or an integer, got {json.dumps(query_id)}")
             if str(query_id) in self._lists:
                 raise RetrievalError(f"duplicate query id {str(query_id)!r}")
-            ids, scores = zip(*pairs) if pairs else ((), ())
-            scores = array("d", scores)
             # A sum of finite scores is finite unless it overflows; only then look closer.
             if not math.isfinite(sum(scores)):
-                for item_id, score in pairs:
+                for item_id, score in zip(ids, scores):
                     if not math.isfinite(score):
-                        raise RetrievalError(f"candidate {item_id!r} has non-finite score {score}")
+                        raise RetrievalError(f"candidate {str(item_id)!r} has non-finite score {score}")
+            if not id_types <= _ID:
+                _reject(ids, _ID, "candidate id must be a string or an integer")
+            if not score_types <= _NUMBER:
+                _reject(values, _NUMBER, "candidate score must be a number")
             try:
-                ids = tuple(map(canonical.__getitem__, ids))
+                ids = tuple(map(canonical.__getitem__, map(str, ids) if int in id_types else ids))
             except KeyError as exc:
                 raise RetrievalError(f"candidate id {exc.args[0]!r} is not in the catalog") from None
             return str(query_id), (ids, scores)

@@ -118,6 +118,37 @@ class TestLoadCatalog:
         with pytest.raises(CatalogError, match="self-loop"):
             load_catalog(tmp_path / "items.jsonl", tmp_path / "edges.jsonl")
 
+    def shared_catalog(self, tmp_path):
+        """Ids long enough that each decoded copy is its own string object; two equal category paths."""
+        write_lines(
+            tmp_path / "items.jsonl",
+            items_lines(
+                ("item-alpha", "alpha lamp", ["home", "lighting"], {}),
+                ("item-beta", "beta bulb", ["home", "lighting"], {}),
+                ("item-gamma", "gamma shade", ["home"], {}),
+                ("item-delta", "delta cord", [], {}),
+            ),
+        )
+        pairs = [("item-alpha", "item-beta"), ("item-gamma", "item-alpha"), ("item-beta", "item-gamma"),
+                 ("item-delta", "item-beta")]
+        write_lines(tmp_path / "edges.jsonl", [json.dumps(pair) for pair in pairs])
+        return load_catalog(tmp_path / "items.jsonl", tmp_path / "edges.jsonl")
+
+    def test_edges_and_ground_truth_hold_the_catalogs_id_strings(self, tmp_path):
+        graph = self.shared_catalog(tmp_path)
+        assert all(item_id is graph.items[item_id].id for edge in graph.edges for item_id in edge)
+        train, queries = split_holdout(graph, 0.5, seed=1)
+        assert all(item_id is graph.items[item_id].id for edge in train.edges for item_id in edge)
+        for query in queries:
+            assert query.query_id is graph.items[query.query_id].id
+            assert all(item_id is graph.items[item_id].id for item_id in query.ground_truth)
+
+    def test_equal_category_paths_share_one_tuple(self, tmp_path):
+        items = self.shared_catalog(tmp_path).items
+        assert items["item-alpha"].categories == ("home", "lighting")
+        assert items["item-alpha"].categories is items["item-beta"].categories
+        assert items["item-gamma"].categories == ("home",)
+
 
 # One malformed line per row: the file it goes in (as line 3, after a good line
 # and a blank one), the exception class, and the message after ``path:line: ``.
@@ -206,6 +237,21 @@ LOADER_ERRORS = [
     pytest.param(
         "scores", '{"query_id": "A", "candidates": [["B", ' + "1" * 400 + "]]}", RetrievalError,
         "malformed scores line (int too large to convert to float)", id="scores-400-digits",
+    ),
+    *(
+        pytest.param(
+            "scores", '{"query_id": "A", "candidates": ' + candidates + "}", RetrievalError, message, id=f"scores-{name}"
+        )
+        for name, candidates, message in [
+            ("id-null", "[[null, 0.5], [true, 0.7], [7.0, 0.2]]", "candidate id must be a string or an integer, got null"),
+            ("id-bool", '[["B", 0.5], [true, 0.7]]', "candidate id must be a string or an integer, got true"),
+            ("id-float", "[[7.0, 0.2]]", "candidate id must be a string or an integer, got 7.0"),
+            ("score-string", '[["B", "0.93"], ["B", true]]', 'candidate score must be a number, got "0.93"'),
+            ("score-bool", '[["B", 0.5], ["B", true]]', "candidate score must be a number, got true"),
+            # A wrong type is reported before an unknown id, and after a non-finite score.
+            ("type-before-unknown-id", '[["Z", 1.0], ["B", false]]', "candidate score must be a number, got false"),
+            ("non-finite-before-type", '[[null, 1.0], ["B", NaN]]', "candidate 'B' has non-finite score nan"),
+        ]
     ),
 ]
 

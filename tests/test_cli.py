@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from complerank import agents
+from complerank import agents, pipeline
 from complerank.agents import AgentKind, mock_agent, render_prompt
 from complerank.catalog import load_catalog, split_holdout
 from complerank.cli import RunConfig, main
@@ -286,6 +286,67 @@ class TestRunCommand:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
+
+    def test_modules_only_some_runs_need_load_on_first_use(self, tmp_path):
+        """``statistics`` (a lift over two or more runs) and ``concurrent.futures`` (concurrency above 1)
+        stay unloaded in a plain mock run; the runs that load them still write their golden outputs."""
+        golden_config, golden_out = base_config(tmp_path, "golden", agents={"mock": "shuffle:3"}, audit=True)
+        identity_config, identity_out = base_config(
+            tmp_path, "identity", retriever={"kind": "heuristic", "name": "identity"}
+        )
+        concurrent_out, report_out = tmp_path / "concurrent", tmp_path / "report"
+        script = (
+            "import json, sys\n"
+            "import complerank.cli\n"
+            "golden, identity, golden_out, identity_out, concurrent_out, report_out = sys.argv[1:]\n"
+            "lazy = {'statistics', 'concurrent.futures'}\n"
+            "assert complerank.cli.main(['run', '--config', golden]) == 0\n"
+            "seen = {'after_mock_run': sorted(lazy & sys.modules.keys())}\n"
+            "assert complerank.cli.main(['run', '--config', golden, '--concurrency', '3', '--out', concurrent_out]) == 0\n"
+            "assert complerank.cli.main(['run', '--config', identity]) == 0\n"
+            "assert complerank.cli.main(['report', golden_out, identity_out, '--out', report_out]) == 0\n"
+            "seen['at_exit'] = sorted(lazy & sys.modules.keys())\n"
+            "print(json.dumps(seen))\n"
+        )
+        args = [golden_config, identity_config, golden_out, identity_out, concurrent_out, report_out]
+        result = subprocess.run(
+            [sys.executable, "-c", script, *map(str, args)],
+            env={**os.environ, "PYTHONPATH": src_pythonpath()},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        seen = json.loads(result.stdout.splitlines()[-1])
+        assert seen == {"after_mock_run": [], "at_exit": ["concurrent.futures", "statistics"]}
+        golden = golden_digests("mock_run_shuffle3.sha256")
+        assert output_digests(golden_out) == golden
+        # The concurrent run differs only in the concurrency its run_config.json records.
+        digests = output_digests(concurrent_out)
+        run_config = json.loads((concurrent_out / "run_config.json").read_text(encoding="utf-8"))
+        assert run_config["concurrency"] == 3
+        run_config["concurrency"] = 1
+        rewritten = (json.dumps(run_config, indent=2, sort_keys=True) + "\n").encode("utf-8")
+        digests["run_config.json"] = hashlib.sha256(rewritten).hexdigest()
+        assert digests == golden
+        assert output_digests(report_out) == golden_digests("report_two_runs.sha256")
+        lift = json.loads((report_out / "lift_report.json").read_text(encoding="utf-8"))["rows"]
+        assert any(row["n_retrievers"] == 2 and row["std_err"] > 0 for row in lift)
+
+    def test_interrupt_exits_130_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "run_all", interrupted)
+        config_path, _ = base_config(tmp_path, "interrupted")
+        try:
+            code = main(["run", "--config", str(config_path)])
+        except KeyboardInterrupt:  # escaping, it would end the whole test session
+            pytest.fail("KeyboardInterrupt escaped main")
+        assert code == 130
+        captured = capsys.readouterr()
+        assert captured.err == "error: interrupted\n"
+        assert captured.out == ""
 
     def test_benchmark_tracer_hooks_still_fire(self, tmp_path):
         """``perfbench/layers.py`` patches functions by name; every hook must still record spans.
