@@ -14,8 +14,10 @@ Usage:
 """
 
 import argparse
+import heapq
 import json
 import random
+from operator import itemgetter
 
 from complerank import catalog
 
@@ -40,11 +42,9 @@ def main() -> None:
         for query in queries:
             skip = {query.query_id} | train.neighbors(query.query_id)
             scored = [(item_id, rng.random()) for item_id in pool if item_id not in skip]
-            scored.sort(key=lambda pair: (-pair[1], pair[0]))
-            record = {
-                "query_id": query.query_id,
-                "candidates": [[item_id, score] for item_id, score in scored[: args.depth]],
-            }
+            # ``nlargest`` keeps input order among equal scores, and ``pool`` is sorted by id.
+            top = heapq.nlargest(args.depth, scored, key=itemgetter(1))
+            record = {"query_id": query.query_id, "candidates": [[item_id, score] for item_id, score in top]}
             fh.write(json.dumps(record) + "\n")
     print(args.out)
 

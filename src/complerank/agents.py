@@ -236,6 +236,7 @@ DEDUPLICATED = "deduplicated"
 DROPPED_OUT_OF_RANGE = "dropped_out_of_range"
 APPENDED_MISSING = "appended_missing"
 FALLBACK_IDENTITY = "fallback_identity"
+NO_REPAIRS: frozenset[str] = frozenset()  # one shared empty set, as most answers need no repair
 
 _BRACKET_RE = re.compile(r"\[([^\[\]]*)\]")
 _INT_RE = re.compile(r"[+-]?\d+")
@@ -273,7 +274,7 @@ def parse_permutation(raw: str, n: int) -> "ParsedPermutation":
         except ValueError:  # a token with more digits than ``int`` reads
             values = [_read_int(token, n) for token in tokens]
         if len(values) == n and max(values) < n and len(set(values)) == n:
-            return ParsedPermutation(order=values, repairs=frozenset())
+            return ParsedPermutation(order=values, repairs=NO_REPAIRS)
     else:
         for match in _BRACKET_RE.finditer(raw):
             tokens = [token.strip() for token in match.group(1).split(",")]

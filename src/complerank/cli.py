@@ -346,7 +346,9 @@ def cmd_run(cfg: RunConfig) -> Path:
             train, cfg.weights, cfg.exclude_neighbors, cfg.retriever_name or "heuristic"
         )
     else:
-        retr = retriever.PrecomputedRetriever(cfg.scores, train.items, name=cfg.retriever_name)
+        retr = retriever.PrecomputedRetriever(
+            cfg.scores, train.items, name=cfg.retriever_name, depth=cfg.pipeline_config.n_div
+        )
         retr.check_coverage([query.query_id for query in queries])
     truth = {query.query_id: query.ground_truth for query in queries}
     transports = tuple(

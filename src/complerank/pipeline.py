@@ -15,11 +15,12 @@ evaluation denominators constant across methods.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
 from .agents import (
     MAX_CANDIDATES,
+    NO_REPAIRS,
     AgentKind,
     Transport,
     TransportError,
@@ -41,7 +42,7 @@ PRESETS = {"fig1": (50, 25), "fig2": (100, 50)}
 class Retriever(Protocol):
     name: str
 
-    def retrieve(self, query_id: str, n: int) -> list[tuple[str, float]]: ...
+    def retrieve(self, query_id: str, n: int) -> tuple[tuple[str, ...], array]: ...
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,8 @@ class StageOutcome:
     """
 
     stage: str
-    order: list[str]
-    repairs: frozenset[str] = field(default_factory=frozenset)
+    order: tuple[str, ...]
+    repairs: frozenset[str] = NO_REPAIRS
     failed: bool = False
     response: str | None = None
 
@@ -100,13 +101,13 @@ def rerank_stage(
     try:
         raw = transport(bundle)
     except TransportError:
-        return StageOutcome(stage, [item.id for item in bundle.candidates], failed=True)
+        return StageOutcome(stage, tuple([item.id for item in bundle.candidates]), failed=True)
     parsed = parse_permutation(raw, len(bundle.candidates))
-    order = [bundle.candidates[k].id for k in parsed.order]
+    order = tuple([bundle.candidates[k].id for k in parsed.order])
     return StageOutcome(stage, order, parsed.repairs, response=raw if audit else None)
 
 
-def reranked_stages(result: QueryResult) -> tuple[tuple[StageOutcome, AgentKind, list[str]], ...]:
+def reranked_stages(result: QueryResult) -> tuple[tuple[StageOutcome, AgentKind, tuple[str, ...]], ...]:
     """Each reranked stage's outcome, agent kind and input ids, as :func:`run_pipeline` prompted it.
 
     The diversity stage reranked the base order; the accuracy stage, the head
@@ -134,9 +135,8 @@ def run_pipeline(
     accuracy agent only ever sees the first ``n_acc`` survivors of the
     diversity list, so truncated items can never reappear.
     """
-    retrieval = retriever.retrieve(query.query_id, config.n_div)
-    base = StageOutcome(STAGE_BASE, [item_id for item_id, _ in retrieval])
-    scores = array("d", [score for _, score in retrieval])
+    base_order, scores = retriever.retrieve(query.query_id, config.n_div)  # held as returned, not copied
+    base = StageOutcome(STAGE_BASE, base_order)
     query_item = items[query.query_id]
 
     div_items = [items[item_id] for item_id in base.order]

@@ -9,7 +9,8 @@ source of per-pair scores can act as the retriever.  Two sources ship here:
     model (e.g. a trained GNN) can be plugged in unchanged.
 
 Candidate lists are always normalized: unique ids, query excluded, scores
-non-increasing, ties broken by ascending item id.
+non-increasing, ties broken by ascending item id.  ``retrieve`` returns one as
+two columns, a tuple of ids and an ``array("d")`` of their scores.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, NoReturn, Sequence
 
+from .agents import MAX_CANDIDATES
 from .catalog import ComplementGraph, Item, read_json_lines
 
 
@@ -74,13 +76,16 @@ def score_pair(query: Item, candidate: Item, weights: ScoreWeights = ScoreWeight
     return score
 
 
-def _normalized(query_id: str, scored: list[tuple[str, float]], n: int) -> list[tuple[str, float]]:
+def _normalized(
+    query_id: str, ids: Sequence[str], scores: Sequence[float], n: int
+) -> tuple[tuple[str, ...], array]:
+    """The top ``n`` of the ``(ids, scores)`` columns as new columns, in the module's order."""
     if n < 1:
         raise RetrievalError(f"retrieval depth must be positive, got {n}")
-    best = dict(scored)
-    if len(best) < len(scored):  # a repeated id keeps its highest score
+    best = dict(zip(ids, scores))
+    if len(best) < len(ids):  # a repeated id keeps its highest score
         best = {}
-        for item_id, score in scored:
+        for item_id, score in zip(ids, scores):
             if item_id not in best or score > best[item_id]:
                 best[item_id] = score
     best.pop(query_id, None)
@@ -90,7 +95,8 @@ def _normalized(query_id: str, scored: list[tuple[str, float]], n: int) -> list[
     if len(set(best.values())) < len(ordered):
         ordered.sort(key=itemgetter(0))
     ordered.sort(key=itemgetter(1), reverse=True)
-    return ordered[:n]
+    head_ids, head_scores = zip(*ordered[:n]) if ordered else ((), ())
+    return head_ids, array("d", head_scores)
 
 
 @dataclass
@@ -107,19 +113,17 @@ class HeuristicRetriever:
     exclude_neighbors: bool = True
     name: str = "heuristic"
 
-    def retrieve(self, query_id: str, n: int) -> list[tuple[str, float]]:
-        if query_id not in self.graph.items:
+    def retrieve(self, query_id: str, n: int) -> tuple[tuple[str, ...], array]:
+        items = self.graph.items
+        if query_id not in items:
             raise RetrievalError(f"unknown query id {query_id!r}")
-        query = self.graph.items[query_id]
+        query = items[query_id]
         skip = {query_id}
         if self.exclude_neighbors:
             skip |= self.graph.neighbors(query_id)
-        scored = [
-            (item_id, score_pair(query, item, self.weights))
-            for item_id, item in self.graph.items.items()
-            if item_id not in skip
-        ]
-        return _normalized(query_id, scored, n)
+        ids = [item_id for item_id in items if item_id not in skip]
+        scores = [score_pair(query, items[item_id], self.weights) for item_id in ids]
+        return _normalized(query_id, ids, scores, n)
 
 
 # The decoded JSON types a scores file may use for an id and for a score.  Types are
@@ -137,25 +141,38 @@ class PrecomputedRetriever:
     """Per-query ranked candidate lists loaded from an exported scores file.
 
     Each JSON Lines record is ``{"query_id": ..., "candidates": [[item_id, score], ...]}``,
-    one per query id (``10`` and ``"10"`` name the same one).  Every candidate id must be a
-    string or an integer in ``items`` (the catalog) and every score a finite JSON number; a
-    malformed line, a query id that is no string or integer or is repeated, a NaN or infinite
-    score, a candidate id or score of another JSON type or an unknown id fails at load with
-    ``path:line``, checked in that order.  Each list is held as two columns: a tuple of the
-    catalog's own id strings and an ``array("d")`` of the scores.
+    one per query id (``10`` and ``"10"`` name the same one).  Every candidate must be a
+    two-element JSON array, its id a string or an integer in ``items`` (the catalog) and its
+    score a finite JSON number; a malformed line, a query id that is no string or integer or is
+    repeated, a NaN or infinite score, a candidate id or score of another JSON type or an unknown
+    id fails at load with ``path:line``, checked in that order.  Each list is held as two
+    columns: a tuple of the catalog's own id strings and an ``array("d")`` of the scores.
+
+    A query's first :meth:`retrieve` replaces its columns with their ranked head of ``depth``
+    entries.  Every retrieve returns those held columns, or slices of them for a smaller ``n``,
+    so a caller that keeps them holds no copy.  Ranking a ranked head gives it back unchanged,
+    so two threads that rank one query at once store equal columns and need no lock.
     """
 
-    def __init__(self, path: str | Path, items: Iterable[str], name: str | None = None):
+    def __init__(
+        self, path: str | Path, items: Iterable[str], name: str | None = None, depth: int = MAX_CANDIDATES
+    ):
+        if depth < 1:
+            raise RetrievalError(f"retrieval depth must be positive, got {depth}")
         self.path = Path(path)
         self.name = name or self.path.stem
+        self.depth = depth
         canonical = {item_id: item_id for item_id in items}
         self._lists: dict[str, tuple[tuple[str, ...], array]] = {}
+        self._ranked: set[str] = set()  # the queries whose held columns are their ranked head
 
         def parse(record: Any) -> tuple[str, tuple[tuple[str, ...], array]]:
             try:
                 query_id = record["query_id"]
-                pairs = [(item_id, score) for item_id, score in record["candidates"]]
-                ids, values = zip(*pairs) if pairs else ((), ())
+                candidates = record["candidates"]
+                if not set(map(type, candidates)) <= {list} or not set(map(len, candidates)) <= {2}:
+                    raise ValueError("a candidate is not a two-element array")
+                ids, values = zip(*candidates) if candidates else ((), ())
                 # The JSON types of each column, found once.  A score of another type goes through
                 # ``float``, so a string that spells no number, such as "x", fails here as malformed.
                 id_types, score_types = set(map(type, ids)), set(map(type, values))
@@ -198,8 +215,13 @@ class PrecomputedRetriever:
                 f"the first {uncovered[0]!r}"
             )
 
-    def retrieve(self, query_id: str, n: int) -> list[tuple[str, float]]:
+    def retrieve(self, query_id: str, n: int) -> tuple[tuple[str, ...], array]:
         if query_id not in self._lists:
             raise RetrievalError(f"query {query_id!r} not present in {self.path}")
+        if not 1 <= n <= self.depth:
+            raise RetrievalError(f"retrieval depth must be in 1..{self.depth}, got {n}")
+        if query_id not in self._ranked:
+            self._lists[query_id] = _normalized(query_id, *self._lists[query_id], self.depth)
+            self._ranked.add(query_id)
         ids, scores = self._lists[query_id]
-        return _normalized(query_id, list(zip(ids, scores)), n)
+        return (ids, scores) if n >= len(ids) else (ids[:n], scores[:n])

@@ -121,6 +121,7 @@ class TestParsePermutation:
         parsed = parse_permutation("[1, 4, 3, 0, 2]", 5)
         assert parsed.order == [1, 4, 3, 0, 2]
         assert parsed.repairs == frozenset()
+        assert parsed.repairs is agents.NO_REPAIRS  # one shared set, not an empty set per answer
 
     def test_duplicates_and_missing(self):
         parsed = parse_permutation("[2, 2, 0]", 4)

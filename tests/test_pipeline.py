@@ -1,9 +1,10 @@
 import dataclasses
+import json
 import sys
 
 import pytest
 
-from complerank.agents import AgentKind, TransportError, build_prompt, mock_agent, render_prompt
+from complerank.agents import NO_REPAIRS, AgentKind, TransportError, build_prompt, mock_agent, render_prompt
 from complerank.catalog import QueryInstance, split_holdout
 from complerank.pipeline import (
     PRESETS,
@@ -17,7 +18,7 @@ from complerank.pipeline import (
     run_all,
     run_pipeline,
 )
-from complerank.retriever import HeuristicRetriever, RetrievalError
+from complerank.retriever import HeuristicRetriever, PrecomputedRetriever, RetrievalError
 from complerank.synth import SynthConfig, generate
 
 
@@ -45,21 +46,21 @@ class TestRerankStage:
     def test_identity(self, prompt_fixture):
         query, candidates = prompt_fixture
         outcome = rerank_stage(query, candidates, AgentKind.DIVERSITY, mock_agent("identity"))
-        assert outcome.order == [item.id for item in candidates]
+        assert outcome.order == tuple(item.id for item in candidates)
         assert outcome.stage == STAGE_DIVERSITY
         assert not outcome.failed
 
     def test_reverse(self, prompt_fixture):
         query, candidates = prompt_fixture
         outcome = rerank_stage(query, candidates[:3], AgentKind.ACCURACY, mock_agent("reverse"))
-        assert outcome.order == ["c3", "c2", "c1"]
+        assert outcome.order == ("c3", "c2", "c1")
         assert outcome.stage == STAGE_FINAL
 
     def test_oracle(self, prompt_fixture):
         query, candidates = prompt_fixture
         transport = mock_agent("oracle", ground_truth={query.id: {"c2"}})
         outcome = rerank_stage(query, candidates[:3], AgentKind.DIVERSITY, transport)
-        assert outcome.order == ["c2", "c1", "c3"]
+        assert outcome.order == ("c2", "c1", "c3")
 
     def test_transport_error_falls_back_to_identity(self, prompt_fixture):
         query, candidates = prompt_fixture
@@ -71,9 +72,9 @@ class TestRerankStage:
 
         outcome = rerank_stage(query, candidates, AgentKind.DIVERSITY, broken)
         assert outcome.failed
-        assert outcome.order == [item.id for item in candidates]
+        assert outcome.order == tuple(item.id for item in candidates)
         assert outcome.stage == STAGE_DIVERSITY
-        assert outcome.repairs == frozenset()
+        assert outcome.repairs is NO_REPAIRS
         # No prompt is kept; the one sent is rendered again from the stage's input, which the fallback keeps.
         assert not hasattr(outcome, "prompt")
         by_id = {item.id: item for item in candidates}
@@ -109,9 +110,25 @@ class TestRunPipeline:
         result = run_pipeline(query, retriever, train.items, PipelineConfig(n_div=4, n_acc=2), mocks())
         assert result.query is query
         assert tuple(outcome.stage for outcome in result.stages) == STAGES
-        retrieval = retriever.retrieve(query.query_id, 4)
-        assert result.stages[0].order == [item_id for item_id, _ in retrieval]
-        assert list(zip(result.stages[0].order, result.scores)) == retrieval
+        ids, scores = retriever.retrieve(query.query_id, 4)
+        assert result.stages[0].order == ids
+        assert result.scores == scores
+
+    @pytest.mark.parametrize("n_div", [4, 50])  # 50 keeps the whole 5-item pool
+    def test_base_order_and_scores_are_the_retrievers_own(self, split_setup, tmp_path, n_div):
+        """Neither is copied: the result holds the precomputed retriever's ranked head itself."""
+        train, queries, _ = split_setup
+        query = queries[0]
+        path = tmp_path / "scores.jsonl"
+        candidates = [[item_id, 1.0 / (1 + k)] for k, item_id in enumerate(sorted(train.items))]
+        record = {"query_id": query.query_id, "candidates": candidates}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        retriever = PrecomputedRetriever(path, train.items, depth=n_div)
+        result = run_pipeline(query, retriever, train.items, PipelineConfig(n_div=n_div, n_acc=2), mocks())
+        ids, scores = retriever.retrieve(query.query_id, n_div)
+        assert len(ids) == min(n_div, 5)
+        assert result.stages[0].order is ids
+        assert result.scores is scores
 
     def test_small_pool_uses_whole_pool(self, split_setup):
         train, queries, retriever = split_setup
@@ -140,7 +157,7 @@ class TestRunPipeline:
         oracle = mock_agent("oracle", ground_truth={q.query_id: q.ground_truth for q in queries})
         config = PipelineConfig(n_div=5, n_acc=3)
         base, diversity, _ = run_pipeline(query, retriever, train.items, config, (oracle, oracle)).stages
-        reachable = [i for i in base.order if i in query.ground_truth]
+        reachable = tuple(i for i in base.order if i in query.ground_truth)
         assert diversity.order[: len(reachable)] == reachable
 
     def test_transport_failure_falls_back_to_identity(self, split_setup):
@@ -162,11 +179,11 @@ class TestRunPipeline:
         sent = []
 
         def broken(bundle):
-            sent.append([item.id for item in bundle.candidates])
+            sent.append(tuple(item.id for item in bundle.candidates))
             raise TransportError("down")
 
         def reverse(bundle):
-            sent.append([item.id for item in bundle.candidates])
+            sent.append(tuple(item.id for item in bundle.candidates))
             return mock_agent("reverse")(bundle)
 
         for diversity in (broken, reverse):
@@ -257,5 +274,5 @@ class TestRunAll:
         assert [[o.order for o in r.stages] for r in parallel] == [[o.order for o in r.stages] for r in sequential]
         assert sorted(calls) == sorted(2 * 2 * [q.query_id for q in queries])
         for r in sequential:
-            reachable = [i for i in r.stages[0].order if i in r.query.ground_truth]
+            reachable = tuple(i for i in r.stages[0].order if i in r.query.ground_truth)
             assert r.stages[1].order[: len(reachable)] == reachable

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 from operator import itemgetter
 from pathlib import Path
 
@@ -13,15 +15,21 @@ from complerank.retriever import (
     PrecomputedRetriever,
     RetrievalError,
     ScoreWeights,
-    _normalized,
     category_overlap,
     score_pair,
 )
 from complerank.synth import SynthConfig, generate
 
 
+def as_pairs(ranked):
+    """A retrieval's ``(ids, scores)`` columns as the ``(id, score)`` pairs they hold."""
+    ids, scores = ranked
+    assert type(ids) is tuple and scores.typecode == "d" and len(ids) == len(scores)
+    return list(zip(ids, scores))
+
+
 def ids(ranked):
-    return [item_id for item_id, _ in ranked]
+    return [item_id for item_id, _ in as_pairs(ranked)]
 
 
 def item(id, categories=(), price=None):
@@ -102,16 +110,16 @@ class TestRetrieveHeuristic:
         return ComplementGraph(items={i.id: i for i in items}, edges=frozenset())
 
     def test_n_exceeding_pool_returns_all(self):
-        ranked = HeuristicRetriever(self.make_graph()).retrieve("q", n=10)
+        ranked = as_pairs(HeuristicRetriever(self.make_graph()).retrieve("q", n=10))
         assert len(ranked) == 2
 
     def test_n_one_returns_top(self):
-        ranked = HeuristicRetriever(self.make_graph()).retrieve("q", n=1)
+        ranked = as_pairs(HeuristicRetriever(self.make_graph()).retrieve("q", n=1))
         assert len(ranked) == 1
 
     def test_equal_scores_tie_break_ascending_id(self):
-        ranked = HeuristicRetriever(self.make_graph()).retrieve("q", n=5)
-        assert ids(ranked) == ["c1", "c2"]
+        ranked = as_pairs(HeuristicRetriever(self.make_graph()).retrieve("q", n=5))
+        assert [item_id for item_id, _ in ranked] == ["c1", "c2"]
         assert ranked[0][1] == ranked[1][1]
 
     def test_unknown_query(self):
@@ -143,9 +151,9 @@ class TestRetrieveHeuristic:
         graph, _ = generate(SynthConfig(n_items=30, n_genres=3, edges_per_item=1.0, seed=3))
         query_id = sorted(graph.items)[0]
         retriever = HeuristicRetriever(graph, exclude_neighbors=False)
-        full = retriever.retrieve(query_id, n=29)
+        full = as_pairs(retriever.retrieve(query_id, n=29))
         for n in (1, 5, 12, 29):
-            prefix = retriever.retrieve(query_id, n=n)
+            prefix = as_pairs(retriever.retrieve(query_id, n=n))
             assert prefix == full[:n]
 
 
@@ -158,15 +166,15 @@ class TestRetrievePrecomputed:
         path = tmp_path / "scores.jsonl"
         pairs = [[f"c{i:03d}", float(i)] for i in range(50)]
         self.write_scores(path, "q", pairs)
-        ranked = PrecomputedRetriever(path, {i for i, _ in pairs}).retrieve("q", n=25)
+        ranked = as_pairs(PrecomputedRetriever(path, {i for i, _ in pairs}).retrieve("q", n=25))
         assert len(ranked) == 25
         assert ranked[0][0] == "c049"
 
     def test_out_of_order_scores_resorted(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         self.write_scores(path, "q", [["low", 0.1], ["high", 0.9], ["mid", 0.5]])
-        ranked = PrecomputedRetriever(path, {"low", "high", "mid"}).retrieve("q", n=3)
-        assert ids(ranked) == ["high", "mid", "low"]
+        ranked = as_pairs(PrecomputedRetriever(path, {"low", "high", "mid"}).retrieve("q", n=3))
+        assert [item_id for item_id, _ in ranked] == ["high", "mid", "low"]
         scores = [s for _, s in ranked]
         assert scores == sorted(scores, reverse=True)
 
@@ -208,7 +216,7 @@ class TestRetrievePrecomputed:
         path = tmp_path / "scores.jsonl"
         pairs = [["e", 0.0], ["d", 1.0], ["b", -0.0], ["c", 1.0], ["a", 0.0], ["f", -1.0], ["b", -0.0]]
         self.write_scores(path, "q", pairs)
-        ranked = PrecomputedRetriever(path, {"a", "b", "c", "d", "e", "f"}).retrieve("q", 6)
+        ranked = as_pairs(PrecomputedRetriever(path, {"a", "b", "c", "d", "e", "f"}).retrieve("q", 6))
         assert repr(ranked) == repr(
             [("c", 1.0), ("d", 1.0), ("a", 0.0), ("b", -0.0), ("e", 0.0), ("f", -1.0)]
         )
@@ -229,7 +237,7 @@ class TestRetrievePrecomputed:
             if item_id != "q" and (item_id not in best or score > best[item_id]):
                 best[item_id] = score
         expected = sorted(best.items(), key=lambda pair: (-pair[1], pair[0]))[:n]
-        ranked = PrecomputedRetriever(path, set("abcdefghq")).retrieve("q", n)
+        ranked = as_pairs(PrecomputedRetriever(path, set("abcdefghq")).retrieve("q", n))
         assert repr(ranked) == repr(expected)
 
 
@@ -271,7 +279,11 @@ class ListOfTuplesRetriever:
     def retrieve(self, query_id, n):
         if query_id not in self._lists:
             raise RetrievalError(f"query {query_id!r} not present in {self.path}")
-        return _normalized(query_id, self._lists[query_id], n)
+        best = {}
+        for item_id, score in self._lists[query_id]:
+            if item_id != query_id and (item_id not in best or score > best[item_id]):
+                best[item_id] = score
+        return sorted(best.items(), key=lambda pair: (-pair[1], pair[0]))[:n]
 
 
 CATALOG_IDS = ["a", "b", "c", "d", "q", "7", "10"]
@@ -293,21 +305,79 @@ class TestColumnarMatchesListOfTuples:
             max_size=4,
             unique_by=lambda line: str(line[0]),  # a scores file names each query once
         ),
-        n=st.integers(1, 14),
+        depth=st.integers(1, 14),
+        data=st.data(),
     )
-    def test_retrieve_equals_oracle(self, tmp_path_factory, lines, n):
-        """Repeated candidate ids, ties, signed zeros, the query's own id, integer ids, n above and below length."""
+    def test_retrieve_equals_oracle(self, tmp_path_factory, lines, depth, data):
+        """Repeated candidate ids, ties, signed zeros, the query's own id, integer ids, depth and n
+        above and below length; each query is retrieved several times, a small n before a large one."""
         path = tmp_path_factory.mktemp("scores") / "scores.jsonl"
         path.write_text(
             "".join(json.dumps({"query_id": q, "candidates": pairs}) + "\n" for q, pairs in lines),
             encoding="utf-8",
         )
-        columnar = PrecomputedRetriever(path, CATALOG_IDS)
+        columnar = PrecomputedRetriever(path, CATALOG_IDS, depth=depth)
         oracle = ListOfTuplesRetriever(path, set(CATALOG_IDS))
         for query_id in {str(q) for q, _ in lines}:
-            got, expected = columnar.retrieve(query_id, n), oracle.retrieve(query_id, n)
-            assert repr(got) == repr(expected)
+            ns = data.draw(st.lists(st.integers(1, depth), min_size=1, max_size=4))
+            for n in sorted(ns) + ns:
+                got, expected = as_pairs(columnar.retrieve(query_id, n)), oracle.retrieve(query_id, n)
+                assert repr(got) == repr(expected)
             assert columnar.name == oracle.name
+
+    def test_retrieve_beyond_depth_rejected(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"query_id": "q", "candidates": [["a", 1.0], ["b", 2.0]]}\n', encoding="utf-8")
+        retriever = PrecomputedRetriever(path, CATALOG_IDS, depth=3)
+        for n in (4, 0):
+            with pytest.raises(RetrievalError, match=rf"^retrieval depth must be in 1\.\.3, got {n}$"):
+                retriever.retrieve("q", n)
+        assert ids(retriever.retrieve("q", 3)) == ["b", "a"]  # a depth above the list's length is servable
+        with pytest.raises(RetrievalError, match="^retrieval depth must be positive, got 0$"):
+            PrecomputedRetriever(path, CATALOG_IDS, depth=0)
+
+    def test_concurrent_first_retrieves_agree(self, tmp_path):
+        """Threads that rank one query at once store equal heads, so retrieve needs no lock."""
+        path = tmp_path / "scores.jsonl"
+        queries = ["q", "a", "7"]
+        records = [
+            {"query_id": q, "candidates": [[c, float((3 * k + i) % 4)] for k, c in enumerate(CATALOG_IDS)]}
+            for i, q in enumerate(queries)
+        ]
+        path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+        oracle = ListOfTuplesRetriever(path, set(CATALOG_IDS))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so that they interleave inside retrieve
+        try:
+            for _ in range(20):
+                shared, barrier, got = PrecomputedRetriever(path, CATALOG_IDS, depth=4), threading.Barrier(4), []
+
+                def work(n):
+                    barrier.wait(timeout=30)
+                    for query_id in queries:
+                        got.append((query_id, n, as_pairs(shared.retrieve(query_id, n))))
+
+                threads = [threading.Thread(target=work, args=(n,)) for n in (1, 2, 4, 3)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(got) == 4 * len(queries)
+                for query_id, n, ranked in got:
+                    assert repr(ranked) == repr(oracle.retrieve(query_id, n))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("candidate", ['"b2"', '["b", 2.0, 3]', '{"b": 2.0}', '["b"]'])
+    def test_candidate_that_is_no_pair_is_malformed(self, tmp_path, candidate):
+        """A two-character string would otherwise unpack into an id and a score."""
+        path = tmp_path / "scores.jsonl"
+        path.write_text(f'{{"query_id": "q", "candidates": [["a", 1.0], {candidate}]}}\n', encoding="utf-8")
+        with pytest.raises(RetrievalError) as raised:
+            PrecomputedRetriever(path, CATALOG_IDS)
+        message = "malformed scores line (a candidate is not a two-element array)"
+        assert str(raised.value) == f"{path}:1: {message}"
 
     @pytest.mark.parametrize("first, again", [('"q"', '"q"'), ("10", '"10"'), ('"7"', "7")])
     def test_repeated_query_id_rejected(self, tmp_path, first, again):
@@ -325,7 +395,7 @@ class TestColumnarMatchesListOfTuples:
         catalog = ["".join(["it", "em"]), "".join(["1", "7"]), "q"]  # not interned literals
         ranked = PrecomputedRetriever(path, catalog).retrieve("q", 2)
         assert ids(ranked) == ["17", "item"]
-        assert ranked[0][0] is catalog[1] and ranked[1][0] is catalog[0]
+        assert ranked[0][0] is catalog[1] and ranked[0][1] is catalog[0]
 
     # One line per error kind; each line also carries every later kind, so the
     # message shows which check comes first.
