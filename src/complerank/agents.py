@@ -283,28 +283,20 @@ def parse_permutation(raw: str, n: int) -> "ParsedPermutation":
                 values = parsed
                 break
 
-    repairs: set[str] = set()
     if values is None:
         return ParsedPermutation(order=list(range(n)), repairs=frozenset({FALLBACK_IDENTITY}))
 
     in_range = [v for v in values if 0 <= v < n]
-    if len(in_range) != len(values):
-        repairs.add(DROPPED_OUT_OF_RANGE)
-
-    order: list[int] = []
-    seen: set[int] = set()
-    for v in in_range:
-        if v in seen:
-            repairs.add(DEDUPLICATED)
-            continue
-        seen.add(v)
-        order.append(v)
-
+    order = list(dict.fromkeys(in_range))  # each ID at its first occurrence
+    flags = (
+        (DROPPED_OUT_OF_RANGE, len(in_range) < len(values)),
+        (DEDUPLICATED, len(order) < len(in_range)),
+        (APPENDED_MISSING, len(order) < n),
+    )
     if len(order) < n:
-        repairs.add(APPENDED_MISSING)
-        order.extend(v for v in range(n) if v not in seen)
-
-    return ParsedPermutation(order=order, repairs=frozenset(repairs))
+        order += sorted(set(range(n)).difference(order))
+    repairs = frozenset(flag for flag, hit in flags if hit)
+    return ParsedPermutation(order=order, repairs=repairs or NO_REPAIRS)
 
 
 @dataclass

@@ -131,25 +131,28 @@ def _check_unused(settings: dict, section: str) -> None:
         raise ValueError(f"{section}.{unused[0]}: only an endpoint agent takes this key")
 
 
-def _build(cls: type[T], settings: dict, section: str) -> T:
-    """``cls(**settings)``, its range errors prefixed with the config ``section``."""
+def _build(cls: type[T], settings: dict, prefix: str) -> T:
+    """``cls(**settings)``, its range errors led by the config key ``prefix``."""
     try:
         return cls(**settings)
     except ValueError as exc:
-        raise ValueError(f"{section}: {exc}") from None
+        raise ValueError(f"{prefix}{exc}") from None
 
 
-def _agent(settings: dict, stage: str) -> str | agents.LlmConfig:
-    """One stage's agent: its mock policy, or its endpoint's settings."""
+def _agent(shared: dict, own: dict, stage: str) -> str | agents.LlmConfig:
+    """One stage's agent from its ``own`` keys over the ``shared`` ones: a mock policy, or endpoint settings."""
+    _check_endpoint(own, f"agents.{stage}")
+    settings = {**shared, **own}
     policy = settings.pop("mock", None)
     if policy is not None and "endpoint" in settings:
         raise ValueError(f"agents: the {stage} agent sets both 'mock' and 'endpoint'")
     if policy is not None:
         agents.mock_agent(policy, ground_truth={})  # an unknown policy fails here, before any input is read
+        _check_unused(own, f"agents.{stage}")
         return policy
     if "endpoint" not in settings or "model" not in settings:
         raise ValueError(f"agents: the {stage} agent needs either 'mock' or 'endpoint' and 'model'")
-    return _build(agents.LlmConfig, settings, f"agents.{stage}")
+    return _build(agents.LlmConfig, settings, f"agents.{stage}: ")
 
 
 @dataclass(frozen=True)
@@ -192,7 +195,7 @@ class RunConfig:
         if "synth" in dataset and not files:
             if "n_items" not in dataset["synth"]:
                 raise ValueError("dataset.synth.n_items: required key is missing")
-            source = _build(synth.SynthConfig, dataset["synth"], "dataset.synth")
+            source = _build(synth.SynthConfig, dataset["synth"], "dataset.synth: ")
             dataset_name = dataset.get("name", "synth")
         elif files == {"items", "edges"} and "synth" not in dataset:
             source = (Path(dataset["items"]), Path(dataset["edges"]))
@@ -211,10 +214,7 @@ class RunConfig:
             if key in retr:
                 kind = "heuristic" if precomputed else "precomputed"
                 raise ValueError(f"retriever.{key}: only the {kind} retriever takes this key")
-        try:
-            weights = retriever.ScoreWeights(**retr.get("weights", {}))
-        except ValueError as exc:
-            raise ValueError(f"retriever.weights.{exc}") from None
+        weights = _build(retriever.ScoreWeights, retr.get("weights", {}), "retriever.weights.")
 
         preset = pipe.get("preset")
         if preset is None:
@@ -226,17 +226,13 @@ class RunConfig:
 
         shared = {k: v for k, v in agents_cfg.items() if k not in ("diversity", "accuracy")}
         _check_endpoint(shared, "agents")
-        stage_agents = {}
-        for stage in ("diversity", "accuracy"):
-            own = agents_cfg.get(stage, {})
-            _check_endpoint(own, f"agents.{stage}")
-            stage_agents[stage] = _agent({**shared, **own}, stage)
-            if isinstance(stage_agents[stage], str):
-                _check_unused(own, f"agents.{stage}")
+        stage_agents = {
+            stage: _agent(shared, agents_cfg.get(stage, {}), stage) for stage in ("diversity", "accuracy")
+        }
         all_mocks = all(isinstance(agent, str) for agent in stage_agents.values())
         if all_mocks:
             _check_unused(shared, "agents")
-        pipeline_config = _build(pipeline.PipelineConfig, depths, "pipeline")
+        pipeline_config = _build(pipeline.PipelineConfig, depths, "pipeline: ")
         cutoffs = tuple(sorted(set(pipe.get("cutoffs", (1, 3, 5, 10)))))
         if not cutoffs:
             raise ValueError("pipeline.cutoffs: must be nonempty")

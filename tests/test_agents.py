@@ -118,10 +118,13 @@ class TestBuildPrompt:
 
 class TestParsePermutation:
     def test_clean_answer(self):
-        parsed = parse_permutation("[1, 4, 3, 0, 2]", 5)
-        assert parsed.order == [1, 4, 3, 0, 2]
-        assert parsed.repairs == frozenset()
-        assert parsed.repairs is agents.NO_REPAIRS  # one shared set, not an empty set per answer
+        """The fast path's exact form, and clean answers that miss it and go through the repair pass."""
+        answers = {"[1, 4, 3, 0, 2]": [1, 4, 3, 0, 2], "[1,0]": [1, 0], "Answer: [1, 0]": [1, 0],
+                   " [1, 0]": [1, 0], "[1, 0]\n": [1, 0]}
+        for raw, order in answers.items():
+            parsed = parse_permutation(raw, len(order))
+            assert parsed.order == order
+            assert parsed.repairs is agents.NO_REPAIRS  # one shared set, not an empty set per answer
 
     def test_duplicates_and_missing(self):
         parsed = parse_permutation("[2, 2, 0]", 4)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from complerank import agents, pipeline
+from complerank import agents, cli, pipeline
 from complerank.agents import AgentKind, mock_agent, render_prompt
 from complerank.catalog import load_catalog, split_holdout
 from complerank.cli import RunConfig, main
@@ -168,6 +169,29 @@ def golden_digests(name):
     return {name: digest for digest, name in (line.split("  ") for line in golden.splitlines())}
 
 
+def starting_interpreter(python):
+    """The path of ``python`` (``"python3.10"``) on PATH and an environment it starts in, or None.
+
+    A pyenv shim of a version that pyenv does not select exits at once; PYENV_VERSION
+    set to the newest installed release of that minor version selects it.
+    """
+    exe, pyenv = shutil.which(python), shutil.which("pyenv")
+    if exe is None:
+        return None
+    envs = [dict(os.environ)]
+    if pyenv is not None:
+        minor = re.escape(python.removeprefix("python"))
+        listed = subprocess.run([pyenv, "versions", "--bare"], capture_output=True, text=True, timeout=60)
+        releases = [version for version in listed.stdout.split() if re.fullmatch(rf"{minor}\.\d+", version)]
+        if releases:
+            newest = max(releases, key=lambda version: int(version.rpartition(".")[2]))
+            envs.append({**os.environ, "PYENV_VERSION": newest})
+    for env in envs:
+        if subprocess.run([exe, "-c", ""], env=env, capture_output=True, timeout=60).returncode == 0:
+            return exe, env
+    return None
+
+
 class TestSynthCommand:
     def test_writes_three_files_deterministically(self, tmp_path):
         args = ["synth", "--items", "50", "--genres", "5", "--seed", "1"]
@@ -238,9 +262,10 @@ class TestRunCommand:
     @pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
     def test_goldens_hold_under_other_pythons(self, tmp_path, python):
         """Outputs do not depend on the CPython version; ``complerank`` needs no package to run."""
-        exe = shutil.which(python)
-        if exe is None or subprocess.run([exe, "-c", ""], capture_output=True, timeout=60).returncode != 0:
-            pytest.skip(f"{python} is not on PATH or does not start")
+        interpreter = starting_interpreter(python)
+        if interpreter is None:
+            pytest.skip(f"{python} is not on PATH or does not start, directly or through pyenv")
+        exe, env = interpreter
         runs = {
             "mock_run_shuffle3.sha256": base_config(tmp_path, "golden", agents={"mock": "shuffle:3"}, audit=True),
             "mock_run_precomputed.sha256": precomputed_config(tmp_path),
@@ -248,7 +273,7 @@ class TestRunCommand:
         for golden, (config_path, out_dir) in runs.items():
             result = subprocess.run(
                 [exe, "-m", "complerank.cli", "run", "--config", str(config_path)],
-                env={**os.environ, "PYTHONPATH": src_pythonpath()},
+                env={**env, "PYTHONPATH": src_pythonpath()},
                 capture_output=True,
                 text=True,
                 timeout=120,
@@ -964,13 +989,32 @@ MALFORMED = [
 ]
 
 
+def readme_run_config():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## Run config\n", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_run_config_example_parses():
     """The JSON example under README "Run config" sets only keys the run config takes."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## Run config\n", 1)[1].split("\n## ", 1)[0]
-    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    example = readme_run_config().split("```json\n", 1)[1].split("```", 1)[0]
     config = RunConfig.parse(json.loads(example), argparse.Namespace())
     assert config.out == Path("runs/identity")
+
+
+def schema_keys(schema):
+    """Every key of a config schema, those of its nested sections included."""
+    keys = set(schema)
+    for value in schema.values():
+        if isinstance(value, dict):
+            keys |= schema_keys(value)
+    return keys
+
+
+def test_readme_run_config_names_every_key():
+    """README "Run config" names every key the run config takes, as `key`, `"key"` or `key: …`."""
+    prose = "".join(readme_run_config().split("```")[::2])  # without the JSON example
+    named = {span.strip('"').partition(":")[0] for span in re.findall(r"`([^`]+)`", prose)}
+    assert sorted(schema_keys(cli._SCHEMA) - named) == []
 
 
 @pytest.mark.parametrize("overrides, flags, key", MALFORMED)
@@ -1038,6 +1082,12 @@ class TestReportCommand:
         )
         assert main(["run", "--config", str(config_path)]) == 0
         return out_dir
+
+    def test_no_run_directory_fails_before_output(self, tmp_path):
+        out = tmp_path / "report0"
+        with pytest.raises(ValueError, match="^report needs at least one run directory$"):
+            cli.cmd_report([], out)
+        assert not out.exists()
 
     def test_single_run_report(self, tmp_path):
         run_dir = self.run_one(tmp_path, "rep1", "heuristic")

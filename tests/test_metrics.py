@@ -53,10 +53,11 @@ class TestHitAtK:
         assert hit_at_k(["a", "b", "c"], {"z"}, 10) == 0
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            hit_at_k(["a"], {"a"}, 0)
-        with pytest.raises(ValueError):
-            hit_at_k(["a"], set(), 1)
+        for metric in (hit_at_k, ndcg_at_k):
+            with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+                metric(["a"], {"a"}, 0)
+            with pytest.raises(ValueError, match="^ground truth must be nonempty$"):
+                metric(["a"], set(), 1)
 
     @given(
         order=st.lists(st.sampled_from("abcdefgh"), unique=True, min_size=1, max_size=8),

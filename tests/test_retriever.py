@@ -126,6 +126,10 @@ class TestRetrieveHeuristic:
         with pytest.raises(RetrievalError, match="'nope'"):
             HeuristicRetriever(self.make_graph()).retrieve("nope", n=1)
 
+    def test_depth_must_be_positive(self):
+        with pytest.raises(RetrievalError, match="^retrieval depth must be positive, got 0$"):
+            HeuristicRetriever(self.make_graph()).retrieve("q", 0)
+
     def test_excludes_query_itself(self):
         ranked = HeuristicRetriever(self.make_graph()).retrieve("q", n=10)
         assert "q" not in ids(ranked)
