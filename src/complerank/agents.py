@@ -221,7 +221,7 @@ def complete(prompt: PromptBundle, config: LlmConfig) -> str:
             break
         try:
             content = json.loads(payload)["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, RecursionError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"unparseable completion payload from {url}: {exc!r}")
         if not isinstance(content, str):
             raise TransportError(f"completion from {url} has non-string content {content!r}")

@@ -125,7 +125,7 @@ def read_json_lines(path: Path, parse: Callable[[object], T], error: type[Except
                     continue
                 try:
                     value = json.loads(line)
-                except ValueError as exc:  # a JSONDecodeError, or an integer longer than ``int`` reads
+                except (ValueError, RecursionError) as exc:  # also an over-long integer, or too deep a nesting
                     raise ValueError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
                 parsed = parse(value)
             except ValueError as exc:

@@ -41,6 +41,8 @@ def _load_json(path: str | Path) -> dict:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 ({exc})") from None
+    except RecursionError as exc:  # nested deeper than the decoder recurses
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(loaded, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     return loaded

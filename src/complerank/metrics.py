@@ -49,51 +49,6 @@ def tokenize(title: str) -> list[str]:
     return _TOKEN_RE.findall(title.lower())
 
 
-def hit_at_k(order: Sequence[str], ground_truth: frozenset[str] | set[str], k: int) -> int:
-    """1 iff any ground-truth id appears in the first min(k, len(order)) positions."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not ground_truth:
-        raise ValueError("ground truth must be nonempty")
-    return int(any(item_id in ground_truth for item_id in order[:k]))
-
-
-def ndcg_at_k(order: Sequence[str], ground_truth: frozenset[str] | set[str], k: int) -> float:
-    """Binary-relevance NDCG at cutoff k, in [0, 1]."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not ground_truth:
-        raise ValueError("ground truth must be nonempty")
-    dcg = 0.0
-    for position, item_id in enumerate(order[:k], start=1):
-        if item_id in ground_truth:
-            dcg += 1.0 / math.log2(position + 1)
-    ideal_hits = min(len(ground_truth), k)
-    # Left to right, as ``evaluate_results`` adds: since Python 3.12 ``sum`` of floats is compensated.
-    idcg = functools.reduce(operator.add, (1.0 / math.log2(p + 1) for p in range(1, ideal_hits + 1)))
-    return dcg / idcg
-
-
-def entropy_at_k(titles: Iterable[str]) -> float:
-    """Shannon entropy (nats) of the token distribution pooled over titles."""
-    counts: dict[str, int] = {}
-    for title in titles:
-        for token in tokenize(title):
-            counts[token] = counts.get(token, 0) + 1
-    total = sum(counts.values())
-    if total == 0:
-        return 0.0
-    return -math.fsum((c / total) * math.log(c / total) for c in counts.values())
-
-
-def vocab_at_k(titles: Iterable[str]) -> int:
-    """Number of distinct tokens across the given titles."""
-    vocabulary: set[str] = set()
-    for title in titles:
-        vocabulary.update(tokenize(title))
-    return len(vocabulary)
-
-
 @dataclass
 class PerQueryRow:
     """One query's metrics for one stage at one cutoff."""
@@ -150,9 +105,9 @@ def evaluate_results(
     """Per-query rows for every stage of every pipeline result, against its query's ground truth, lazily.
 
     One walk down each stage's order covers every sorted cutoff, with prefix accumulators.  Each value
-    equals, float for float, the one the per-cutoff kernels give: the dcg and the ideal dcg add the same
-    terms left to right, and each entropy term has the same expression, under ``math.fsum``, which is
-    exactly rounded, so the order of its terms does not matter.
+    equals, float for float, the one the per-cutoff oracles in ``tests/oracles.py`` give: the dcg and
+    the ideal dcg add the same terms left to right, and each entropy term has the same expression,
+    under ``math.fsum``, which is exactly rounded, so the order of its terms does not matter.
     """
     ks = sorted(cutoffs)
     if not ks:

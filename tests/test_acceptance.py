@@ -23,13 +23,8 @@ from hypothesis import strategies as st
 from complerank.agents import parse_permutation
 from complerank.cli import main
 from test_cli import golden_digests, output_digests, src_pythonpath
-from complerank.metrics import (
-    MetricsRow,
-    entropy_at_k,
-    lift_rows_for_runs,
-    ndcg_at_k,
-    vocab_at_k,
-)
+from complerank.metrics import MetricsRow, lift_rows_for_runs
+from oracles import entropy_at_k, ndcg_at_k, vocab_at_k
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

@@ -475,6 +475,15 @@ class TestComplete:
             complete(bundle, self.config(chat_server))
         assert len(chat_server.requests) == 1
 
+    def test_body_nested_too_deep_unparseable(self, chat_server, prompt_fixture):
+        """A reply nested past the decoder's recursion limit fails the request, not the whole run."""
+        query, candidates = prompt_fixture
+        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        chat_server.set_script([(200, b"[" * 100_000)])
+        with pytest.raises(TransportError, match="unparseable completion payload.*RecursionError"):
+            complete(bundle, self.config(chat_server))
+        assert len(chat_server.requests) == 1
+
     def test_request_body_bytes(self, chat_server):
         bundle = build_prompt(Item(id="q", title="q"), [Item(id="x", title="Café — 音楽")], AgentKind.DIVERSITY)
         text = bundle.text

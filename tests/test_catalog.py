@@ -156,6 +156,7 @@ LONG_INT_MESSAGE = (
     "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
     "use sys.set_int_max_str_digits() to increase the limit"
 )
+NESTING_MESSAGE = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
 LOADER_ERRORS = [
     pytest.param(
         "items", "{not json", CatalogError,
@@ -164,6 +165,10 @@ LOADER_ERRORS = [
     pytest.param(
         "items", '{"id": "C", "title": "gamma", "price": ' + "1" * 5000 + "}", CatalogError,
         f"invalid JSON ({LONG_INT_MESSAGE})", id="items-5000-digits",
+    ),
+    pytest.param(
+        "items", '{"id": "C", "title": ' + "[" * 100_000, CatalogError, f"invalid JSON ({NESTING_MESSAGE})",
+        id="items-nested-too-deep",
     ),
     pytest.param("items", '["C", "gamma"]', CatalogError, "expected a JSON object", id="items-not-object"),
     pytest.param("items", '{"title": "gamma"}', CatalogError, "missing key 'id'", id="items-missing-id"),
@@ -205,6 +210,10 @@ LOADER_ERRORS = [
     pytest.param("edges", '["A", "A"]', CatalogError, "self-loop edge on 'A'", id="edges-self-loop"),
     pytest.param(
         "scores", '{"query_id": ', RetrievalError, "invalid JSON (Expecting value)", id="scores-invalid-json",
+    ),
+    pytest.param(
+        "scores", '{"query_id": "A", "candidates": ' + "[" * 100_000, RetrievalError,
+        f"invalid JSON ({NESTING_MESSAGE})", id="scores-nested-too-deep",
     ),
     pytest.param(
         "scores", '{"query_id": "A"}', RetrievalError, "malformed scores line ('candidates')",

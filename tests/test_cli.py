@@ -831,6 +831,9 @@ MALFORMED = [
         '{"out": "x",\n  "dataset": }\n', (), "config_bad.json:2:14: Expecting value", id="invalid-json"
     ),
     pytest.param(
+        "[" * 100_000, (), "config_bad.json: invalid JSON (maximum recursion depth exceeded", id="nested-too-deep"
+    ),
+    pytest.param(
         {"retriever": {"kind": "heuristic", "path": "scores.jsonl"}},
         (),
         "retriever.path",

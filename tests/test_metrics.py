@@ -14,16 +14,13 @@ from complerank.metrics import (
     MetricsRow,
     PerQueryRow,
     aggregate,
-    entropy_at_k,
     evaluate_results,
-    hit_at_k,
     lift_rows_for_runs,
     lift_with_stderr,
-    ndcg_at_k,
     tokenize,
-    vocab_at_k,
 )
 from complerank.pipeline import QueryResult, StageOutcome
+from oracles import entropy_at_k, hit_at_k, ndcg_at_k, vocab_at_k
 
 
 class TestTokenize:
