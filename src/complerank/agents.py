@@ -23,6 +23,7 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from .catalog import Item
@@ -240,6 +241,7 @@ NO_REPAIRS: frozenset[str] = frozenset()  # one shared empty set, as most answer
 
 _BRACKET_RE = re.compile(r"\[([^\[\]]*)\]")
 _INT_RE = re.compile(r"[+-]?\d+")
+_LOCAL_IDS = {str(k): k for k in range(MAX_CANDIDATES)}  # the plain decimal spelling of each ID a prompt names
 
 
 def _read_int(token: str, n: int) -> int:
@@ -264,24 +266,22 @@ def parse_permutation(raw: str, n: int) -> "ParsedPermutation":
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
 
-    values: list[int] | None = None
-    # Fast path: exactly "[d, d, ...]" with decimal-digit tokens (the digits
-    # ``\d`` matches and ``int`` reads), which the loop below would read alike.
+    # Fast path: a clean "[i, j, ...]" permutation in plain decimal, read by lookup; a token
+    # not in the table reads as n.  Any other answer, other spellings of the same IDs
+    # included, goes through the loop below.
     tokens = raw[1:-1].split(", ") if raw[:1] == "[" and raw[-1:] == "]" else ()
-    if tokens and all(map(str.isdecimal, tokens)):
-        try:
-            values = list(map(int, tokens))
-        except ValueError:  # a token with more digits than ``int`` reads
-            values = [_read_int(token, n) for token in tokens]
-        if len(values) == n and max(values) < n and len(set(values)) == n:
-            return ParsedPermutation(order=values, repairs=NO_REPAIRS)
-    else:
-        for match in _BRACKET_RE.finditer(raw):
-            tokens = [token.strip() for token in match.group(1).split(",")]
-            parsed = [_read_int(token, n) for token in tokens if _INT_RE.fullmatch(token)]
-            if parsed:
-                values = parsed
-                break
+    if len(tokens) == n:
+        order = list(map(_LOCAL_IDS.get, tokens, repeat(n)))
+        if max(order) < n and len(set(order)) == n:
+            return ParsedPermutation(order=order, repairs=NO_REPAIRS)
+
+    values: list[int] | None = None
+    for match in _BRACKET_RE.finditer(raw):
+        tokens = [token.strip() for token in match.group(1).split(",")]
+        parsed = [_read_int(token, n) for token in tokens if _INT_RE.fullmatch(token)]
+        if parsed:
+            values = parsed
+            break
 
     if values is None:
         return ParsedPermutation(order=list(range(n)), repairs=frozenset({FALLBACK_IDENTITY}))

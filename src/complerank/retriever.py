@@ -19,7 +19,8 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import islice
+from operator import gt, itemgetter
 from pathlib import Path
 from typing import Any, Iterable, NoReturn, Sequence
 
@@ -79,9 +80,14 @@ def score_pair(query: Item, candidate: Item, weights: ScoreWeights = ScoreWeight
 def _normalized(
     query_id: str, ids: Sequence[str], scores: Sequence[float], n: int
 ) -> tuple[tuple[str, ...], array]:
-    """The top ``n`` of the ``(ids, scores)`` columns as new columns, in the module's order."""
+    """The top ``n`` of the ``(ids, scores)`` columns in the module's order, the scores as a new array."""
     if n < 1:
         raise RetrievalError(f"retrieval depth must be positive, got {n}")
+    # A list already in this order, as a model exports it, is cut, not sorted: its scores strictly
+    # decrease (so no tie needs the id order), its ids are unique and none is the query's.  An
+    # unsorted list fails the first check within a few elements.
+    if all(map(gt, scores, islice(scores, 1, None))) and query_id not in ids and len(set(ids)) == len(ids):
+        return tuple(ids[:n]), array("d", scores[:n])
     best = dict(zip(ids, scores))
     if len(best) < len(ids):  # a repeated id keeps its highest score
         best = {}

@@ -268,17 +268,25 @@ class TestParseMatchesReference:
         assert parse(raw, n) == reference_parse(raw, n)
 
     def test_seeded_fuzz(self):
-        """The 40 000 cases of the acceptance fuzz, plus a plain list of each size."""
+        """The 40 000 cases of the acceptance fuzz, a plain list of each size, the lookup table's
+        edges included, and plain lists with one token spelled otherwise."""
         rng = random.Random(99)
         for _ in range(10_000):
             text = bytes(rng.getrandbits(8) for _ in range(rng.randint(0, 200))).decode("latin-1")
             for n in (1, 5, 50, 100):
                 assert parse(text, n) == reference_parse(text, n)
-        for n in (1, 5, 50, 100):
+        for n in (1, 2, 5, 50, 99, 100, 101, 150):
             order = list(range(n))
             rng.shuffle(order)
             plain = "[" + ", ".join(map(str, order)) + "]"
             assert parse(plain, n) == reference_parse(plain, n) == (order, frozenset())
+            assert parse_permutation(plain, n).repairs is agents.NO_REPAIRS  # above 99, read by the loop
+        for n in (10, 100):
+            order = list(range(n))
+            rng.shuffle(order)
+            for respelled in ("07", "\u0667", "+7", "7 "):
+                raw = "[" + ", ".join(respelled if v == 7 else str(v) for v in order) + "]"
+                assert parse(raw, n) == reference_parse(raw, n)
 
 
 class TestMockAgents:

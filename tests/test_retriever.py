@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+from array import array
 from operator import itemgetter
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from complerank.retriever import (
     PrecomputedRetriever,
     RetrievalError,
     ScoreWeights,
+    _normalized,
     category_overlap,
     score_pair,
 )
@@ -161,6 +163,9 @@ class TestRetrieveHeuristic:
             assert prefix == full[:n]
 
 
+RANKED_POOL = [f"i{k:02d}" for k in range(32)]  # catalog ids; "q" is the query
+
+
 class TestRetrievePrecomputed:
     def write_scores(self, path, query_id, pairs):
         with path.open("w", encoding="utf-8") as fh:
@@ -243,6 +248,61 @@ class TestRetrievePrecomputed:
         expected = sorted(best.items(), key=lambda pair: (-pair[1], pair[0]))[:n]
         ranked = as_pairs(PrecomputedRetriever(path, set("abcdefghq")).retrieve("q", n))
         assert repr(ranked) == repr(expected)
+
+    @given(
+        ids=st.permutations(RANKED_POOL),
+        drawn=st.lists(st.integers(-500, 500).filter(bool), unique=True, max_size=30),
+        miss=st.sampled_from(
+            ["none", "tie", "signed zeros", "repeat lower", "repeat higher", "query head", "query middle",
+             "query tail", "swap"]
+        ),
+        at=st.integers(0, 29),
+    )
+    def test_ranked_list_shortcut_matches_one_key_sort(self, tmp_path_factory, ids, drawn, miss, at):
+        """A list already in the module's order (strictly decreasing scores, unique ids, no query) of
+        up to 30 entries, as given or with one near miss at index ``at``, retrieved at n below, at and
+        above its length."""
+        spare, ids = ids[-2:], ids[: len(drawn)]
+        # Even nonzero scores, so that an odd one fits strictly between two neighbours.
+        scores = [2.0 * score for score in sorted(drawn, reverse=True)]
+        at = at % len(ids) if ids else 0
+        if miss == "tie" and at:
+            scores[at] = scores[at - 1]
+        elif miss == "signed zeros":
+            cut = sum(score > 0 for score in scores)
+            ids[cut:cut], scores[cut:cut] = spare, [0.0, -0.0]
+        elif miss == "repeat lower" and ids:
+            ids.append(ids[at])
+            scores.append(scores[-1] - 1.0)
+        elif miss == "repeat higher" and ids:
+            ids.insert(0, ids[at])
+            scores.insert(0, scores[0] + 1.0)
+        elif miss == "query head":
+            ids.insert(0, "q")
+            scores.insert(0, scores[0] + 1.0 if scores else 0.0)
+        elif miss == "query middle" and at:
+            ids.insert(at, "q")
+            scores.insert(at, scores[at - 1] - 1.0)
+        elif miss == "query tail":
+            ids.append("q")
+            scores.append(scores[-1] - 1.0 if scores else 0.0)
+        elif miss == "swap" and at:
+            ids[at - 1], ids[at] = ids[at], ids[at - 1]
+            scores[at - 1], scores[at] = scores[at], scores[at - 1]
+        path = tmp_path_factory.mktemp("scores") / "scores.jsonl"
+        self.write_scores(path, "q", [list(pair) for pair in zip(ids, scores)])
+        best = {}
+        for item_id, score in zip(ids, scores):
+            if item_id != "q" and (item_id not in best or score > best[item_id]):
+                best[item_id] = score
+        expected = sorted(best.items(), key=lambda pair: (-pair[1], pair[0]))
+        for n in {max(1, len(ids) - 1), max(1, len(ids)), len(ids) + 1}:
+            retriever = PrecomputedRetriever(path, [*RANKED_POOL, "q"], depth=n)  # ranks its list at depth n
+            assert repr(as_pairs(retriever.retrieve("q", n))) == repr(expected[:n])
+        if miss == "none":  # taken as it stands: the very tuple comes back
+            held = tuple(ids)
+            for n in {max(1, len(held)), len(held) + 1}:
+                assert _normalized("q", held, array("d", scores), n)[0] is held
 
 
 class ListOfTuplesRetriever:
@@ -341,13 +401,16 @@ class TestColumnarMatchesListOfTuples:
             PrecomputedRetriever(path, CATALOG_IDS, depth=0)
 
     def test_concurrent_first_retrieves_agree(self, tmp_path):
-        """Threads that rank one query at once store equal heads, so retrieve needs no lock."""
+        """Threads that rank one query at once store equal heads, so retrieve needs no lock.  The
+        lines of "q", "a" and "7" carry ties; the line of "d" is already in order."""
         path = tmp_path / "scores.jsonl"
-        queries = ["q", "a", "7"]
+        queries = ["q", "a", "7", "d"]
         records = [
             {"query_id": q, "candidates": [[c, float((3 * k + i) % 4)] for k, c in enumerate(CATALOG_IDS)]}
-            for i, q in enumerate(queries)
+            for i, q in enumerate(queries[:3])
         ]
+        in_order = [[c, 0.5 - k] for k, c in enumerate(CATALOG_IDS) if c != "d"]
+        records.append({"query_id": "d", "candidates": in_order})
         path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
         oracle = ListOfTuplesRetriever(path, set(CATALOG_IDS))
         interval = sys.getswitchinterval()
