@@ -19,7 +19,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Container, Iterable, Iterator, Mapping, TypeVar
@@ -31,7 +31,7 @@ class CatalogError(ValueError):
     """Malformed catalog data: bad file line, broken invariant, unknown id."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Item:
     """A product node.
 
@@ -97,7 +97,7 @@ class ComplementGraph:
         return frozenset(self._adjacency.get(item_id, ()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryInstance:
     """A link-prediction query: one item id plus its held-out true complements."""
 
@@ -112,7 +112,7 @@ class QueryInstance:
 
 
 def read_json_lines(path: Path, parse: Callable[[object], T], error: type[Exception]) -> Iterator[T]:
-    """Yield ``parse(value)`` for each decoded nonblank line of a UTF-8 JSON Lines file.
+    """Yield ``parse(value)`` for each line of a UTF-8 JSON Lines file that holds more than JSON whitespace.
 
     A line that is not UTF-8 or not JSON, or whose ``parse`` raises ``ValueError``, raises
     ``error`` prefixed with ``path:line``; what the consumer raises passes unchanged.
@@ -120,7 +120,7 @@ def read_json_lines(path: Path, parse: Callable[[object], T], error: type[Except
     with open(path, "rb") as fh:  # decoded line by line, so that a bad byte is reported with its line
         for lineno, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8").strip()  # a UnicodeDecodeError is a ValueError
+                line = raw.decode("utf-8").strip(" \t\r\n")  # JSON's whitespace; UnicodeDecodeError is a ValueError
                 if not line:
                     continue
                 try:
@@ -208,7 +208,8 @@ def load_catalog(items_path: str | Path, edges_path: str | Path) -> ComplementGr
 def write_catalog(graph: ComplementGraph, items_path: str | Path, edges_path: str | Path) -> None:
     """Write a catalog in the items/edges file formats (sorted, reloadable)."""
     # ``price`` is the one item field that may be None; an absent price is left out.
-    records = ({k: v for k, v in vars(graph.items[i]).items() if v is not None} for i in sorted(graph.items))
+    items = (graph.items[i] for i in sorted(graph.items))
+    records = ({f.name: v for f in fields(Item) if (v := getattr(item, f.name)) is not None} for item in items)
     write_json_lines(items_path, records)
     write_json_lines(edges_path, sorted(graph.edges))
 

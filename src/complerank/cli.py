@@ -331,21 +331,27 @@ def cmd_synth(config: synth.SynthConfig, out_dir: str | Path) -> tuple[Path, Pat
 
 
 def cmd_run(cfg: RunConfig) -> Path:
-    # Every input is read before the output directory is created, so a run
-    # that fails on one leaves nothing behind.
-    if isinstance(cfg.dataset, synth.SynthConfig):
+    # Every input is read before the output directory is created, so a run that fails on one
+    # leaves nothing behind.  A run holds only what it reads again: a synthetic catalog's graph
+    # until dataset/ is written, and the train graph only for the heuristic retriever.
+    synthetic = isinstance(cfg.dataset, synth.SynthConfig)
+    if synthetic:
         graph, genre_of = synth.generate(cfg.dataset)
     else:
         graph = catalog.load_catalog(*cfg.dataset)
     train, queries = catalog.split_holdout(graph, cfg.holdout_fraction, cfg.seed)
+    items = train.items
+    if not synthetic:
+        del graph
 
     if cfg.scores is None:
         retr = retriever.HeuristicRetriever(
             train, cfg.weights, cfg.exclude_neighbors, cfg.retriever_name or "heuristic"
         )
     else:
+        del train  # before the scores parse, whose end is the set-up peak
         retr = retriever.PrecomputedRetriever(
-            cfg.scores, train.items, name=cfg.retriever_name, depth=cfg.pipeline_config.n_div
+            cfg.scores, items, name=cfg.retriever_name, depth=cfg.pipeline_config.n_div
         )
         retr.check_coverage([query.query_id for query in queries])
     truth = {query.query_id: query.ground_truth for query in queries}
@@ -357,10 +363,11 @@ def cmd_run(cfg: RunConfig) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     if not cfg.audit:  # a rerun into the same directory leaves no stale audit log
         (out_dir / "audit.jsonl").unlink(missing_ok=True)
-    if isinstance(cfg.dataset, synth.SynthConfig):
+    if synthetic:
         synth.write_dataset(graph, genre_of, out_dir / "dataset")
+        del graph, genre_of
     results = pipeline.run_all(
-        queries, retr, train.items, cfg.pipeline_config, transports, cfg.concurrency, audit=cfg.audit
+        queries, retr, items, cfg.pipeline_config, transports, cfg.concurrency, audit=cfg.audit
     )
 
     metrics.write_json(
@@ -396,8 +403,8 @@ def cmd_run(cfg: RunConfig) -> Path:
     stage_records = (_record(r, outcome, order=outcome.order) for r in results for outcome in r.stages)
     catalog.write_json_lines(out_dir / "stages.jsonl", stage_records)
     if cfg.audit:
-        catalog.write_json_lines(out_dir / "audit.jsonl", _audit_records(results, train.items))
-    titles_by_id = {item_id: item.title for item_id, item in train.items.items()}
+        catalog.write_json_lines(out_dir / "audit.jsonl", _audit_records(results, items))
+    titles_by_id = {item_id: item.title for item_id, item in items.items()}
     rows = metrics.evaluate_results(results, titles_by_id, cfg.cutoffs)
     with (out_dir / "per_query.jsonl").open("w", encoding="utf-8") as fh:
         metrics_rows = metrics.aggregate(_written(rows, fh), retr.name, cfg.dataset_name)

@@ -59,7 +59,7 @@ class PipelineConfig:
             raise ValueError(f"n_acc ({self.n_acc}) must not exceed n_div ({self.n_div})")
 
 
-@dataclass
+@dataclass(slots=True)
 class StageOutcome:
     """One stage's ordered ids plus parse-repair flags and transport bookkeeping.
 
@@ -74,7 +74,7 @@ class StageOutcome:
     response: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryResult:
     """A query, its stage outcomes in ``STAGES`` order and the score of each id of ``stages[0].order``."""
 

@@ -262,6 +262,20 @@ LOADER_ERRORS = [
             ("non-finite-before-type", '[[null, 1.0], ["B", NaN]]', "candidate 'B' has non-finite score nan"),
         ]
     ),
+    # Only JSON's whitespace (space, tab, CR, LF) is stripped: a line of other whitespace is no blank line.
+    *(
+        pytest.param(bad_file, line, error, message, id=f"{bad_file}-{name}")
+        for bad_file, error, good in [
+            ("items", CatalogError, '{"id": "C", "title": "gamma"}'),
+            ("edges", CatalogError, '["A", "B"]'),
+            ("scores", RetrievalError, '{"query_id": "A", "candidates": []}'),
+        ]
+        for name, line, message in [
+            ("nbsp-only", "\u00a0", "invalid JSON (Expecting value)"),
+            ("vertical-tab-only", "\x0b", "invalid JSON (Expecting value)"),
+            ("form-feed-after", good + "\x0c", "invalid JSON (Extra data)"),
+        ]
+    ),
 ]
 
 
@@ -280,6 +294,16 @@ def test_loader_error_message(tmp_path, bad_file, line, error, message):
         graph = load_catalog(tmp_path / "items.jsonl", tmp_path / "edges.jsonl")
         PrecomputedRetriever(tmp_path / "scores.jsonl", graph.items)
     assert str(raised.value) == f"{tmp_path / bad_file}.jsonl:3: {message}"
+
+
+def test_crlf_and_json_whitespace_padded_lines_load(tmp_path):
+    items = items_lines(("A", "alpha", [], {}), ("B", "beta", [], {}))
+    write_lines(tmp_path / "items.jsonl", [items[0] + "\r", " \t" + items[1] + " \t\r", " \t\r"])
+    write_lines(tmp_path / "edges.jsonl", ['\t["A", "B"] \r'])
+    (tmp_path / "scores.jsonl").write_text('{"query_id": "A", "candidates": [["B", 1.0]]} \r\n', encoding="utf-8")
+    graph = load_catalog(tmp_path / "items.jsonl", tmp_path / "edges.jsonl")
+    assert sorted(graph.items) == ["A", "B"] and graph.edges == {("A", "B")}
+    assert PrecomputedRetriever(tmp_path / "scores.jsonl", graph.items).retrieve("A", 1)[0] == ("B",)
 
 
 def test_edge_key_normalizes():

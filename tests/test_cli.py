@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,13 +9,15 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
+from array import array
 from pathlib import Path
 
 import pytest
 
-from complerank import agents, cli, pipeline
+from complerank import agents, catalog, cli, pipeline, retriever
 from complerank.agents import AgentKind, mock_agent, render_prompt
-from complerank.catalog import load_catalog, split_holdout
+from complerank.catalog import Item, QueryInstance, load_catalog, split_holdout
 from complerank.cli import RunConfig, main
 from complerank.pipeline import PipelineConfig, run_all
 from complerank.retriever import HeuristicRetriever
@@ -324,7 +327,7 @@ class TestRunCommand:
             "import json, sys\n"
             "import complerank.cli\n"
             "golden, identity, golden_out, identity_out, concurrent_out, report_out = sys.argv[1:]\n"
-            "lazy = {'statistics', 'concurrent.futures'}\n"
+            "lazy = {'statistics', 'concurrent.futures', 'ssl', 'http.client', 'urllib.request'}\n"
             "assert complerank.cli.main(['run', '--config', golden]) == 0\n"
             "seen = {'after_mock_run': sorted(lazy & sys.modules.keys())}\n"
             "assert complerank.cli.main(['run', '--config', golden, '--concurrency', '3', '--out', concurrent_out]) == 0\n"
@@ -1070,8 +1073,93 @@ class TestPromptRendering:
             queries, HeuristicRetriever(train), train.items, PipelineConfig(n_div=10, n_acc=5), transports, concurrency
         )
         assert renders == []
-        held = [value for r in results for o in r.stages for value in vars(o).values() if isinstance(value, str)]
+        held = [
+            value
+            for r in results
+            for o in r.stages
+            for value in (getattr(o, f.name) for f in dataclasses.fields(o))
+            if isinstance(value, str)
+        ]
         assert held and not any("candidate products" in value for value in held)  # the stage names and answers
+
+
+class TestHeldMemory:
+    """A run holds only what it reads again: no instance dict per record, and no edge set it is done with."""
+
+    def test_held_records_have_no_instance_dict(self):
+        query = QueryInstance("a", frozenset({"b"}))
+        outcome = pipeline.StageOutcome(pipeline.STAGE_BASE, ("b",))
+        result = pipeline.QueryResult(query, array("d", [1.0]), (outcome, outcome, outcome))
+        records = [Item("a", "alpha", ("x",), 2.0), query, outcome, result]
+        assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []
+
+    @pytest.fixture
+    def graphs(self, monkeypatch):
+        """Weak references to the (full, train) graphs of every split made while the test runs."""
+        refs = []
+        split = catalog.split_holdout
+
+        def recorded(graph, *args):
+            train, queries = split(graph, *args)
+            refs.append((weakref.ref(graph), weakref.ref(train)))
+            return train, queries
+
+        monkeypatch.setattr(catalog, "split_holdout", recorded)
+        return refs
+
+    @staticmethod
+    def alive_on_entry(monkeypatch, owner, name, graphs):
+        """Patch ``owner.name`` to note, on each call, whether each split's (full, train) graphs are alive."""
+        seen = []
+        fn = getattr(owner, name)
+
+        def noted(*args, **kwargs):
+            seen.append([(full() is not None, train() is not None) for full, train in graphs])
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, noted)
+        return seen
+
+    def test_precomputed_run_frees_both_graphs_before_the_scores_parse(self, tmp_path, monkeypatch, graphs):
+        seen = self.alive_on_entry(monkeypatch, retriever.PrecomputedRetriever, "__init__", graphs)
+        config_path, out_dir = precomputed_config(tmp_path)
+        assert main(["run", "--config", str(config_path)]) == 0
+        assert seen == [[(False, False)]]
+        assert output_digests(out_dir) == golden_digests("mock_run_precomputed.sha256")
+
+    def test_heuristic_retriever_keeps_the_train_graph_alone(self, tmp_path, monkeypatch, graphs):
+        seen = []
+        run_all = pipeline.run_all
+
+        def noted(queries, retr, *rest, **kwargs):
+            seen.extend((full() is not None, train() is retr.graph) for full, train in graphs)
+            return run_all(queries, retr, *rest, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_all", noted)
+        config_path, out_dir = heuristic_config(tmp_path, "exclude_true")
+        assert main(["run", "--config", str(config_path)]) == 0
+        assert seen == [(False, True)]
+        golden = golden_digests("mock_run_heuristic_handmade.sha256")
+        digests = {f"exclude_true/{name}": digest for name, digest in output_digests(out_dir).items()}
+        assert digests == {name: digest for name, digest in golden.items() if name.startswith("exclude_true/")}
+
+    def test_synthetic_precomputed_run_writes_the_full_dataset(self, tmp_path, monkeypatch, graphs):
+        """The full graph of a synthetic catalog lives until dataset/ is written, and not into the query phase."""
+        golden_config, golden_out = base_config(tmp_path, "golden", agents={"mock": "shuffle:3"}, audit=True)
+        assert main(["run", "--config", str(golden_config)]) == 0
+        scores = tmp_path / "scores.jsonl"
+        with (golden_out / "retrieval.jsonl").open(encoding="utf-8") as retrieved:
+            lines = [json.dumps({k: json.loads(line)[k] for k in ("query_id", "candidates")}) for line in retrieved]
+        scores.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        seen = self.alive_on_entry(monkeypatch, pipeline, "run_all", graphs)
+        config_path, out_dir = base_config(
+            tmp_path, "synth_precomputed", retriever={"kind": "precomputed", "path": str(scores)}
+        )
+        assert main(["run", "--config", str(config_path)]) == 0
+        assert seen == [[(False, False), (False, False)]]
+        dataset = {name: d for name, d in output_digests(out_dir).items() if name.startswith("dataset/")}
+        golden = golden_digests("mock_run_shuffle3.sha256")
+        assert len(dataset) == 3 and dataset == {name: golden[name] for name in dataset}
 
 
 class TestReportCommand:
