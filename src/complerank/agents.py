@@ -97,10 +97,6 @@ class PromptBundle:
     kind: AgentKind
 
     @property
-    def query_id(self) -> str:
-        return self.query.id
-
-    @property
     def text(self) -> str:
         return render_prompt(self.query, self.candidates, self.kind)
 
@@ -144,6 +140,9 @@ class LlmConfig:
     def __post_init__(self) -> None:
         if not is_http_url(self.endpoint):
             raise ValueError(f"endpoint must be an http(s) URL with a host, got {self.endpoint!r}")
+        key = os.environ.get(self.api_key_env, "")  # a header value; the error names the variable, not the key
+        if not (key.isascii() and key.isprintable()):
+            raise ValueError(f"${self.api_key_env}: the API key must be printable ASCII")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if not 0 < self.timeout <= threading.TIMEOUT_MAX:  # the most a socket or a lock can wait
@@ -325,7 +324,7 @@ def mock_agent(policy: str, ground_truth: Mapping[str, Container[str]] | None = 
     ``policy`` is ``identity|reverse|shuffle:<seed>|oracle``: ``identity``
     echoes the input order, ``reverse`` flips it, ``shuffle:<seed>`` returns a
     seed-deterministic permutation (independent of call order), and
-    ``oracle`` moves the candidates in ``ground_truth[bundle.query_id]`` to
+    ``oracle`` moves the candidates in ``ground_truth[bundle.query.id]`` to
     the front while preserving input order within both groups.
     """
     if policy == "identity":
@@ -354,7 +353,7 @@ def mock_agent(policy: str, ground_truth: Mapping[str, Container[str]] | None = 
             raise ValueError("oracle requires the ground-truth ids of each query")
 
         def oracled(bundle: PromptBundle) -> str:
-            truth = ground_truth[bundle.query_id]
+            truth = ground_truth[bundle.query.id]
             hits = [k for k, item in enumerate(bundle.candidates) if item.id in truth]
             misses = [k for k, item in enumerate(bundle.candidates) if item.id not in truth]
             return _render(hits + misses)

@@ -404,8 +404,7 @@ def cmd_run(cfg: RunConfig) -> Path:
     catalog.write_json_lines(out_dir / "stages.jsonl", stage_records)
     if cfg.audit:
         catalog.write_json_lines(out_dir / "audit.jsonl", _audit_records(results, items))
-    titles_by_id = {item_id: item.title for item_id, item in items.items()}
-    rows = metrics.evaluate_results(results, titles_by_id, cfg.cutoffs)
+    rows = metrics.evaluate_results(results, items, cfg.cutoffs)
     with (out_dir / "per_query.jsonl").open("w", encoding="utf-8") as fh:
         metrics_rows = metrics.aggregate(_written(rows, fh), retr.name, cfg.dataset_name)
     header = {"dataset": cfg.dataset_name, "retriever": retr.name, "cutoffs": list(cfg.cutoffs)}

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # ``cli`` writes its JSON tables through ``metrics.write_json``, where the benchmark tracer wraps it.
-from .catalog import write_json
+from .catalog import Item, write_json
 from .pipeline import STAGE_BASE, STAGE_DIVERSITY, STAGE_FINAL, QueryResult
 
 METRIC_NAMES = ("hit", "ndcg", "entropy", "vocab")
@@ -99,7 +99,7 @@ def _entropy_terms(total: int) -> tuple[float, ...]:
 
 def evaluate_results(
     results: Iterable[QueryResult],
-    titles_by_id: Mapping[str, str],
+    items: Mapping[str, Item],
     cutoffs: Sequence[int],
 ) -> Iterator[PerQueryRow]:
     """Per-query rows for every stage of every pipeline result, against its query's ground truth, lazily.
@@ -119,7 +119,7 @@ def evaluate_results(
 
     @functools.cache
     def tokens_of(item_id: str) -> tuple[str, ...]:
-        tokens = tokenize(titles_by_id[item_id])
+        tokens = tokenize(items[item_id].title)
         return tuple(map(shared.setdefault, tokens, tokens))
 
     # ``discounts[p - 1]`` is the gain of a hit at position p, ``ideal_dcg[h - 1]`` that of h hits.

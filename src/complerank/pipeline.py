@@ -85,25 +85,26 @@ class QueryResult:
 
 def rerank_stage(
     query: Item,
-    candidates: Sequence[Item],
+    ids: tuple[str, ...],
+    items: Mapping[str, Item],
     kind: AgentKind,
     transport: Transport,
     audit: bool = True,
 ) -> StageOutcome:
-    """Prompt the agent with ``candidates`` and map its permutation back to ids.
+    """Prompt the agent with the ``items`` of ``ids`` and map its permutation back to ids.
 
-    The output is always a permutation of the input item ids.  A transport
-    failure (after the transport's own retries) keeps the input order and marks
-    the outcome ``failed``.  Only with ``audit`` does it keep the answer.
+    The output is always a permutation of ``ids``.  A transport failure (after
+    the transport's own retries) keeps ``ids`` itself and marks the outcome
+    ``failed``.  Only with ``audit`` does it keep the answer.
     """
-    bundle = build_prompt(query, candidates, kind)
+    bundle = build_prompt(query, [items[item_id] for item_id in ids], kind)
     stage = _STAGE_BY_KIND[kind]
     try:
         raw = transport(bundle)
     except TransportError:
-        return StageOutcome(stage, tuple([item.id for item in bundle.candidates]), failed=True)
-    parsed = parse_permutation(raw, len(bundle.candidates))
-    order = tuple([bundle.candidates[k].id for k in parsed.order])
+        return StageOutcome(stage, ids, failed=True)
+    parsed = parse_permutation(raw, len(ids))
+    order = tuple([ids[k] for k in parsed.order])
     return StageOutcome(stage, order, parsed.repairs, response=raw if audit else None)
 
 
@@ -138,11 +139,9 @@ def run_pipeline(
     base_order, scores = retriever.retrieve(query.query_id, config.n_div)  # held as returned, not copied
     base = StageOutcome(STAGE_BASE, base_order)
     query_item = items[query.query_id]
-
-    div_items = [items[item_id] for item_id in base.order]
-    diversity = rerank_stage(query_item, div_items, AgentKind.DIVERSITY, transports[0], audit)
-    acc_items = [items[item_id] for item_id in diversity.order[: config.n_acc]]
-    final = rerank_stage(query_item, acc_items, AgentKind.ACCURACY, transports[1], audit)
+    diversity = rerank_stage(query_item, base.order, items, AgentKind.DIVERSITY, transports[0], audit)
+    head = diversity.order[: config.n_acc]
+    final = rerank_stage(query_item, head, items, AgentKind.ACCURACY, transports[1], audit)
     return QueryResult(query, scores, (base, diversity, final))
 
 

@@ -154,10 +154,10 @@ class PrecomputedRetriever:
     id fails at load with ``path:line``, checked in that order.  Each list is held as two
     columns: a tuple of the catalog's own id strings and an ``array("d")`` of the scores.
 
-    A query's first :meth:`retrieve` replaces its columns with their ranked head of ``depth``
-    entries.  Every retrieve returns those held columns, or slices of them for a smaller ``n``,
-    so a caller that keeps them holds no copy.  Ranking a ranked head gives it back unchanged,
-    so two threads that rank one query at once store equal columns and need no lock.
+    :meth:`retrieve` replaces a query's columns with their ranked head of ``depth`` entries and
+    returns those held columns, or slices of them for a smaller ``n``, so a caller that keeps them
+    holds no copy.  A run retrieves each query once; ranking a ranked head gives equal columns, so
+    two threads that retrieve one query at once store equal columns and need no lock.
     """
 
     def __init__(
@@ -170,7 +170,6 @@ class PrecomputedRetriever:
         self.depth = depth
         canonical = {item_id: item_id for item_id in items}
         self._lists: dict[str, tuple[tuple[str, ...], array]] = {}
-        self._ranked: set[str] = set()  # the queries whose held columns are their ranked head
 
         def parse(record: Any) -> tuple[str, tuple[tuple[str, ...], array]]:
             try:
@@ -226,8 +225,5 @@ class PrecomputedRetriever:
             raise RetrievalError(f"query {query_id!r} not present in {self.path}")
         if not 1 <= n <= self.depth:
             raise RetrievalError(f"retrieval depth must be in 1..{self.depth}, got {n}")
-        if query_id not in self._ranked:
-            self._lists[query_id] = _normalized(query_id, *self._lists[query_id], self.depth)
-            self._ranked.add(query_id)
-        ids, scores = self._lists[query_id]
+        ids, scores = self._lists[query_id] = _normalized(query_id, *self._lists[query_id], self.depth)
         return (ids, scores) if n >= len(ids) else (ids[:n], scores[:n])

@@ -90,7 +90,7 @@ class TestBuildPrompt:
 
     def test_bundle_names_the_query(self, prompt_fixture):
         query, candidates = prompt_fixture
-        assert build_prompt(query, candidates, AgentKind.ACCURACY).query_id == "q1"
+        assert build_prompt(query, candidates, AgentKind.ACCURACY).query.id == "q1"
 
     def test_determinism(self, prompt_fixture):
         query, candidates = prompt_fixture

@@ -618,6 +618,18 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path)]) == 1
         assert "both" in capsys.readouterr().err
 
+    def test_unsendable_api_key_fails_before_any_input_and_stays_secret(self, tmp_path, capsys, monkeypatch):
+        """A key no HTTP header can carry fails at config time, naming its variable, not its value."""
+        monkeypatch.setenv("OPENAI_API_KEY", "sk-secret123\r")
+        config_path, out_dir = base_config(
+            tmp_path, "badkey", agents={"endpoint": "http://127.0.0.1:9", "model": "m", "max_retries": 0}
+        )
+        assert main(["run", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert "$OPENAI_API_KEY" in err
+        assert "secret" not in err
+        assert not out_dir.exists()
+
 
 LONG_INT = "1" * 5001  # more digits than ``int`` reads from a string
 

@@ -1,11 +1,13 @@
-"""Guards over the package source.
+"""Guards over the package source and the project settings.
 
 complerank has no runtime dependencies: it imports only the standard library and itself.  And it
 ships no dead public API: each public top-level function or class is used by the package itself.
 """
 
 import ast
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,36 @@ def test_pyproject_declares_no_dependencies():
     with (REPO_ROOT / "pyproject.toml").open("rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project.get("dependencies", []) == []
+
+
+def test_a_failing_property_fails_only_its_own_test(tmp_path):
+    """On failure hypothesis imports libcst, which warns on import; the test settings must not make that
+    warning an internal error, which would stop the run before the next test."""
+    probe = tmp_path / "test_probe.py"
+    probe.write_text(
+        textwrap.dedent(
+            """
+            from hypothesis import given, settings, strategies as st
+
+            @given(st.integers())
+            @settings(database=None)
+            def test_fails(x):
+                assert x < 0
+
+            def test_passes():
+                pass
+            """
+        ),
+        encoding="utf-8",
+    )
+    settings_file = str(REPO_ROOT / "pyproject.toml")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", settings_file, "-p", "no:cacheprovider", str(probe)],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout, run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complerank.catalog import QueryInstance
+from complerank.catalog import Item, QueryInstance
 from complerank.metrics import (
     COMPARISONS,
     METRIC_NAMES,
@@ -341,15 +341,20 @@ class TestLiftRowsForRuns:
         assert overall_hit.mean_lift_pct == pytest.approx(100.0)
 
 
-def evaluate_list(order, truth, titles_by_id, cutoffs):
+def items_titled(titles):
+    """The catalog items of ``titles``, an item id -> title map."""
+    return {item_id: Item(item_id, title) for item_id, title in titles.items()}
+
+
+def evaluate_list(order, truth, items, cutoffs):
     """``evaluate_results`` on one query ``q`` whose one stage, ``base``, ranks ``order``."""
     result = QueryResult(QueryInstance("q", frozenset(truth)), array("d"), (StageOutcome("base", order),))
-    return list(evaluate_results([result], titles_by_id, cutoffs))
+    return list(evaluate_results([result], items, cutoffs))
 
 
 def test_evaluate_ranking_shapes():
-    titles = {"a": "alpha one", "b": "beta two", "c": "gamma three"}
-    rows = evaluate_list(["a", "b", "c"], {"b"}, titles, [1, 3])
+    items = items_titled({"a": "alpha one", "b": "beta two", "c": "gamma three"})
+    rows = evaluate_list(["a", "b", "c"], {"b"}, items, [1, 3])
     assert {(r.query_id, r.stage) for r in rows} == {("q", "base")}
     assert [(r.k, r.hit) for r in rows] == [(1, 0), (3, 1)]
     assert rows[0].vocab == 2
@@ -357,21 +362,21 @@ def test_evaluate_ranking_shapes():
 
 
 _IDS = [f"i{n}" for n in range(12)]
-# Titles the one-pass evaluation must score exactly as the kernels do:
-# punctuation only, empty, non-ASCII, repeated and case-folded duplicates.
+# Titles the one-pass evaluation must score exactly as the kernels do: blank or punctuation
+# only (no tokens; an item's title is never empty), non-ASCII, repeated and case-folded duplicates.
 _TITLES = st.one_of(
     st.sampled_from(
-        ["", "!!!", "--- / ---", "camera body", "Camera-Body", "camera body", "Straße Ünïcödé",
+        [" ", "!!!", "--- / ---", "camera body", "Camera-Body", "camera body", "Straße Ünïcödé",
          "日本語 タイトル", "a a a a", "x_y_z 2m"]
     ),
-    st.text(max_size=30),
+    st.text(min_size=1, max_size=30),
 )
 
 
-def _kernel_rows(order, truth, titles, cutoffs):
+def _kernel_rows(order, truth, items, cutoffs):
     rows = []
     for k in sorted(cutoffs):
-        top = [titles[item_id] for item_id in order[:k]]
+        top = [items[item_id].title for item_id in order[:k]]
         rows.append(
             (k, hit_at_k(order, truth, k), ndcg_at_k(order, truth, k), entropy_at_k(top), vocab_at_k(top))
         )
@@ -389,24 +394,24 @@ def _kernel_rows(order, truth, titles, cutoffs):
 @settings(max_examples=300, deadline=None)
 def test_one_pass_equals_kernels(order, truth, titles, cutoffs):
     """Orders shorter than k, empty orders, unsorted and duplicate cutoffs included."""
-    titles_by_id = dict(zip(_IDS, titles))
-    rows = evaluate_list(order, truth, titles_by_id, cutoffs)
+    items = items_titled(dict(zip(_IDS, titles)))
+    rows = evaluate_list(order, truth, items, cutoffs)
     got = [(r.k, r.hit, r.ndcg, r.entropy, r.vocab) for r in rows]
-    expected = _kernel_rows(order, truth, titles_by_id, cutoffs)
+    expected = _kernel_rows(order, truth, items, cutoffs)
     assert got == expected
     assert repr(got) == repr(expected)  # the same bits, down to the sign of a zero
 
 
 def test_one_pass_preconditions_match_kernels():
-    titles = {"a": "alpha"}
+    items = items_titled({"a": "alpha"})
     with pytest.raises(ValueError, match="k must be >= 1, got 0"):
-        evaluate_list(["a"], {"a"}, titles, [3, 0, 1])
-    assert evaluate_list(["a"], {"a"}, titles, []) == []
+        evaluate_list(["a"], {"a"}, items, [3, 0, 1])
+    assert evaluate_list(["a"], {"a"}, items, []) == []
 
 
 def test_evaluate_results_is_lazy():
     """The first row is made from the first result, before the rest are read."""
-    titles = {item_id: f"title {item_id}" for item_id in _IDS}
+    items = items_titled({item_id: f"title {item_id}" for item_id in _IDS})
     pulled = []
 
     def results():
@@ -415,7 +420,7 @@ def test_evaluate_results_is_lazy():
             query = QueryInstance(item_id, frozenset({_IDS[-1]}))
             yield QueryResult(query, array("d"), (StageOutcome("base", _IDS[4:8]),))
 
-    rows = evaluate_results(results(), titles, (1, 3))
+    rows = evaluate_results(results(), items, (1, 3))
     assert pulled == []
     first = next(rows)
     assert (first.query_id, first.k) == ("i0", 1)
@@ -425,7 +430,7 @@ def test_evaluate_results_is_lazy():
 
 
 def test_evaluate_results_equals_kernels_per_list():
-    titles = {item_id: f"Title {n % 3} shared-{n % 2} é{n}" for n, item_id in enumerate(_IDS)}
+    items = items_titled({item_id: f"Title {n % 3} shared-{n % 2} é{n}" for n, item_id in enumerate(_IDS)})
     queries = [QueryInstance("q1", frozenset({"i3", "i7"})), QueryInstance("q2", frozenset({"i0"}))]
     results = []
     for query, order in zip(queries, (_IDS[:8], _IDS[4:])):
@@ -435,12 +440,12 @@ def test_evaluate_results_equals_kernels_per_list():
             StageOutcome("diversity_accuracy", order[::-1][:4]),
         )
         results.append(QueryResult(query, array("d", [1.0] * len(order)), stages))
-    rows = evaluate_results(results, titles, (5, 1, 3))
+    rows = evaluate_results(results, items, (5, 1, 3))
     expected = [
         (r.query.query_id, outcome.stage, *values)
         for r in results
         for outcome in r.stages
-        for values in _kernel_rows(outcome.order, r.query.ground_truth, titles, (5, 1, 3))
+        for values in _kernel_rows(outcome.order, r.query.ground_truth, items, (5, 1, 3))
     ]
     assert [(r.query_id, r.stage, r.k, r.hit, r.ndcg, r.entropy, r.vocab) for r in rows] == expected
 
@@ -465,5 +470,5 @@ def test_ndcg_adds_left_to_right(n_truths):
     order, truth = _IDS, set(_IDS[1 : n_truths + 1])
     dcg = _left_to_right(1.0 / math.log2(p + 1) for p in range(2, n_truths + 2))
     ideal = _left_to_right(1.0 / math.log2(p + 1) for p in range(1, n_truths + 1))
-    (row,) = evaluate_list(order, truth, {i: i for i in _IDS}, [12])
+    (row,) = evaluate_list(order, truth, items_titled({i: i for i in _IDS}), [12])
     assert row.ndcg == ndcg_at_k(order, truth, 12) == dcg / ideal

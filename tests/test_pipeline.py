@@ -3,9 +3,11 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from complerank.agents import NO_REPAIRS, AgentKind, TransportError, build_prompt, mock_agent, render_prompt
-from complerank.catalog import QueryInstance, split_holdout
+from complerank.catalog import Item, QueryInstance, split_holdout
 from complerank.pipeline import (
     PRESETS,
     STAGE_BASE,
@@ -27,6 +29,19 @@ def mocks(div="identity", acc="identity"):
     return mock_agent(div), mock_agent(acc)
 
 
+class RecordingRetriever:
+    """Passes each retrieve on to ``inner`` and records its arguments and the columns it returned."""
+
+    def __init__(self, inner):
+        self.inner, self.name = inner, inner.name
+        self.calls = []
+
+    def retrieve(self, query_id, n):
+        columns = self.inner.retrieve(query_id, n)
+        self.calls.append((query_id, n, columns))
+        return columns
+
+
 class TestPipelineConfig:
     def test_presets(self):
         assert PRESETS["fig1"] == (50, 25)
@@ -42,50 +57,88 @@ class TestPipelineConfig:
 
 
 
+def ids_and_items(candidates):
+    """The candidates' ids in order and the items map they index."""
+    return tuple(item.id for item in candidates), {item.id: item for item in candidates}
+
+
 class TestRerankStage:
     def test_identity(self, prompt_fixture):
         query, candidates = prompt_fixture
-        outcome = rerank_stage(query, candidates, AgentKind.DIVERSITY, mock_agent("identity"))
-        assert outcome.order == tuple(item.id for item in candidates)
+        ids, items = ids_and_items(candidates)
+        outcome = rerank_stage(query, ids, items, AgentKind.DIVERSITY, mock_agent("identity"))
+        assert outcome.order == ids
         assert outcome.stage == STAGE_DIVERSITY
         assert not outcome.failed
 
     def test_reverse(self, prompt_fixture):
         query, candidates = prompt_fixture
-        outcome = rerank_stage(query, candidates[:3], AgentKind.ACCURACY, mock_agent("reverse"))
+        ids, items = ids_and_items(candidates)
+        outcome = rerank_stage(query, ids[:3], items, AgentKind.ACCURACY, mock_agent("reverse"))
         assert outcome.order == ("c3", "c2", "c1")
         assert outcome.stage == STAGE_FINAL
 
     def test_oracle(self, prompt_fixture):
         query, candidates = prompt_fixture
+        ids, items = ids_and_items(candidates)
         transport = mock_agent("oracle", ground_truth={query.id: {"c2"}})
-        outcome = rerank_stage(query, candidates[:3], AgentKind.DIVERSITY, transport)
+        outcome = rerank_stage(query, ids[:3], items, AgentKind.DIVERSITY, transport)
         assert outcome.order == ("c2", "c1", "c3")
 
     def test_transport_error_falls_back_to_identity(self, prompt_fixture):
         query, candidates = prompt_fixture
+        ids, items = ids_and_items(candidates)
         sent = []
 
         def broken(bundle):
             sent.append(bundle.text)
             raise TransportError("down")
 
-        outcome = rerank_stage(query, candidates, AgentKind.DIVERSITY, broken)
+        outcome = rerank_stage(query, ids, items, AgentKind.DIVERSITY, broken)
         assert outcome.failed
-        assert outcome.order == tuple(item.id for item in candidates)
+        assert outcome.order is ids
         assert outcome.stage == STAGE_DIVERSITY
         assert outcome.repairs is NO_REPAIRS
         # No prompt is kept; the one sent is rendered again from the stage's input, which the fallback keeps.
         assert not hasattr(outcome, "prompt")
-        by_id = {item.id: item for item in candidates}
-        assert sent == [render_prompt(query, [by_id[i] for i in outcome.order], AgentKind.DIVERSITY)]
+        assert sent == [render_prompt(query, [items[i] for i in outcome.order], AgentKind.DIVERSITY)]
         assert sent == [build_prompt(query, candidates, AgentKind.DIVERSITY).text]
         assert outcome.response is None
 
     def test_empty_candidates_rejected(self, prompt_fixture):
         query, _ = prompt_fixture
         with pytest.raises(ValueError):
-            rerank_stage(query, [], AgentKind.DIVERSITY, mock_agent("identity"))
+            rerank_stage(query, (), {}, AgentKind.DIVERSITY, mock_agent("identity"))
+
+
+def _answers(n):
+    """A model's answer for ``n`` candidates: a permutation, any text, repeated or out-of-range IDs, or None
+    for a transport that raises."""
+    rendered = st.lists(st.integers(-2, n + 2), max_size=n + 3).map(str)
+    return st.one_of(st.permutations(range(n)).map(str), st.text(max_size=40), rendered, st.none())
+
+
+@given(
+    ids=st.lists(st.integers(0, 10**6).map(str), min_size=1, max_size=100, unique=True).map(tuple),
+    audit=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_stage_order_is_a_permutation_of_its_ids(ids, audit, data):
+    answer = data.draw(_answers(len(ids)))
+    items = {item_id: Item(item_id, f"title {item_id}") for item_id in ids}
+
+    def transport(bundle):
+        if answer is None:
+            raise TransportError("down")
+        return answer
+
+    outcome = rerank_stage(Item("q", "query"), ids, items, AgentKind.DIVERSITY, transport, audit)
+    assert sorted(outcome.order) == sorted(ids)
+    assert outcome.failed == (answer is None)
+    if outcome.failed:
+        assert outcome.order is ids
+    assert outcome.response == (answer if audit and not outcome.failed else None)
 
 
 @pytest.fixture
@@ -123,9 +176,9 @@ class TestRunPipeline:
         candidates = [[item_id, 1.0 / (1 + k)] for k, item_id in enumerate(sorted(train.items))]
         record = {"query_id": query.query_id, "candidates": candidates}
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        retriever = PrecomputedRetriever(path, train.items, depth=n_div)
+        retriever = RecordingRetriever(PrecomputedRetriever(path, train.items, depth=n_div))
         result = run_pipeline(query, retriever, train.items, PipelineConfig(n_div=n_div, n_acc=2), mocks())
-        ids, scores = retriever.retrieve(query.query_id, n_div)
+        [(_, _, (ids, scores))] = retriever.calls
         assert len(ids) == min(n_div, 5)
         assert result.stages[0].order is ids
         assert result.scores is scores
@@ -223,7 +276,7 @@ class TestRunAll:
         train, queries, retriever = split_setup
 
         def flaky(bundle):
-            if bundle.query_id == queries[0].query_id:
+            if bundle.query.id == queries[0].query_id:
                 raise TransportError("down")
             return mock_agent("reverse")(bundle)
 
@@ -243,6 +296,17 @@ class TestRunAll:
         assert all(o.response is None for r in dropped for o in r.stages)
         assert [[o.order for o in r.stages] for r in dropped] == [[o.order for o in r.stages] for r in kept]
 
+    @pytest.mark.parametrize("concurrency", [1, 3])
+    def test_retrieves_each_query_once_at_n_div(self, concurrency):
+        """A precomputed retriever keeps no record of the queries it ranked: a run asks for each once."""
+        graph, _ = generate(SynthConfig(n_items=60, n_genres=3, edges_per_item=3.0, seed=8))
+        train, queries = split_holdout(graph, 0.25, seed=2)
+        retriever = RecordingRetriever(HeuristicRetriever(train))
+        config = PipelineConfig(n_div=10, n_acc=5)
+        run_all(queries, retriever, train.items, config, mocks("shuffle:1", "shuffle:2"), concurrency)
+        assert len(queries) > concurrency
+        assert sorted(call[:2] for call in retriever.calls) == sorted((q.query_id, 10) for q in queries)
+
     def test_concurrency_matches_sequential(self):
         graph, _ = generate(SynthConfig(n_items=60, n_genres=3, edges_per_item=3.0, seed=8))
         train, queries = split_holdout(graph, 0.25, seed=2)
@@ -260,7 +324,7 @@ class TestRunAll:
         calls = []
 
         def oracle(bundle):
-            calls.append(bundle.query_id)
+            calls.append(bundle.query.id)
             return answer(bundle)
 
         config = PipelineConfig(n_div=10, n_acc=5)
