@@ -35,8 +35,15 @@ def _read_int(token: str) -> int | float:
 
 
 def _load_json(path: str | Path) -> dict:
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:  # a repeated key would overwrite the first
+        keys = [key for key, _ in pairs]
+        if len(set(keys)) < len(keys):
+            raise ValueError(f"{path}: repeated key {json.dumps(next(k for k in keys if keys.count(k) > 1))}")
+        return dict(pairs)
+
     try:
-        loaded = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=_read_int)
+        text = Path(path).read_text(encoding="utf-8")
+        loaded = json.loads(text, parse_int=_read_int, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
@@ -60,13 +67,7 @@ _AGENT_KEYS = {"mock": str, **_keys_of(agents.LlmConfig)}
 _SCHEMA = {
     "dataset": {"items": str, "edges": str, "name": str, "synth": _keys_of(synth.SynthConfig)},
     "split": {"holdout_fraction": float, "seed": int},
-    "retriever": {
-        "kind": ("heuristic", "precomputed"),
-        "name": str,
-        "path": str,
-        "exclude_neighbors": bool,
-        "weights": _keys_of(retriever.ScoreWeights),
-    },
+    "retriever": {"kind": ("heuristic", "precomputed"), "name": str, "path": str},
     "pipeline": {"preset": tuple(pipeline.PRESETS), "n_div": int, "n_acc": int, "cutoffs": [int]},
     "agents": {**_AGENT_KEYS, "diversity": _AGENT_KEYS, "accuracy": _AGENT_KEYS},
     "out": str,
@@ -133,12 +134,12 @@ def _check_unused(settings: dict, section: str) -> None:
         raise ValueError(f"{section}.{unused[0]}: only an endpoint agent takes this key")
 
 
-def _build(cls: type[T], settings: dict, prefix: str) -> T:
-    """``cls(**settings)``, its range errors led by the config key ``prefix``."""
+def _build(cls: type[T], settings: dict, section: str) -> T:
+    """``cls(**settings)``, its range errors led by the config key ``section``."""
     try:
         return cls(**settings)
     except ValueError as exc:
-        raise ValueError(f"{prefix}{exc}") from None
+        raise ValueError(f"{section}: {exc}") from None
 
 
 def _agent(shared: dict, own: dict, stage: str) -> str | agents.LlmConfig:
@@ -154,7 +155,7 @@ def _agent(shared: dict, own: dict, stage: str) -> str | agents.LlmConfig:
         return policy
     if "endpoint" not in settings or "model" not in settings:
         raise ValueError(f"agents: the {stage} agent needs either 'mock' or 'endpoint' and 'model'")
-    return _build(agents.LlmConfig, settings, f"agents.{stage}: ")
+    return _build(agents.LlmConfig, settings, f"agents.{stage}")
 
 
 @dataclass(frozen=True)
@@ -167,8 +168,6 @@ class RunConfig:
     holdout_fraction: float
     seed: int
     retriever_name: str | None
-    weights: retriever.ScoreWeights
-    exclude_neighbors: bool
     scores: Path | None  # the precomputed retriever's file; None for the heuristic retriever
     pipeline_config: pipeline.PipelineConfig
     cutoffs: tuple[int, ...]  # sorted, without duplicates
@@ -192,12 +191,15 @@ class RunConfig:
         dataset, split, retr, pipe, agents_cfg = (
             raw.get(name, {}) for name in ("dataset", "split", "retriever", "pipeline", "agents")
         )
+        for section, settings in (("dataset", dataset), ("retriever", retr)):
+            if settings.get("name") == "":  # it would label every output row, or give way to the default
+                raise ValueError(f"{section}.name: must be nonempty")
 
         files = {"items", "edges"} & dataset.keys()
         if "synth" in dataset and not files:
             if "n_items" not in dataset["synth"]:
                 raise ValueError("dataset.synth.n_items: required key is missing")
-            source = _build(synth.SynthConfig, dataset["synth"], "dataset.synth: ")
+            source = _build(synth.SynthConfig, dataset["synth"], "dataset.synth")
             dataset_name = dataset.get("name", "synth")
         elif files == {"items", "edges"} and "synth" not in dataset:
             source = (Path(dataset["items"]), Path(dataset["edges"]))
@@ -212,11 +214,8 @@ class RunConfig:
         precomputed = retr.get("kind") == "precomputed"
         if precomputed and "path" not in retr:
             raise ValueError("retriever.path: the precomputed retriever needs a scores file")
-        for key in ("weights", "exclude_neighbors") if precomputed else ("path",):
-            if key in retr:
-                kind = "heuristic" if precomputed else "precomputed"
-                raise ValueError(f"retriever.{key}: only the {kind} retriever takes this key")
-        weights = _build(retriever.ScoreWeights, retr.get("weights", {}), "retriever.weights.")
+        if "path" in retr and not precomputed:
+            raise ValueError("retriever.path: only the precomputed retriever takes this key")
 
         preset = pipe.get("preset")
         if preset is None:
@@ -234,7 +233,7 @@ class RunConfig:
         all_mocks = all(isinstance(agent, str) for agent in stage_agents.values())
         if all_mocks:
             _check_unused(shared, "agents")
-        pipeline_config = _build(pipeline.PipelineConfig, depths, "pipeline: ")
+        pipeline_config = _build(pipeline.PipelineConfig, depths, "pipeline")
         cutoffs = tuple(sorted(set(pipe.get("cutoffs", (1, 3, 5, 10)))))
         if not cutoffs:
             raise ValueError("pipeline.cutoffs: must be nonempty")
@@ -258,8 +257,6 @@ class RunConfig:
             holdout_fraction=holdout_fraction,
             seed=split.get("seed", 0),
             retriever_name=retr.get("name"),
-            weights=weights,
-            exclude_neighbors=retr.get("exclude_neighbors", True),
             scores=Path(retr["path"]) if precomputed else None,
             pipeline_config=pipeline_config,
             cutoffs=cutoffs,
@@ -345,9 +342,7 @@ def cmd_run(cfg: RunConfig) -> Path:
         del graph
 
     if cfg.scores is None:
-        retr = retriever.HeuristicRetriever(
-            train, cfg.weights, cfg.exclude_neighbors, cfg.retriever_name or "heuristic"
-        )
+        retr = retriever.HeuristicRetriever(train, cfg.retriever_name or "heuristic")
     else:
         del train  # before the scores parse, whose end is the set-up peak
         retr = retriever.PrecomputedRetriever(

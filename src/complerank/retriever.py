@@ -32,17 +32,6 @@ class RetrievalError(ValueError):
     """Unknown query, malformed scores file, or an unservable request."""
 
 
-@dataclass(frozen=True)
-class ScoreWeights:
-    category: float = 1.0
-    price: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name, weight in vars(self).items():
-            if not weight >= 0:  # NaN too; it would rank far prices or unrelated categories first
-                raise ValueError(f"{name}: must be nonnegative, got {weight}")
-
-
 def category_overlap(a: tuple[str, ...], b: tuple[str, ...]) -> float:
     """Longest common category prefix over the longer path length, in [0, 1].
 
@@ -59,21 +48,21 @@ def category_overlap(a: tuple[str, ...], b: tuple[str, ...]) -> float:
     return common / longest
 
 
-def score_pair(query: Item, candidate: Item, weights: ScoreWeights = ScoreWeights()) -> float:
+def score_pair(query: Item, candidate: Item) -> float:
     """Heuristic relevance score: higher means more likely complementary.
 
-    ``weights.category * overlap + weights.price / (1 + |log(p_q / p_c)|)``,
-    where the price term contributes 0 unless both prices are present and
-    positive.
+    ``overlap + 1 / (1 + |log(p_q / p_c)|)``, where the price term contributes
+    0 unless both prices are present and positive.  Another scorer comes in as
+    a precomputed scores file.
     """
-    score = weights.category * category_overlap(query.categories, candidate.categories)
+    score = category_overlap(query.categories, candidate.categories)
     p_q, p_c = query.price, candidate.price
     if p_q is not None and p_c is not None and p_q > 0 and p_c > 0:
         ratio = p_q / p_c
         # log(0) raises and log(inf) drops the term, so a ratio past the float range takes
         # the difference of logs.  That can differ from log(ratio) in the last bit: only then.
         log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(p_q) - math.log(p_c)
-        score += weights.price / (1.0 + abs(log_ratio))
+        score += 1.0 / (1.0 + abs(log_ratio))
     return score
 
 
@@ -109,14 +98,12 @@ def _normalized(
 class HeuristicRetriever:
     """Top-n items of a train graph by :func:`score_pair` against the query.
 
-    ``exclude_neighbors`` drops items already linked to the query in the train
-    graph, since those are known (not predicted) complements.  Returns fewer
+    The query and the items already linked to it in the train graph are left
+    out, since those are known (not predicted) complements.  Returns fewer
     than n candidates when the pool is smaller.
     """
 
     graph: ComplementGraph
-    weights: ScoreWeights = ScoreWeights()
-    exclude_neighbors: bool = True
     name: str = "heuristic"
 
     def retrieve(self, query_id: str, n: int) -> tuple[tuple[str, ...], array]:
@@ -124,11 +111,9 @@ class HeuristicRetriever:
         if query_id not in items:
             raise RetrievalError(f"unknown query id {query_id!r}")
         query = items[query_id]
-        skip = {query_id}
-        if self.exclude_neighbors:
-            skip |= self.graph.neighbors(query_id)
+        skip = self.graph.neighbors(query_id) | {query_id}
         ids = [item_id for item_id in items if item_id not in skip]
-        scores = [score_pair(query, items[item_id], self.weights) for item_id in ids]
+        scores = [score_pair(query, items[item_id]) for item_id in ids]
         return _normalized(query_id, ids, scores, n)
 
 

@@ -88,18 +88,14 @@ def write_catalog_files(tmp_path, items, edges, stem):
     return {"items": str(items_path), "edges": str(edges_path), "name": stem}
 
 
-def heuristic_config(tmp_path, out_name, exclude_neighbors=True, items=HEURISTIC_ITEMS):
-    """A heuristic ``shuffle:3`` audit config on the hand-built catalog, with non-default weights."""
+def heuristic_config(tmp_path, out_name, items=HEURISTIC_ITEMS):
+    """A heuristic ``shuffle:3`` audit config on the hand-built catalog."""
     return base_config(
         tmp_path,
         out_name,
         dataset=write_catalog_files(tmp_path, items, HEURISTIC_EDGES, "handbuilt"),
         split={"holdout_fraction": 0.5, "seed": 3},
-        retriever={
-            "kind": "heuristic",
-            "exclude_neighbors": exclude_neighbors,
-            "weights": {"category": 2.0, "price": 0.5},
-        },
+        retriever={"kind": "heuristic"},
         pipeline={"n_div": 8, "n_acc": 4, "cutoffs": [1, 3]},
         agents={"mock": "shuffle:3"},
         audit=True,
@@ -254,13 +250,10 @@ class TestRunCommand:
         assert output_digests(out_dir) == golden_digests("mock_run_precomputed.sha256")
 
     def test_heuristic_mock_run_matches_golden_digests(self, tmp_path):
-        """The hand-built catalog, with and without ``exclude_neighbors``."""
-        digests = {}
-        for exclude in (True, False):
-            config_path, out_dir = heuristic_config(tmp_path, f"exclude_{str(exclude).lower()}", exclude)
-            assert main(["run", "--config", str(config_path)]) == 0
-            digests.update({f"{out_dir.name}/{name}": d for name, d in output_digests(out_dir).items()})
-        assert digests == golden_digests("mock_run_heuristic_handmade.sha256")
+        """The hand-built catalog, run with ``shuffle:3`` and audit on."""
+        config_path, out_dir = heuristic_config(tmp_path, "heuristic")
+        assert main(["run", "--config", str(config_path)]) == 0
+        assert output_digests(out_dir) == golden_digests("mock_run_heuristic_handmade.sha256")
 
     @pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
     def test_goldens_hold_under_other_pythons(self, tmp_path, python):
@@ -272,6 +265,7 @@ class TestRunCommand:
         runs = {
             "mock_run_shuffle3.sha256": base_config(tmp_path, "golden", agents={"mock": "shuffle:3"}, audit=True),
             "mock_run_precomputed.sha256": precomputed_config(tmp_path),
+            "mock_run_heuristic_handmade.sha256": heuristic_config(tmp_path, "heuristic"),
         }
         for golden, (config_path, out_dir) in runs.items():
             result = subprocess.run(
@@ -708,22 +702,30 @@ MALFORMED = [
     ),
     pytest.param({"concurrency": 0}, (), "concurrency", id="concurrency-zero"),
     pytest.param(
-        {"retriever": {"kind": "heuristic", "weights": {"price": float("nan")}}},
+        {"retriever": {"kind": "heuristic", "weights": {"category": 1.0, "price": 1.0}}},
         (),
-        "retriever.weights.price",
-        id="weights-price-nan",
+        "retriever.weights: unknown key",
+        id="weights-under-heuristic",
     ),
     pytest.param(
-        {"retriever": {"kind": "heuristic", "weights": {"price": -2.0}}},
+        {"retriever": {"kind": "heuristic", "exclude_neighbors": True}},
         (),
-        "retriever.weights.price: must be nonnegative, got -2.0",
-        id="weights-price-negative",
+        "retriever.exclude_neighbors: unknown key",
+        id="exclude_neighbors-under-heuristic",
+    ),
+    # A valid config but for "out" given twice; a plain decoder would run into the second.
+    pytest.param(
+        lambda tmp_path: json.dumps(overrides_of(base_config(tmp_path, "bad")[0]))[:-1]
+        + f', "out": {json.dumps(str(tmp_path / "bad"))}, "out": {json.dumps(str(tmp_path / "other"))}}}',
+        (),
+        'config_bad.json: repeated key "out"',
+        id="out-repeated",
     ),
     pytest.param(
-        {"retriever": {"kind": "heuristic", "weights": {"category": -1, "price": 0.5}}},
-        (),
-        "retriever.weights.category: must be nonnegative, got -1.0",
-        id="weights-category-negative",
+        {"dataset": {"synth": {"n_items": 60}, "name": ""}}, (), "dataset.name: must be nonempty", id="dataset-name-empty"
+    ),
+    pytest.param(
+        {"retriever": {"kind": "heuristic", "name": ""}}, (), "retriever.name: must be nonempty", id="retriever-name-empty"
     ),
     pytest.param(
         {"agents": {"endpoint": "http://127.0.0.1:9", "model": "m", "temperature": float("nan")}},
@@ -1148,12 +1150,10 @@ class TestHeldMemory:
             return run_all(queries, retr, *rest, **kwargs)
 
         monkeypatch.setattr(pipeline, "run_all", noted)
-        config_path, out_dir = heuristic_config(tmp_path, "exclude_true")
+        config_path, out_dir = heuristic_config(tmp_path, "heuristic")
         assert main(["run", "--config", str(config_path)]) == 0
         assert seen == [(False, True)]
-        golden = golden_digests("mock_run_heuristic_handmade.sha256")
-        digests = {f"exclude_true/{name}": digest for name, digest in output_digests(out_dir).items()}
-        assert digests == {name: digest for name, digest in golden.items() if name.startswith("exclude_true/")}
+        assert output_digests(out_dir) == golden_digests("mock_run_heuristic_handmade.sha256")
 
     def test_synthetic_precomputed_run_writes_the_full_dataset(self, tmp_path, monkeypatch, graphs):
         """The full graph of a synthetic catalog lives until dataset/ is written, and not into the query phase."""
@@ -1257,10 +1257,14 @@ class TestReportCommand:
                 lambda payload: json.dumps(payload).replace('"k": 1,', f'"k": {LONG_INT},', 1),
                 "rows[0].k: expected int, got Infinity",
             ),
+            (
+                lambda payload: json.dumps(payload).replace('"retriever": ', '"dataset": "other", "retriever": ', 1),
+                'repeated key "dataset"',
+            ),
         ],
         ids=[
             "empty-object", "row-value-null", "row-missing-key", "row-dropped", "unknown-stage", "repeated-cutoff",
-            "k-5001-digits",
+            "k-5001-digits", "repeated-key",
         ],
     )
     def test_bad_metrics_file_fails_before_output(self, tmp_path, capsys, corrupt, message):

@@ -144,7 +144,7 @@ def test_stage_order_is_a_permutation_of_its_ids(ids, audit, data):
 @pytest.fixture
 def split_setup(tiny_graph):
     train, queries = split_holdout(tiny_graph, 0.5, seed=7)
-    retriever = HeuristicRetriever(train, exclude_neighbors=False)
+    retriever = HeuristicRetriever(train)
     return train, queries, retriever
 
 
@@ -187,8 +187,9 @@ class TestRunPipeline:
         train, queries, retriever = split_setup
         config = PipelineConfig(n_div=50, n_acc=25)
         base, _, final = run_pipeline(queries[0], retriever, train.items, config, mocks()).stages
-        assert len(base.order) == 5  # 6 items minus the query
-        assert len(final.order) == 5
+        pool = len(train.items) - 1 - len(train.neighbors(queries[0].query_id))  # less the query and its neighbours
+        assert len(base.order) == pool
+        assert len(final.order) == pool
 
     def test_conservation(self, split_setup):
         train, queries, retriever = split_setup

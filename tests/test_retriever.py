@@ -15,7 +15,6 @@ from complerank.retriever import (
     HeuristicRetriever,
     PrecomputedRetriever,
     RetrievalError,
-    ScoreWeights,
     _normalized,
     category_overlap,
     score_pair,
@@ -40,19 +39,17 @@ def item(id, categories=(), price=None):
 
 class TestScorePair:
     def test_identical_paths_equal_prices_maximal(self):
-        weights = ScoreWeights(category=2.0, price=0.5)
         a = item("a", ["x", "y", "z"], price=10.0)
         b = item("b", ["x", "y", "z"], price=10.0)
-        assert score_pair(a, b, weights) == pytest.approx(2.0 + 0.5)
+        assert score_pair(a, b) == 2.0
 
     def test_disjoint_paths_no_prices_zero(self):
         assert score_pair(item("a", ["x"]), item("b", ["y"])) == 0.0
 
     def test_partial_overlap_with_price_term(self):
-        weights = ScoreWeights(category=0.7, price=0.3)
         a = item("a", ["x", "y", "p"], price=10.0)
-        b = item("b", ["x", "y", "q"], price=10.0)
-        assert score_pair(a, b, weights) == pytest.approx(2 / 3 * 0.7 + 1.0 * 0.3)
+        b = item("b", ["x", "y", "q"], price=20.0)
+        assert score_pair(a, b) == 2 / 3 + 1.0 / (1.0 + math.log(2.0))
 
     def test_missing_price_contributes_zero(self):
         a = item("a", ["x"], price=10.0)
@@ -93,13 +90,6 @@ class TestScorePair:
         assert category_overlap(tuple(a), tuple(b)) == category_overlap(tuple(b), tuple(a))
 
 
-@pytest.mark.parametrize("weights", [{"price": -2.0}, {"category": -1e-300}, {"category": math.nan}])
-def test_score_weights_must_be_nonnegative(weights):
-    [(name, value)] = weights.items()
-    with pytest.raises(ValueError, match=f"^{name}: must be nonnegative, got {value}$"):
-        ScoreWeights(**weights)
-
-
 class TestRetrieveHeuristic:
     def make_graph(self):
         from complerank.catalog import ComplementGraph
@@ -137,27 +127,31 @@ class TestRetrieveHeuristic:
         assert "q" not in ids(ranked)
 
     def test_neighbor_exclusion_flag(self):
+        """The query's train neighbours are left out: they are known, not predicted, complements."""
         graph, _ = generate(SynthConfig(n_items=20, n_genres=2, edges_per_item=2.0, seed=1))
         query_id = sorted(graph.items)[0]
         neighbors = graph.neighbors(query_id)
-        if not neighbors:
-            pytest.skip("seed produced an isolated first node")
-        with_excl = HeuristicRetriever(graph, exclude_neighbors=True).retrieve(query_id, n=19)
-        without = HeuristicRetriever(graph, exclude_neighbors=False).retrieve(query_id, n=19)
-        assert not neighbors & set(ids(with_excl))
-        assert neighbors <= set(ids(without))
+        assert neighbors, "the seed must give the first item a neighbour"
+        ranked = ids(HeuristicRetriever(graph).retrieve(query_id, n=19))
+        assert not neighbors & set(ranked)
+        assert sorted(ranked) == sorted(set(graph.items) - neighbors - {query_id})
 
     def test_full_depth_is_total_ordering(self):
         graph, _ = generate(SynthConfig(n_items=25, n_genres=3, edges_per_item=1.0, seed=2))
         query_id = sorted(graph.items)[0]
-        ranked = HeuristicRetriever(graph, exclude_neighbors=False).retrieve(query_id, n=24)
-        assert sorted(ids(ranked)) == sorted(set(graph.items) - {query_id})
+        neighbors = graph.neighbors(query_id)
+        ranked = HeuristicRetriever(graph).retrieve(query_id, n=24)
+        assert not neighbors & set(ids(ranked))
+        assert sorted(ids(ranked)) == sorted(set(graph.items) - neighbors - {query_id})
 
     def test_truncation_prefix_consistency(self):
         graph, _ = generate(SynthConfig(n_items=30, n_genres=3, edges_per_item=1.0, seed=3))
         query_id = sorted(graph.items)[0]
-        retriever = HeuristicRetriever(graph, exclude_neighbors=False)
+        neighbors = graph.neighbors(query_id)
+        retriever = HeuristicRetriever(graph)
         full = as_pairs(retriever.retrieve(query_id, n=29))
+        assert len(full) == 29 - len(neighbors)
+        assert not neighbors & {item_id for item_id, _ in full}
         for n in (1, 5, 12, 29):
             prefix = as_pairs(retriever.retrieve(query_id, n=n))
             assert prefix == full[:n]
