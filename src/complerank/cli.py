@@ -247,6 +247,8 @@ class RunConfig:
 
         if "out" not in raw:
             raise ValueError("out: no output directory; set 'out' in the config or pass --out")
+        if raw["out"] == "":  # Path("") is the working directory
+            raise ValueError("out: must be nonempty")
         concurrency = raw.get("concurrency", 1)
         if concurrency < 1:
             raise ValueError(f"concurrency: must be positive, got {concurrency}")
@@ -390,12 +392,14 @@ def cmd_run(cfg: RunConfig) -> Path:
                 "query_id": r.query.query_id,
                 "source": retr.name,
                 "ground_truth": sorted(r.query.ground_truth),
-                "candidates": list(zip(r.stages[0].order, r.scores)),  # tuples encode as arrays
+                "candidates": list(zip(r.ids, r.scores)),  # tuples encode as arrays
             }
             for r in results
         ),
     )
-    stage_records = (_record(r, outcome, order=outcome.order) for r in results for outcome in r.stages)
+    stage_records = (
+        _record(r, outcome, order=order) for r in results for outcome, order in zip(r.stages, r.orders())
+    )
     catalog.write_json_lines(out_dir / "stages.jsonl", stage_records)
     if cfg.audit:
         catalog.write_json_lines(out_dir / "audit.jsonl", _audit_records(results, items))

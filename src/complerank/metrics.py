@@ -127,8 +127,8 @@ def evaluate_results(
     ideal_dcg = list(accumulate(discounts))
     for result in results:
         query_id, truth = result.query.query_id, result.query.ground_truth
-        for outcome in result.stages:
-            top = outcome.order[: ks[-1]]
+        for outcome, order in zip(result.stages, result.orders()):
+            top = order[: ks[-1]]
             hit_positions = [p for p, item_id in enumerate(top, start=1) if item_id in truth]
             counts: Counter[str] = Counter()
             dcg, depth, next_hit = 0.0, 0, 0  # next_hit counts the hits in the first k

@@ -2,8 +2,8 @@
 
 Per query: retrieve the top ``n_div`` candidates, let the diversity agent
 rerank them, truncate to the top ``n_acc``, let the accuracy agent refine
-those.  A :class:`QueryResult` carries the query, its retrieval scores and
-one flat :class:`StageOutcome` per stage, in ``STAGES`` order
+those.  A :class:`QueryResult` carries the query, its retrieved ids and
+scores and one flat :class:`StageOutcome` per stage, in ``STAGES`` order
 (base / diversity / diversity_accuracy), so ablations can be evaluated side
 by side and each outcome written as one record.
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Protocol, Sequence
 
 from .agents import (
@@ -39,6 +40,11 @@ _STAGE_BY_KIND = {AgentKind.DIVERSITY: STAGE_DIVERSITY, AgentKind.ACCURACY: STAG
 # Named hyperparameter presets: (rerank depth n_div, refinement depth n_acc).
 PRESETS = {"fig1": (50, 25), "fig2": (100, 50)}
 
+# Identity positions: a stage's input as it stands.  One byte per position, as no prompt lists
+# more than MAX_CANDIDATES candidates (``bytes`` refuses a value over 255).
+_IDENTITY = bytes(range(MAX_CANDIDATES))
+
+
 class Retriever(Protocol):
     name: str
 
@@ -61,14 +67,16 @@ class PipelineConfig:
 
 @dataclass(slots=True)
 class StageOutcome:
-    """One stage's ordered ids plus parse-repair flags and transport bookkeeping.
+    """One stage's order, as positions into its input, plus parse-repair flags and transport bookkeeping.
 
-    No prompt is kept: it is a pure function of the stage's input, which
-    :func:`reranked_stages` finds again.
+    ``positions[k]`` is the index in the stage's input of its ``k``-th id, one byte each; the
+    input is the order of the stage before it (of the first stage, the retrieved ids), and
+    :meth:`QueryResult.orders` maps the positions back to ids.  No prompt is kept: it is a pure
+    function of the stage's input, which :func:`reranked_stages` finds again.
     """
 
     stage: str
-    order: tuple[str, ...]
+    positions: bytes
     repairs: frozenset[str] = NO_REPAIRS
     failed: bool = False
     response: str | None = None
@@ -76,11 +84,27 @@ class StageOutcome:
 
 @dataclass(slots=True)
 class QueryResult:
-    """A query, its stage outcomes in ``STAGES`` order and the score of each id of ``stages[0].order``."""
+    """A query, its retrieved ids and the score of each, and its stage outcomes in ``STAGES`` order.
+
+    ``ids`` and ``scores`` are held as the retriever returned them, not copied.
+    """
 
     query: QueryInstance
+    ids: tuple[str, ...]
     scores: array  # typecode "d"
     stages: tuple[StageOutcome, StageOutcome, StageOutcome]
+
+    def orders(self) -> list[tuple[str, ...]]:
+        """Each stage's order as ids, in ``stages`` order: each stage's positions index the order before it."""
+        orders, order = [], self.ids
+        for outcome in self.stages:
+            positions = outcome.positions
+            if positions == _IDENTITY[: len(positions)]:  # the base stage, or a failed one: no lookup
+                order = order[: len(positions)]
+            else:  # a permutation of under two positions is the identity, so ``itemgetter`` gives a tuple
+                order = itemgetter(*positions)(order)
+            orders.append(order)
+        return orders
 
 
 def rerank_stage(
@@ -91,21 +115,20 @@ def rerank_stage(
     transport: Transport,
     audit: bool = True,
 ) -> StageOutcome:
-    """Prompt the agent with the ``items`` of ``ids`` and map its permutation back to ids.
+    """Prompt the agent with the ``items`` of ``ids`` and keep its permutation as positions into ``ids``.
 
-    The output is always a permutation of ``ids``.  A transport failure (after
-    the transport's own retries) keeps ``ids`` itself and marks the outcome
-    ``failed``.  Only with ``audit`` does it keep the answer.
+    The positions are always a permutation of ``range(len(ids))``.  A transport
+    failure (after the transport's own retries) keeps the identity positions and
+    marks the outcome ``failed``.  Only with ``audit`` does it keep the answer.
     """
     bundle = build_prompt(query, [items[item_id] for item_id in ids], kind)
     stage = _STAGE_BY_KIND[kind]
     try:
         raw = transport(bundle)
     except TransportError:
-        return StageOutcome(stage, ids, failed=True)
+        return StageOutcome(stage, _IDENTITY[: len(ids)], failed=True)
     parsed = parse_permutation(raw, len(ids))
-    order = tuple([ids[k] for k in parsed.order])
-    return StageOutcome(stage, order, parsed.repairs, response=raw if audit else None)
+    return StageOutcome(stage, bytes(parsed.order), parsed.repairs, response=raw if audit else None)
 
 
 def reranked_stages(result: QueryResult) -> tuple[tuple[StageOutcome, AgentKind, tuple[str, ...]], ...]:
@@ -113,12 +136,14 @@ def reranked_stages(result: QueryResult) -> tuple[tuple[StageOutcome, AgentKind,
 
     The diversity stage reranked the base order; the accuracy stage, the head
     of the diversity order as long as its own order (also after a failed
-    diversity stage, or a retrieved list shorter than ``n_acc``).
+    diversity stage, or a retrieved list shorter than ``n_acc``).  The ids come
+    from one :meth:`QueryResult.orders` call.
     """
-    base, diversity, final = result.stages
+    _, diversity, final = result.stages
+    base_order, diversity_order, _ = result.orders()
     return (
-        (diversity, AgentKind.DIVERSITY, base.order),
-        (final, AgentKind.ACCURACY, diversity.order[: len(final.order)]),
+        (diversity, AgentKind.DIVERSITY, base_order),
+        (final, AgentKind.ACCURACY, diversity_order[: len(final.positions)]),
     )
 
 
@@ -136,13 +161,13 @@ def run_pipeline(
     accuracy agent only ever sees the first ``n_acc`` survivors of the
     diversity list, so truncated items can never reappear.
     """
-    base_order, scores = retriever.retrieve(query.query_id, config.n_div)  # held as returned, not copied
-    base = StageOutcome(STAGE_BASE, base_order)
+    ids, scores = retriever.retrieve(query.query_id, config.n_div)  # held as returned, not copied
+    base = StageOutcome(STAGE_BASE, _IDENTITY[: len(ids)])
     query_item = items[query.query_id]
-    diversity = rerank_stage(query_item, base.order, items, AgentKind.DIVERSITY, transports[0], audit)
-    head = diversity.order[: config.n_acc]
+    diversity = rerank_stage(query_item, ids, items, AgentKind.DIVERSITY, transports[0], audit)
+    head = tuple([ids[k] for k in diversity.positions[: config.n_acc]])
     final = rerank_stage(query_item, head, items, AgentKind.ACCURACY, transports[1], audit)
-    return QueryResult(query, scores, (base, diversity, final))
+    return QueryResult(query, ids, scores, (base, diversity, final))
 
 
 def run_all(

@@ -136,13 +136,12 @@ class PrecomputedRetriever:
     two-element JSON array, its id a string or an integer in ``items`` (the catalog) and its
     score a finite JSON number; a malformed line, a query id that is no string or integer or is
     repeated, a NaN or infinite score, a candidate id or score of another JSON type or an unknown
-    id fails at load with ``path:line``, checked in that order.  Each list is held as two
-    columns: a tuple of the catalog's own id strings and an ``array("d")`` of the scores.
+    id fails at load with ``path:line``, checked in that order.  A line that passes is ranked at
+    once and only its head of ``depth`` entries is held, as two columns: a tuple of the catalog's
+    own id strings and an ``array("d")`` of the scores.
 
-    :meth:`retrieve` replaces a query's columns with their ranked head of ``depth`` entries and
-    returns those held columns, or slices of them for a smaller ``n``, so a caller that keeps them
-    holds no copy.  A run retrieves each query once; ranking a ranked head gives equal columns, so
-    two threads that retrieve one query at once store equal columns and need no lock.
+    :meth:`retrieve` only reads: it returns the held columns, or slices of them for a smaller
+    ``n``, so a caller that keeps them holds no copy.
     """
 
     def __init__(
@@ -186,19 +185,15 @@ class PrecomputedRetriever:
                 ids = tuple(map(canonical.__getitem__, map(str, ids) if int in id_types else ids))
             except KeyError as exc:
                 raise RetrievalError(f"candidate id {exc.args[0]!r} is not in the catalog") from None
-            return str(query_id), (ids, scores)
+            return str(query_id), _normalized(str(query_id), ids, scores, depth)
 
         for query_id, columns in read_json_lines(self.path, parse, RetrievalError):
             self._lists[query_id] = columns
 
     def check_coverage(self, query_ids: Sequence[str]) -> None:
         """Raise unless every query has a line naming some candidate other than itself."""
-        uncovered = [
-            query_id
-            for query_id in query_ids
-            if query_id not in self._lists
-            or all(item_id == query_id for item_id in self._lists[query_id][0])
-        ]
+        lists = self._lists
+        uncovered = [query_id for query_id in query_ids if query_id not in lists or not lists[query_id][0]]
         if uncovered:
             raise RetrievalError(
                 f"{self.path}: no candidate for {len(uncovered)} of {len(query_ids)} queries, "
@@ -210,5 +205,5 @@ class PrecomputedRetriever:
             raise RetrievalError(f"query {query_id!r} not present in {self.path}")
         if not 1 <= n <= self.depth:
             raise RetrievalError(f"retrieval depth must be in 1..{self.depth}, got {n}")
-        ids, scores = self._lists[query_id] = _normalized(query_id, *self._lists[query_id], self.depth)
+        ids, scores = self._lists[query_id]
         return (ids, scores) if n >= len(ids) else (ids[:n], scores[:n])

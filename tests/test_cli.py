@@ -724,6 +724,14 @@ MALFORMED = [
     pytest.param(
         {"dataset": {"synth": {"n_items": 60}, "name": ""}}, (), "dataset.name: must be nonempty", id="dataset-name-empty"
     ),
+    # An empty "out" would name the working directory.
+    pytest.param(
+        lambda tmp_path: json.dumps({**overrides_of(base_config(tmp_path, "bad")[0]), "out": ""}),
+        (),
+        "out: must be nonempty",
+        id="out-empty",
+    ),
+    pytest.param({}, ("--out", ""), "out: must be nonempty", id="out-flag-empty"),
     pytest.param(
         {"retriever": {"kind": "heuristic", "name": ""}}, (), "retriever.name: must be nonempty", id="retriever-name-empty"
     ),
@@ -1038,7 +1046,8 @@ def test_readme_run_config_names_every_key():
 
 
 @pytest.mark.parametrize("overrides, flags, key", MALFORMED)
-def test_malformed_config_fails_before_output(tmp_path, capsys, overrides, flags, key):
+def test_malformed_config_fails_before_output(tmp_path, capsys, monkeypatch, overrides, flags, key):
+    monkeypatch.chdir(tmp_path)  # where a run given an empty "out" would write
     if callable(overrides):
         overrides = overrides(tmp_path)
     if isinstance(overrides, str):
@@ -1102,8 +1111,8 @@ class TestHeldMemory:
 
     def test_held_records_have_no_instance_dict(self):
         query = QueryInstance("a", frozenset({"b"}))
-        outcome = pipeline.StageOutcome(pipeline.STAGE_BASE, ("b",))
-        result = pipeline.QueryResult(query, array("d", [1.0]), (outcome, outcome, outcome))
+        outcome = pipeline.StageOutcome(pipeline.STAGE_BASE, bytes(1))
+        result = pipeline.QueryResult(query, ("b",), array("d", [1.0]), (outcome, outcome, outcome))
         records = [Item("a", "alpha", ("x",), 2.0), query, outcome, result]
         assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []
 
@@ -1139,6 +1148,33 @@ class TestHeldMemory:
         config_path, out_dir = precomputed_config(tmp_path)
         assert main(["run", "--config", str(config_path)]) == 0
         assert seen == [[(False, False)]]
+        assert output_digests(out_dir) == golden_digests("mock_run_precomputed.sha256")
+
+    def test_precomputed_run_holds_heads_positions_and_the_retrievers_own_columns(self, tmp_path, monkeypatch):
+        """The retriever holds each line's head of n_div entries and hands out those very columns; each
+        result keeps them as its ids and scores, and every stage's order as bytes positions."""
+        held = []
+        run_all = pipeline.run_all
+
+        def noted(queries, retr, items, config, *rest, **kwargs):
+            results = run_all(queries, retr, items, config, *rest, **kwargs)
+            held.append((retr, config.n_div, results))
+            return results
+
+        monkeypatch.setattr(pipeline, "run_all", noted)
+        config_path, out_dir = precomputed_config(tmp_path)
+        assert main(["run", "--config", str(config_path)]) == 0
+        [(retr, depth, results)] = held
+        lines = [json.loads(line)["candidates"] for line in PRECOMPUTED_SCORES.splitlines()]
+        assert max(map(len, lines)) > depth + 1  # a line deeper than n_div even without the query's own id
+        assert all(len(ids) <= depth and len(scores) <= depth for ids, scores in retr._lists.values())
+        assert results
+        for r in results:
+            ids, scores = retr.retrieve(r.query.query_id, depth)
+            again = retr.retrieve(r.query.query_id, depth)
+            assert again[0] is ids and again[1] is scores
+            assert r.ids is ids and r.scores is scores
+            assert [type(outcome.positions) for outcome in r.stages] == [bytes] * 3
         assert output_digests(out_dir) == golden_digests("mock_run_precomputed.sha256")
 
     def test_heuristic_retriever_keeps_the_train_graph_alone(self, tmp_path, monkeypatch, graphs):

@@ -348,7 +348,8 @@ def items_titled(titles):
 
 def evaluate_list(order, truth, items, cutoffs):
     """``evaluate_results`` on one query ``q`` whose one stage, ``base``, ranks ``order``."""
-    result = QueryResult(QueryInstance("q", frozenset(truth)), array("d"), (StageOutcome("base", order),))
+    base = StageOutcome("base", bytes(range(len(order))))
+    result = QueryResult(QueryInstance("q", frozenset(truth)), tuple(order), array("d"), (base,))
     return list(evaluate_results([result], items, cutoffs))
 
 
@@ -418,7 +419,7 @@ def test_evaluate_results_is_lazy():
         for n, item_id in enumerate(_IDS[:4]):
             pulled.append(n)
             query = QueryInstance(item_id, frozenset({_IDS[-1]}))
-            yield QueryResult(query, array("d"), (StageOutcome("base", _IDS[4:8]),))
+            yield QueryResult(query, tuple(_IDS[4:8]), array("d"), (StageOutcome("base", bytes(range(4))),))
 
     rows = evaluate_results(results(), items, (1, 3))
     assert pulled == []
@@ -432,20 +433,22 @@ def test_evaluate_results_is_lazy():
 def test_evaluate_results_equals_kernels_per_list():
     items = items_titled({item_id: f"Title {n % 3} shared-{n % 2} é{n}" for n, item_id in enumerate(_IDS)})
     queries = [QueryInstance("q1", frozenset({"i3", "i7"})), QueryInstance("q2", frozenset({"i0"}))]
-    results = []
+    results, orders = [], []
     for query, order in zip(queries, (_IDS[:8], _IDS[4:])):
+        # Each stage's positions index the order before it: the reversed order, then its head of 4.
         stages = (
-            StageOutcome("base", list(order)),
-            StageOutcome("diversity", order[::-1]),
-            StageOutcome("diversity_accuracy", order[::-1][:4]),
+            StageOutcome("base", bytes(range(len(order)))),
+            StageOutcome("diversity", bytes(range(len(order)))[::-1]),
+            StageOutcome("diversity_accuracy", bytes(range(4))),
         )
-        results.append(QueryResult(query, array("d", [1.0] * len(order)), stages))
+        results.append(QueryResult(query, tuple(order), array("d", [1.0] * len(order)), stages))
+        orders.append((list(order), order[::-1], order[::-1][:4]))
     rows = evaluate_results(results, items, (5, 1, 3))
     expected = [
         (r.query.query_id, outcome.stage, *values)
-        for r in results
-        for outcome in r.stages
-        for values in _kernel_rows(outcome.order, r.query.ground_truth, items, (5, 1, 3))
+        for r, stage_orders in zip(results, orders)
+        for outcome, order in zip(r.stages, stage_orders)
+        for values in _kernel_rows(order, r.query.ground_truth, items, (5, 1, 3))
     ]
     assert [(r.query_id, r.stage, r.k, r.hit, r.ndcg, r.entropy, r.vocab) for r in rows] == expected
 

@@ -1,12 +1,21 @@
 import dataclasses
 import json
 import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complerank.agents import NO_REPAIRS, AgentKind, TransportError, build_prompt, mock_agent, render_prompt
+from complerank.agents import (
+    MAX_CANDIDATES,
+    NO_REPAIRS,
+    AgentKind,
+    TransportError,
+    build_prompt,
+    mock_agent,
+    render_prompt,
+)
 from complerank.catalog import Item, QueryInstance, split_holdout
 from complerank.pipeline import (
     PRESETS,
@@ -62,12 +71,17 @@ def ids_and_items(candidates):
     return tuple(item.id for item in candidates), {item.id: item for item in candidates}
 
 
+def ids_of(ids, outcome):
+    """The ids of ``outcome``'s order, its positions looked up in its input ``ids``."""
+    return tuple(ids[k] for k in outcome.positions)
+
+
 class TestRerankStage:
     def test_identity(self, prompt_fixture):
         query, candidates = prompt_fixture
         ids, items = ids_and_items(candidates)
         outcome = rerank_stage(query, ids, items, AgentKind.DIVERSITY, mock_agent("identity"))
-        assert outcome.order == ids
+        assert ids_of(ids, outcome) == ids
         assert outcome.stage == STAGE_DIVERSITY
         assert not outcome.failed
 
@@ -75,7 +89,7 @@ class TestRerankStage:
         query, candidates = prompt_fixture
         ids, items = ids_and_items(candidates)
         outcome = rerank_stage(query, ids[:3], items, AgentKind.ACCURACY, mock_agent("reverse"))
-        assert outcome.order == ("c3", "c2", "c1")
+        assert ids_of(ids, outcome) == ("c3", "c2", "c1")
         assert outcome.stage == STAGE_FINAL
 
     def test_oracle(self, prompt_fixture):
@@ -83,7 +97,7 @@ class TestRerankStage:
         ids, items = ids_and_items(candidates)
         transport = mock_agent("oracle", ground_truth={query.id: {"c2"}})
         outcome = rerank_stage(query, ids[:3], items, AgentKind.DIVERSITY, transport)
-        assert outcome.order == ("c2", "c1", "c3")
+        assert ids_of(ids, outcome) == ("c2", "c1", "c3")
 
     def test_transport_error_falls_back_to_identity(self, prompt_fixture):
         query, candidates = prompt_fixture
@@ -96,12 +110,12 @@ class TestRerankStage:
 
         outcome = rerank_stage(query, ids, items, AgentKind.DIVERSITY, broken)
         assert outcome.failed
-        assert outcome.order is ids
+        assert outcome.positions == bytes(range(len(ids)))
         assert outcome.stage == STAGE_DIVERSITY
         assert outcome.repairs is NO_REPAIRS
         # No prompt is kept; the one sent is rendered again from the stage's input, which the fallback keeps.
         assert not hasattr(outcome, "prompt")
-        assert sent == [render_prompt(query, [items[i] for i in outcome.order], AgentKind.DIVERSITY)]
+        assert sent == [render_prompt(query, [items[i] for i in ids_of(ids, outcome)], AgentKind.DIVERSITY)]
         assert sent == [build_prompt(query, candidates, AgentKind.DIVERSITY).text]
         assert outcome.response is None
 
@@ -112,33 +126,75 @@ class TestRerankStage:
 
 
 def _answers(n):
-    """A model's answer for ``n`` candidates: a permutation, any text, repeated or out-of-range IDs, or None
-    for a transport that raises."""
+    """A model's answer for ``n`` candidates: a clean permutation, an answer wrapped in prose, any text,
+    repeated or out-of-range IDs, or None for a transport that raises."""
+    clean = st.permutations(range(n)).map(str)
     rendered = st.lists(st.integers(-2, n + 2), max_size=n + 3).map(str)
-    return st.one_of(st.permutations(range(n)).map(str), st.text(max_size=40), rendered, st.none())
+    prose = st.one_of(clean, rendered).map("Ranked, best first: {}. Done.".format)
+    return st.one_of(clean, prose, st.text(max_size=40), rendered, st.none())
 
 
-@given(
-    ids=st.lists(st.integers(0, 10**6).map(str), min_size=1, max_size=100, unique=True).map(tuple),
-    audit=st.booleans(),
-    data=st.data(),
-)
-@settings(max_examples=200, deadline=None)
-def test_stage_order_is_a_permutation_of_its_ids(ids, audit, data):
-    answer = data.draw(_answers(len(ids)))
-    items = {item_id: Item(item_id, f"title {item_id}") for item_id in ids}
+def _answering(answer):
+    """A transport that gives ``answer``, or raises for None."""
 
     def transport(bundle):
         if answer is None:
             raise TransportError("down")
         return answer
 
-    outcome = rerank_stage(Item("q", "query"), ids, items, AgentKind.DIVERSITY, transport, audit)
-    assert sorted(outcome.order) == sorted(ids)
+    return transport
+
+
+class FixedRetriever:
+    """Retrieves the head of ``ids`` for every query, with zero scores."""
+
+    name = "fixed"
+
+    def __init__(self, ids):
+        self.ids = ids
+
+    def retrieve(self, query_id, n):
+        head = self.ids[:n]
+        return head, array("d", [0.0] * len(head))
+
+
+def test_positions_fit_in_a_byte():
+    """A stage holds each position as one byte, so no prompt may list more than 256 candidates."""
+    assert MAX_CANDIDATES <= 256
+
+
+@given(
+    ids=st.lists(st.integers(0, 10**6).map(str), min_size=1, max_size=MAX_CANDIDATES, unique=True).map(tuple),
+    audit=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_stage_order_is_a_permutation_of_its_ids(ids, audit, data):
+    """Whatever the answers, each stage's positions are a permutation of its input's, and ``orders()``
+    maps them back to ids: the accuracy order is a permutation of the diversity order's head."""
+    answer = data.draw(_answers(len(ids)))
+    items = {item_id: Item(item_id, f"title {item_id}") for item_id in ("q", *ids)}
+    outcome = rerank_stage(items["q"], ids, items, AgentKind.DIVERSITY, _answering(answer), audit)
+    assert type(outcome.positions) is bytes
+    assert sorted(outcome.positions) == list(range(len(ids)))
+    assert sorted(ids_of(ids, outcome)) == sorted(ids)
     assert outcome.failed == (answer is None)
     if outcome.failed:
-        assert outcome.order is ids
+        assert outcome.positions == bytes(range(len(ids)))
     assert outcome.response == (answer if audit and not outcome.failed else None)
+
+    n_acc = data.draw(st.integers(1, len(ids)))
+    transports = (_answering(answer), _answering(data.draw(_answers(n_acc))))
+    query = QueryInstance("q", frozenset(ids[:1]))
+    result = run_pipeline(query, FixedRetriever(ids), items, PipelineConfig(len(ids), n_acc), transports, audit)
+    assert result.stages[1] == outcome
+    for stage, _, stage_input in reranked_stages(result):
+        assert type(stage.positions) is bytes
+        assert sorted(stage.positions) == list(range(len(stage_input)))
+    base, diversity, final = result.orders()
+    assert base == ids
+    assert sorted(diversity) == sorted(ids)
+    assert sorted(final) == sorted(diversity[:n_acc])
 
 
 @pytest.fixture
@@ -152,10 +208,11 @@ class TestRunPipeline:
     def test_identity_stages_track_base(self, split_setup):
         train, queries, retriever = split_setup
         config = PipelineConfig(n_div=4, n_acc=2)
-        base, diversity, final = run_pipeline(queries[0], retriever, train.items, config, mocks()).stages
-        assert base.stage == STAGE_BASE
-        assert diversity.order == base.order
-        assert final.order == base.order[:2]
+        result = run_pipeline(queries[0], retriever, train.items, config, mocks())
+        base, diversity, final = result.orders()
+        assert result.stages[0].stage == STAGE_BASE
+        assert diversity == base
+        assert final == base[:2]
 
     def test_result_carries_query_and_stages_in_order(self, split_setup):
         train, queries, retriever = split_setup
@@ -164,7 +221,8 @@ class TestRunPipeline:
         assert result.query is query
         assert tuple(outcome.stage for outcome in result.stages) == STAGES
         ids, scores = retriever.retrieve(query.query_id, 4)
-        assert result.stages[0].order == ids
+        assert result.ids == ids
+        assert result.orders()[0] == ids
         assert result.scores == scores
 
     @pytest.mark.parametrize("n_div", [4, 50])  # 50 keeps the whole 5-item pool
@@ -180,39 +238,39 @@ class TestRunPipeline:
         result = run_pipeline(query, retriever, train.items, PipelineConfig(n_div=n_div, n_acc=2), mocks())
         [(_, _, (ids, scores))] = retriever.calls
         assert len(ids) == min(n_div, 5)
-        assert result.stages[0].order is ids
+        assert result.ids is ids
         assert result.scores is scores
 
     def test_small_pool_uses_whole_pool(self, split_setup):
         train, queries, retriever = split_setup
         config = PipelineConfig(n_div=50, n_acc=25)
-        base, _, final = run_pipeline(queries[0], retriever, train.items, config, mocks()).stages
+        base, _, final = run_pipeline(queries[0], retriever, train.items, config, mocks()).orders()
         pool = len(train.items) - 1 - len(train.neighbors(queries[0].query_id))  # less the query and its neighbours
-        assert len(base.order) == pool
-        assert len(final.order) == pool
+        assert len(base) == pool
+        assert len(final) == pool
 
     def test_conservation(self, split_setup):
         train, queries, retriever = split_setup
         config, transports = PipelineConfig(n_div=4, n_acc=3), mocks("reverse", "reverse")
-        base, diversity, final = run_pipeline(queries[0], retriever, train.items, config, transports).stages
-        assert sorted(diversity.order) == sorted(base.order)
-        assert sorted(final.order) == sorted(diversity.order[:3])
+        base, diversity, final = run_pipeline(queries[0], retriever, train.items, config, transports).orders()
+        assert sorted(diversity) == sorted(base)
+        assert sorted(final) == sorted(diversity[:3])
 
     def test_stage_isolation_under_shuffle(self, split_setup):
         train, queries, retriever = split_setup
         config, transports = PipelineConfig(n_div=4, n_acc=2), mocks("shuffle:5", "shuffle:9")
-        _, diversity, final = run_pipeline(queries[0], retriever, train.items, config, transports).stages
-        truncated_away = set(diversity.order[2:])
-        assert not truncated_away & set(final.order)
+        _, diversity, final = run_pipeline(queries[0], retriever, train.items, config, transports).orders()
+        truncated_away = set(diversity[2:])
+        assert not truncated_away & set(final)
 
     def test_oracle_puts_truth_at_head(self, split_setup):
         train, queries, retriever = split_setup
         query = queries[0]
         oracle = mock_agent("oracle", ground_truth={q.query_id: q.ground_truth for q in queries})
         config = PipelineConfig(n_div=5, n_acc=3)
-        base, diversity, _ = run_pipeline(query, retriever, train.items, config, (oracle, oracle)).stages
-        reachable = tuple(i for i in base.order if i in query.ground_truth)
-        assert diversity.order[: len(reachable)] == reachable
+        base, diversity, _ = run_pipeline(query, retriever, train.items, config, (oracle, oracle)).orders()
+        reachable = tuple(i for i in base if i in query.ground_truth)
+        assert diversity[: len(reachable)] == reachable
 
     def test_transport_failure_falls_back_to_identity(self, split_setup):
         train, queries, retriever = split_setup
@@ -221,11 +279,12 @@ class TestRunPipeline:
             raise TransportError("down")
 
         config, transports = PipelineConfig(n_div=4, n_acc=2), (broken, mock_agent("identity"))
-        base, diversity, final = run_pipeline(queries[0], retriever, train.items, config, transports).stages
-        assert diversity.failed
-        assert diversity.order == base.order
-        assert not final.failed
-        assert final.order == base.order[:2]
+        result = run_pipeline(queries[0], retriever, train.items, config, transports)
+        base, diversity, final = result.orders()
+        assert result.stages[1].failed
+        assert diversity == base
+        assert not result.stages[2].failed
+        assert final == base[:2]
 
     @pytest.mark.parametrize("n_div, n_acc", [(4, 2), (50, 25)])  # 50 retrieves the 5-item pool, under n_acc
     def test_reranked_stages_give_each_prompts_input(self, split_setup, n_div, n_acc):
@@ -255,9 +314,9 @@ class TestRunPipeline:
         config, transports = PipelineConfig(n_div=5, n_acc=3), mocks("reverse", "reverse")
         for query in queries:
             result = run_pipeline(query, retriever, train.items, config, transports)
-            for outcome in result.stages:
-                assert len(set(outcome.order)) == len(outcome.order)
-                assert query.query_id not in outcome.order
+            for order in result.orders():
+                assert len(set(order)) == len(order)
+                assert query.query_id not in order
 
     def test_unservable_query_raises(self, split_setup):
         train, _, retriever = split_setup
@@ -295,7 +354,7 @@ class TestRunAll:
         assert len(prompts) == 2 * len(queries) and all("candidate products" in p for p in prompts)
         assert all(o.response is not None for r in kept for o in r.stages[1:] if not o.failed)
         assert all(o.response is None for r in dropped for o in r.stages)
-        assert [[o.order for o in r.stages] for r in dropped] == [[o.order for o in r.stages] for r in kept]
+        assert [r.orders() for r in dropped] == [r.orders() for r in kept]
 
     @pytest.mark.parametrize("concurrency", [1, 3])
     def test_retrieves_each_query_once_at_n_div(self, concurrency):
@@ -315,7 +374,7 @@ class TestRunAll:
         config, transports = PipelineConfig(n_div=10, n_acc=5), mocks("shuffle:1", "shuffle:2")
         sequential = run_all(queries, retriever, train.items, config, transports, concurrency=1)
         parallel = run_all(queries, retriever, train.items, config, transports, concurrency=4)
-        assert [r.stages[-1].order for r in sequential] == [r.stages[-1].order for r in parallel]
+        assert [r.orders()[-1] for r in sequential] == [r.orders()[-1] for r in parallel]
 
     def test_one_oracle_shared_across_threads_matches_sequential(self):
         graph, _ = generate(SynthConfig(n_items=60, n_genres=3, edges_per_item=3.0, seed=8))
@@ -336,8 +395,9 @@ class TestRunAll:
             parallel = run_all(queries, retriever, train.items, config, (oracle, oracle), concurrency=3)
         finally:
             sys.setswitchinterval(interval)
-        assert [[o.order for o in r.stages] for r in parallel] == [[o.order for o in r.stages] for r in sequential]
+        assert [r.orders() for r in parallel] == [r.orders() for r in sequential]
         assert sorted(calls) == sorted(2 * 2 * [q.query_id for q in queries])
         for r in sequential:
-            reachable = tuple(i for i in r.stages[0].order if i in r.query.ground_truth)
-            assert r.stages[1].order[: len(reachable)] == reachable
+            base, diversity, _ = r.orders()
+            reachable = tuple(i for i in base if i in r.query.ground_truth)
+            assert diversity[: len(reachable)] == reachable

@@ -395,8 +395,9 @@ class TestColumnarMatchesListOfTuples:
             PrecomputedRetriever(path, CATALOG_IDS, depth=0)
 
     def test_concurrent_first_retrieves_agree(self, tmp_path):
-        """Threads that rank one query at once store equal heads, so retrieve needs no lock.  The
-        lines of "q", "a" and "7" carry ties; the line of "d" is already in order."""
+        """Threads that read one query at once each get its ranked head, as the oracle ranks it: the
+        lines are ranked at load, and retrieve only reads.  The lines of "q", "a" and "7" carry ties;
+        the line of "d" is already in order."""
         path = tmp_path / "scores.jsonl"
         queries = ["q", "a", "7", "d"]
         records = [
