@@ -23,7 +23,6 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 from typing import Callable, Container, Iterable, Mapping, Sequence
 
 from .catalog import Item
@@ -86,31 +85,33 @@ Example answer format for 5 candidates: [1, 4, 3, 0, 2]
 
 @dataclass
 class PromptBundle:
-    """A prompt's inputs; local integer ID ``k`` names ``candidates[k]``.
+    """A prompt's inputs: local integer ID ``k`` names the item ``items[ids[k]]``.
 
-    ``text`` renders the prompt on each read and keeps nothing, so a bundle
-    holds no prompt text and a transport that never reads it renders none.
+    ``text`` looks the titles up and renders the prompt on each read, keeping
+    nothing, so a bundle holds no prompt text and a transport that never reads
+    it renders none and looks up no candidate.
     """
 
     query: Item
-    candidates: list[Item]
+    ids: Sequence[str]
+    items: Mapping[str, Item]
     kind: AgentKind
 
     @property
     def text(self) -> str:
-        return render_prompt(self.query, self.candidates, self.kind)
+        return render_prompt(self.query, [self.items[item_id] for item_id in self.ids], self.kind)
 
 
-def build_prompt(query: Item, candidates: Sequence[Item], kind: AgentKind) -> PromptBundle:
-    """The prompt bundle for ``candidates`` in input order, checked now and rendered on read."""
-    candidates = list(candidates)
-    if not candidates:
+def build_prompt(query: Item, ids: Sequence[str], items: Mapping[str, Item], kind: AgentKind) -> PromptBundle:
+    """The prompt bundle for the ``items`` of ``ids`` in input order: the ids are checked now (nonempty,
+    at most ``MAX_CANDIDATES``, no repeat), and ``items`` is read only when the text is rendered."""
+    if not ids:
         raise PromptError("candidate list is empty")
-    if len(candidates) > MAX_CANDIDATES:
-        raise PromptError(f"{len(candidates)} candidates exceed the maximum of {MAX_CANDIDATES}")
-    if len({item.id for item in candidates}) != len(candidates):
+    if len(ids) > MAX_CANDIDATES:
+        raise PromptError(f"{len(ids)} candidates exceed the maximum of {MAX_CANDIDATES}")
+    if len(set(ids)) != len(ids):
         raise PromptError("candidate list contains duplicate item ids")
-    return PromptBundle(query, candidates, kind)
+    return PromptBundle(query, ids, items, kind)
 
 
 def is_http_url(url: str) -> bool:
@@ -240,7 +241,10 @@ NO_REPAIRS: frozenset[str] = frozenset()  # one shared empty set, as most answer
 
 _BRACKET_RE = re.compile(r"\[([^\[\]]*)\]")
 _INT_RE = re.compile(r"[+-]?\d+")
-_LOCAL_IDS = {str(k): k for k in range(MAX_CANDIDATES)}  # the plain decimal spelling of each ID a prompt names
+# The identity order of ``n`` positions, one byte each, is ``_IDENTITY[n]``, for every ``n`` a byte
+# indexes; an order that keeps its input as it stands shares one of these.
+_IDENTITY = tuple(bytes(range(n)) for n in range(257))
+_LOCAL_IDS = {str(k): k for k in range(256)}  # the plain decimal spelling of each ID a byte holds
 
 
 def _read_int(token: str, n: int) -> int:
@@ -252,27 +256,32 @@ def _read_int(token: str, n: int) -> int:
 
 
 def parse_permutation(raw: str, n: int) -> "ParsedPermutation":
-    """Extract and repair a ranking over local IDs ``0..n-1`` from model output.
+    """Extract and repair a ranking over local IDs ``0..n-1`` from model output, ``1 <= n <= 256``.
 
     The first bracketed comma-separated list containing at least one integer
     is used.  Repairs, applied in order: drop non-integer tokens, drop
     out-of-range IDs (an integer with more digits than ``int`` reads counts
     as out of range), keep the first occurrence of duplicates, append missing
     IDs in ascending order.  With no usable bracketed list at all, the
-    identity order is returned.  Every input yields a valid permutation; the
-    ``repairs`` flags record how much of the model's answer survived.
+    identity order is returned.  Every input yields a valid permutation, one
+    byte per ID; the ``repairs`` flags record how much of the model's answer
+    survived.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 < n < len(_IDENTITY):
+        raise ValueError(f"n must be in 1..{len(_IDENTITY) - 1}, got {n}")
 
-    # Fast path: a clean "[i, j, ...]" permutation in plain decimal, read by lookup; a token
-    # not in the table reads as n.  Any other answer, other spellings of the same IDs
-    # included, goes through the loop below.
+    # Fast path: a clean "[i, j, ...]" answer in plain decimal, read by lookup.  With n tokens that
+    # leave none of 0..n-1 out, it is a permutation.  Any other answer, other spellings of the same
+    # IDs included, goes through the loop below.
     tokens = raw[1:-1].split(", ") if raw[:1] == "[" and raw[-1:] == "]" else ()
     if len(tokens) == n:
-        order = list(map(_LOCAL_IDS.get, tokens, repeat(n)))
-        if max(order) < n and len(set(order)) == n:
-            return ParsedPermutation(order=order, repairs=NO_REPAIRS)
+        try:
+            order = bytes(map(_LOCAL_IDS.__getitem__, tokens))
+        except KeyError:  # a token the table does not spell
+            pass
+        else:
+            if not _IDENTITY[n].translate(None, order):
+                return ParsedPermutation(order, NO_REPAIRS)
 
     values: list[int] | None = None
     for match in _BRACKET_RE.finditer(raw):
@@ -283,26 +292,25 @@ def parse_permutation(raw: str, n: int) -> "ParsedPermutation":
             break
 
     if values is None:
-        return ParsedPermutation(order=list(range(n)), repairs=frozenset({FALLBACK_IDENTITY}))
+        return ParsedPermutation(_IDENTITY[n], frozenset({FALLBACK_IDENTITY}))
 
     in_range = [v for v in values if 0 <= v < n]
-    order = list(dict.fromkeys(in_range))  # each ID at its first occurrence
+    order = bytes(dict.fromkeys(in_range))  # each ID at its first occurrence
+    missing = _IDENTITY[n].translate(None, order)  # in ascending order
     flags = (
         (DROPPED_OUT_OF_RANGE, len(in_range) < len(values)),
         (DEDUPLICATED, len(order) < len(in_range)),
-        (APPENDED_MISSING, len(order) < n),
+        (APPENDED_MISSING, bool(missing)),
     )
-    if len(order) < n:
-        order += sorted(set(range(n)).difference(order))
     repairs = frozenset(flag for flag, hit in flags if hit)
-    return ParsedPermutation(order=order, repairs=repairs or NO_REPAIRS)
+    return ParsedPermutation(order + missing, repairs or NO_REPAIRS)
 
 
 @dataclass
 class ParsedPermutation:
-    """A repaired ranking: ``order`` is always a permutation of ``0..n-1``."""
+    """A repaired ranking: ``order`` is always a permutation of ``0..n-1``, one byte per ID."""
 
-    order: list[int]
+    order: bytes
     repairs: frozenset[str]
 
 
@@ -328,9 +336,9 @@ def mock_agent(policy: str, ground_truth: Mapping[str, Container[str]] | None = 
     the front while preserving input order within both groups.
     """
     if policy == "identity":
-        return lambda bundle: _render(range(len(bundle.candidates)))
+        return lambda bundle: _render(range(len(bundle.ids)))
     if policy == "reverse":
-        return lambda bundle: _render(reversed(range(len(bundle.candidates))))
+        return lambda bundle: _render(reversed(range(len(bundle.ids))))
     if policy.startswith("shuffle:"):
         try:
             seed = int(policy[len("shuffle:"):])
@@ -340,7 +348,7 @@ def mock_agent(policy: str, ground_truth: Mapping[str, Container[str]] | None = 
         rendered: dict[int, str] = {}  # the answer depends only on (seed, n)
 
         def shuffled(bundle: PromptBundle) -> str:
-            n = len(bundle.candidates)
+            n = len(bundle.ids)
             if n not in rendered:
                 order = list(range(n))
                 random.Random(f"{seed}:{n}").shuffle(order)
@@ -354,8 +362,8 @@ def mock_agent(policy: str, ground_truth: Mapping[str, Container[str]] | None = 
 
         def oracled(bundle: PromptBundle) -> str:
             truth = ground_truth[bundle.query.id]
-            hits = [k for k, item in enumerate(bundle.candidates) if item.id in truth]
-            misses = [k for k, item in enumerate(bundle.candidates) if item.id not in truth]
+            hits = [k for k, item_id in enumerate(bundle.ids) if item_id in truth]
+            misses = [k for k, item_id in enumerate(bundle.ids) if item_id not in truth]
             return _render(hits + misses)
 
         return oracled

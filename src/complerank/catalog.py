@@ -111,11 +111,25 @@ class QueryInstance:
             raise CatalogError(f"query {self.query_id!r} appears in its own ground truth")
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON object of ``pairs``, as a decoder's ``object_pairs_hook``; a repeated key, which would
+    overwrite the first, raises ``ValueError`` naming it."""
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {json.dumps(next(k for k in keys if keys.count(k) > 1))}")
+    return record
+
+
+_decode = json.JSONDecoder(object_pairs_hook=unique_keys).decode
+
+
 def read_json_lines(path: Path, parse: Callable[[object], T], error: type[Exception]) -> Iterator[T]:
     """Yield ``parse(value)`` for each line of a UTF-8 JSON Lines file that holds more than JSON whitespace.
 
-    A line that is not UTF-8 or not JSON, or whose ``parse`` raises ``ValueError``, raises
-    ``error`` prefixed with ``path:line``; what the consumer raises passes unchanged.
+    A line that is not UTF-8 or not JSON, that repeats a key within an object, or whose ``parse``
+    raises ``ValueError``, raises ``error`` prefixed with ``path:line``; what the consumer raises
+    passes unchanged.
     """
     with open(path, "rb") as fh:  # decoded line by line, so that a bad byte is reported with its line
         for lineno, raw in enumerate(fh, start=1):
@@ -124,7 +138,7 @@ def read_json_lines(path: Path, parse: Callable[[object], T], error: type[Except
                 if not line:
                     continue
                 try:
-                    value = json.loads(line)
+                    value = _decode(line)
                 except (ValueError, RecursionError) as exc:  # also an over-long integer, or too deep a nesting
                     raise ValueError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
                 parsed = parse(value)

@@ -35,21 +35,17 @@ def _read_int(token: str) -> int | float:
 
 
 def _load_json(path: str | Path) -> dict:
-    def unique_keys(pairs: list[tuple[str, object]]) -> dict:  # a repeated key would overwrite the first
-        keys = [key for key, _ in pairs]
-        if len(set(keys)) < len(keys):
-            raise ValueError(f"{path}: repeated key {json.dumps(next(k for k in keys if keys.count(k) > 1))}")
-        return dict(pairs)
-
     try:
         text = Path(path).read_text(encoding="utf-8")
-        loaded = json.loads(text, parse_int=_read_int, object_pairs_hook=unique_keys)
+        loaded = json.loads(text, parse_int=_read_int, object_pairs_hook=catalog.unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 ({exc})") from None
     except RecursionError as exc:  # nested deeper than the decoder recurses
         raise ValueError(f"{path}: invalid JSON ({exc})") from None
+    except ValueError as exc:  # a repeated key
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(loaded, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     return loaded

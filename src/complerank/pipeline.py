@@ -20,6 +20,7 @@ from operator import itemgetter
 from typing import Mapping, Protocol, Sequence
 
 from .agents import (
+    _IDENTITY,
     MAX_CANDIDATES,
     NO_REPAIRS,
     AgentKind,
@@ -39,11 +40,6 @@ _STAGE_BY_KIND = {AgentKind.DIVERSITY: STAGE_DIVERSITY, AgentKind.ACCURACY: STAG
 
 # Named hyperparameter presets: (rerank depth n_div, refinement depth n_acc).
 PRESETS = {"fig1": (50, 25), "fig2": (100, 50)}
-
-# Identity positions: a stage's input as it stands.  One byte per position, as no prompt lists
-# more than MAX_CANDIDATES candidates (``bytes`` refuses a value over 255).
-_IDENTITY = bytes(range(MAX_CANDIDATES))
-
 
 class Retriever(Protocol):
     name: str
@@ -99,7 +95,7 @@ class QueryResult:
         orders, order = [], self.ids
         for outcome in self.stages:
             positions = outcome.positions
-            if positions == _IDENTITY[: len(positions)]:  # the base stage, or a failed one: no lookup
+            if positions == _IDENTITY[len(positions)]:  # the base stage, or a failed one: no lookup
                 order = order[: len(positions)]
             else:  # a permutation of under two positions is the identity, so ``itemgetter`` gives a tuple
                 order = itemgetter(*positions)(order)
@@ -117,18 +113,20 @@ def rerank_stage(
 ) -> StageOutcome:
     """Prompt the agent with the ``items`` of ``ids`` and keep its permutation as positions into ``ids``.
 
-    The positions are always a permutation of ``range(len(ids))``.  A transport
-    failure (after the transport's own retries) keeps the identity positions and
-    marks the outcome ``failed``.  Only with ``audit`` does it keep the answer.
+    ``ids`` and ``items`` go into the prompt as they are: ``items`` is read only
+    where the prompt text is.  The positions are the parsed answer itself,
+    always a permutation of ``range(len(ids))``.  A transport failure (after the
+    transport's own retries) keeps the identity positions and marks the outcome
+    ``failed``.  Only with ``audit`` does it keep the answer.
     """
-    bundle = build_prompt(query, [items[item_id] for item_id in ids], kind)
+    bundle = build_prompt(query, ids, items, kind)
     stage = _STAGE_BY_KIND[kind]
     try:
         raw = transport(bundle)
     except TransportError:
-        return StageOutcome(stage, _IDENTITY[: len(ids)], failed=True)
+        return StageOutcome(stage, _IDENTITY[len(ids)], failed=True)
     parsed = parse_permutation(raw, len(ids))
-    return StageOutcome(stage, bytes(parsed.order), parsed.repairs, response=raw if audit else None)
+    return StageOutcome(stage, parsed.order, parsed.repairs, response=raw if audit else None)
 
 
 def reranked_stages(result: QueryResult) -> tuple[tuple[StageOutcome, AgentKind, tuple[str, ...]], ...]:
@@ -162,7 +160,7 @@ def run_pipeline(
     diversity list, so truncated items can never reappear.
     """
     ids, scores = retriever.retrieve(query.query_id, config.n_div)  # held as returned, not copied
-    base = StageOutcome(STAGE_BASE, _IDENTITY[: len(ids)])
+    base = StageOutcome(STAGE_BASE, _IDENTITY[len(ids)])
     query_item = items[query.query_id]
     diversity = rerank_stage(query_item, ids, items, AgentKind.DIVERSITY, transports[0], audit)
     head = tuple([ids[k] for k in diversity.positions[: config.n_acc]])

@@ -72,11 +72,18 @@ def _normalized(
     """The top ``n`` of the ``(ids, scores)`` columns in the module's order, the scores as a new array."""
     if n < 1:
         raise RetrievalError(f"retrieval depth must be positive, got {n}")
-    # A list already in this order, as a model exports it, is cut, not sorted: its scores strictly
-    # decrease (so no tie needs the id order), its ids are unique and none is the query's.  An
-    # unsorted list fails the first check within a few elements.
-    if all(map(gt, scores, islice(scores, 1, None))) and query_id not in ids and len(set(ids)) == len(ids):
-        return tuple(ids[:n]), array("d", scores[:n])
+    # A list whose head is already in this order, as a model exports it, is cut, not sorted: the head's
+    # scores strictly decrease (so no tie needs the id order), every later score is below the head's
+    # last (so no later entry, a repeat or the query included, can rank in it), and the head's ids are
+    # unique and none is the query's.  An unsorted list fails the first check within a few elements.
+    head_ids, head_scores = ids[:n], scores[:n]
+    if (
+        all(map(gt, head_scores, islice(head_scores, 1, None)))
+        and (len(scores) <= n or max(scores[n:]) < head_scores[-1])
+        and query_id not in head_ids
+        and len(set(head_ids)) == len(head_ids)
+    ):
+        return tuple(head_ids), array("d", head_scores)
     best = dict(zip(ids, scores))
     if len(best) < len(ids):  # a repeated id keeps its highest score
         best = {}

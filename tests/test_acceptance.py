@@ -289,8 +289,9 @@ def test_c7_prompt_golden_contents(prompt_fixture):
         from complerank.agents import AgentKind, build_prompt
 
         query, candidates = prompt_fixture
-        diversity = build_prompt(query, candidates, AgentKind.DIVERSITY).text
-        accuracy = build_prompt(query, candidates, AgentKind.ACCURACY).text
+        ids, items = tuple(item.id for item in candidates), {item.id: item for item in candidates}
+        diversity = build_prompt(query, ids, items, AgentKind.DIVERSITY).text
+        accuracy = build_prompt(query, ids, items, AgentKind.ACCURACY).text
         assert "it is not a direct substitute" in diversity
         assert "it is not a direct substitute" in accuracy
         assert "focus on the diversity aspect" in diversity

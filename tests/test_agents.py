@@ -29,22 +29,27 @@ from complerank.catalog import Item
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
+def prompt_of(query, candidates, kind):
+    """``build_prompt`` over the candidates' ids in order and the items map they index."""
+    return build_prompt(query, tuple(item.id for item in candidates), {item.id: item for item in candidates}, kind)
+
+
 class TestBuildPrompt:
     def test_diversity_golden_snapshot(self, prompt_fixture):
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates, AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates, AgentKind.DIVERSITY)
         expected = (GOLDEN_DIR / "prompt_diversity.txt").read_text(encoding="utf-8")
         assert bundle.text == expected
 
     def test_accuracy_golden_snapshot(self, prompt_fixture):
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates, AgentKind.ACCURACY)
+        bundle = prompt_of(query, candidates, AgentKind.ACCURACY)
         expected = (GOLDEN_DIR / "prompt_accuracy.txt").read_text(encoding="utf-8")
         assert bundle.text == expected
 
     def test_required_phrases(self, prompt_fixture):
         query, candidates = prompt_fixture
-        text = build_prompt(query, candidates, AgentKind.DIVERSITY).text
+        text = prompt_of(query, candidates, AgentKind.DIVERSITY).text
         for phrase in [
             "products are likely to be purchased or used at the same time, "
             "but it is not a direct substitute",
@@ -61,7 +66,7 @@ class TestBuildPrompt:
 
     def test_accuracy_phrase(self, prompt_fixture):
         query, candidates = prompt_fixture
-        text = build_prompt(query, candidates, AgentKind.ACCURACY).text
+        text = prompt_of(query, candidates, AgentKind.ACCURACY).text
         assert (
             "focus on the accuracy aspect (choose items that are most precisely "
             "and correctly complementary to the given product)"
@@ -69,51 +74,51 @@ class TestBuildPrompt:
 
     def test_kinds_differ_in_exactly_one_line(self, prompt_fixture):
         query, candidates = prompt_fixture
-        div = build_prompt(query, candidates, AgentKind.DIVERSITY).text.splitlines()
-        acc = build_prompt(query, candidates, AgentKind.ACCURACY).text.splitlines()
+        div = prompt_of(query, candidates, AgentKind.DIVERSITY).text.splitlines()
+        acc = prompt_of(query, candidates, AgentKind.ACCURACY).text.splitlines()
         assert len(div) == len(acc)
         differing = [i for i, (a, b) in enumerate(zip(div, acc)) if a != b]
         assert len(differing) == 1
 
     def test_candidates_listed_in_input_order(self, prompt_fixture):
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates, AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates, AgentKind.DIVERSITY)
         for k, item in enumerate(candidates):
             assert f"ID:{k} title: {item.title}" in bundle.text
-        assert bundle.candidates == list(candidates)
+        assert bundle.ids == tuple(item.id for item in candidates)
 
     def test_single_candidate(self, prompt_fixture):
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates[:1], AgentKind.DIVERSITY)
         assert "ID:0 title:" in bundle.text
         assert "ID:1" not in bundle.text
 
     def test_bundle_names_the_query(self, prompt_fixture):
         query, candidates = prompt_fixture
-        assert build_prompt(query, candidates, AgentKind.ACCURACY).query.id == "q1"
+        assert prompt_of(query, candidates, AgentKind.ACCURACY).query.id == "q1"
 
     def test_determinism(self, prompt_fixture):
         query, candidates = prompt_fixture
-        first = build_prompt(query, candidates, AgentKind.DIVERSITY).text
-        second = build_prompt(query, candidates, AgentKind.DIVERSITY).text
+        first = prompt_of(query, candidates, AgentKind.DIVERSITY).text
+        second = prompt_of(query, candidates, AgentKind.DIVERSITY).text
         assert first == second
 
     def test_empty_candidates_rejected(self, prompt_fixture):
         query, _ = prompt_fixture
         with pytest.raises(PromptError):
-            build_prompt(query, [], AgentKind.DIVERSITY)
+            build_prompt(query, (), {}, AgentKind.DIVERSITY)
 
     def test_oversized_candidate_list_rejected(self, prompt_fixture):
         query, _ = prompt_fixture
         candidates = [Item(id=f"c{k}", title=f"item {k}") for k in range(101)]
-        build_prompt(query, candidates[:100], AgentKind.DIVERSITY)
+        prompt_of(query, candidates[:100], AgentKind.DIVERSITY)
         with pytest.raises(PromptError, match="101 candidates exceed the maximum of 100"):
-            build_prompt(query, candidates, AgentKind.DIVERSITY)
+            prompt_of(query, candidates, AgentKind.DIVERSITY)
 
     def test_duplicate_candidate_ids_rejected(self, prompt_fixture):
         query, candidates = prompt_fixture
         with pytest.raises(PromptError):
-            build_prompt(query, candidates + [candidates[0]], AgentKind.DIVERSITY)
+            prompt_of(query, candidates + [candidates[0]], AgentKind.DIVERSITY)
 
 
 class TestParsePermutation:
@@ -123,53 +128,74 @@ class TestParsePermutation:
                    " [1, 0]": [1, 0], "[1, 0]\n": [1, 0]}
         for raw, order in answers.items():
             parsed = parse_permutation(raw, len(order))
-            assert parsed.order == order
+            assert parsed.order == bytes(order)
             assert parsed.repairs is agents.NO_REPAIRS  # one shared set, not an empty set per answer
 
     def test_duplicates_and_missing(self):
         parsed = parse_permutation("[2, 2, 0]", 4)
-        assert parsed.order == [2, 0, 1, 3]
+        assert parsed.order == bytes([2, 0, 1, 3])
         assert parsed.repairs == {DEDUPLICATED, APPENDED_MISSING}
 
     def test_no_list_falls_back_to_identity(self):
         parsed = parse_permutation("no list here", 3)
-        assert parsed.order == [0, 1, 2]
+        assert parsed.order == bytes([0, 1, 2])
         assert parsed.repairs == {FALLBACK_IDENTITY}
 
     def test_out_of_range_dropped(self):
         parsed = parse_permutation("[7, 1]", 3)
-        assert parsed.order == [1, 0, 2]
+        assert parsed.order == bytes([1, 0, 2])
         assert parsed.repairs == {DROPPED_OUT_OF_RANGE, APPENDED_MISSING}
 
     def test_negative_ids_dropped(self):
         parsed = parse_permutation("[-1, 0]", 2)
-        assert parsed.order == [0, 1]
+        assert parsed.order == bytes([0, 1])
         assert parsed.repairs == {DROPPED_OUT_OF_RANGE, APPENDED_MISSING}
 
     def test_integer_too_long_for_int_dropped(self):
         for raw in ("[" + "9" * 5000 + ", 0]", "Ranking: [" + "0" * 4999 + "1, 0]"):
             parsed = parse_permutation(raw, 2)
-            assert parsed.order == [0, 1]
+            assert parsed.order == bytes([0, 1])
             assert parsed.repairs == {DROPPED_OUT_OF_RANGE, APPENDED_MISSING}
 
     def test_non_integer_tokens_dropped_silently(self):
         parsed = parse_permutation("[first, 2]", 3)
-        assert parsed.order == [2, 0, 1]
+        assert parsed.order == bytes([2, 0, 1])
         assert parsed.repairs == {APPENDED_MISSING}
 
     def test_skips_bracket_groups_without_integers(self):
         parsed = parse_permutation("[n/a] final ranking: [1, 0]", 2)
-        assert parsed.order == [1, 0]
+        assert parsed.order == bytes([1, 0])
         assert parsed.repairs == frozenset()
 
     def test_surrounding_prose(self):
         parsed = parse_permutation("Sure! The ranking is [1,0].", 2)
-        assert parsed.order == [1, 0]
+        assert parsed.order == bytes([1, 0])
         assert parsed.repairs == frozenset()
 
     def test_n_must_be_positive(self):
         with pytest.raises(ValueError):
             parse_permutation("[0]", 0)
+
+    def test_n_must_fit_in_a_byte(self):
+        """One byte per ID: 256 IDs is the most an order holds."""
+        plain = "[" + ", ".join(map(str, range(255, -1, -1))) + "]"
+        assert parse_permutation(plain, 256).order == bytes(range(255, -1, -1))
+        assert parse_permutation("[1, 0]", 256).order == bytes([1, 0, *range(2, 256)])
+        with pytest.raises(ValueError, match="257"):
+            parse_permutation("[0]", 257)
+
+    def test_plain_answers_of_every_size_are_read_by_the_table(self, monkeypatch):
+        """A clean answer of up to 256 IDs never reaches the repair loop."""
+        monkeypatch.setattr(agents, "_BRACKET_RE", None)  # the loop would fail on its first step
+        for n in (1, 99, 100, 150, 256):
+            order = list(range(n))
+            random.Random(n).shuffle(order)
+            assert parse_permutation("[" + ", ".join(map(str, order)) + "]", n).order == bytes(order)
+
+    @pytest.mark.parametrize("raw", ["[2, 0, 1]", "[2, 2]", "Ranking: [2,0,1]", "no list", "[9]"])
+    def test_order_is_bytes(self, raw):
+        """Each way through the parser gives the stage's positions as ``bytes``, ready to be stored."""
+        assert type(parse_permutation(raw, 3).order) is bytes
 
     @given(raw=st.text(max_size=200), n=st.integers(1, 200))
     @settings(max_examples=300, deadline=None)
@@ -228,12 +254,12 @@ def parse(raw, n):
         parsed = parse_permutation(raw, n)
     except ValueError as exc:
         return type(exc)
-    return parsed.order, parsed.repairs
+    return list(parsed.order), parsed.repairs
 
 
 # Near-miss variants of the plain "[d, d, ...]" answer the fast path takes.
 _LIST_TOKENS = st.one_of(
-    st.integers(-3, 120).map(str),
+    st.integers(-3, 260).map(str),
     st.sampled_from(["00", "1_0", "+3", " 2", "2 ", "\u0663", "\u00b2", "\uff11", "", "x", "[1", "1]"]),
 )
 _NEAR_PLAIN = st.builds(
@@ -275,12 +301,12 @@ class TestParseMatchesReference:
             text = bytes(rng.getrandbits(8) for _ in range(rng.randint(0, 200))).decode("latin-1")
             for n in (1, 5, 50, 100):
                 assert parse(text, n) == reference_parse(text, n)
-        for n in (1, 2, 5, 50, 99, 100, 101, 150):
+        for n in (1, 2, 5, 50, 99, 100, 101, 150, 255, 256):
             order = list(range(n))
             rng.shuffle(order)
             plain = "[" + ", ".join(map(str, order)) + "]"
             assert parse(plain, n) == reference_parse(plain, n) == (order, frozenset())
-            assert parse_permutation(plain, n).repairs is agents.NO_REPAIRS  # above 99, read by the loop
+            assert parse_permutation(plain, n).repairs is agents.NO_REPAIRS
         for n in (10, 100):
             order = list(range(n))
             rng.shuffle(order)
@@ -292,7 +318,7 @@ class TestParseMatchesReference:
 class TestMockAgents:
     def bundle(self, prompt_fixture, n=3):
         query, candidates = prompt_fixture
-        return build_prompt(query, candidates[:n], AgentKind.DIVERSITY)
+        return prompt_of(query, candidates[:n], AgentKind.DIVERSITY)
 
     def test_identity(self, prompt_fixture):
         assert mock_agent("identity")(self.bundle(prompt_fixture)) == "[0, 1, 2]"
@@ -323,7 +349,7 @@ class TestMockAgents:
         query = Item(id="q", title="query")
         agent = mock_agent("shuffle:7")
         for n in (5, 60, 5, 17, 60):
-            bundle = build_prompt(query, items[:n], AgentKind.ACCURACY)
+            bundle = prompt_of(query, items[:n], AgentKind.ACCURACY)
             order = list(range(n))
             random.Random(f"7:{n}").shuffle(order)
             assert agent(bundle) == "[" + ", ".join(map(str, order)) + "]"
@@ -337,7 +363,7 @@ class TestMockAgents:
     def test_oracle_answers_by_the_bundles_query_id(self, prompt_fixture):
         query, candidates = prompt_fixture
         agent = mock_agent("oracle", ground_truth={"q1": {"c2"}, "q2": {"c3"}})
-        other = build_prompt(Item(id="q2", title="Kettle Base"), candidates[:3], AgentKind.ACCURACY)
+        other = prompt_of(Item(id="q2", title="Kettle Base"), candidates[:3], AgentKind.ACCURACY)
         assert agent(self.bundle(prompt_fixture)) == "[1, 0, 2]"
         assert agent(other) == "[2, 0, 1]"
 
@@ -369,7 +395,7 @@ class TestComplete:
     def test_echo_round_trip(self, chat_server, prompt_fixture, monkeypatch):
         monkeypatch.delenv("COMPLERANK_TEST_KEY", raising=False)
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates[:1], AgentKind.DIVERSITY)
         chat_server.set_script([(200, chat_server.completion("[0]"))])
         assert complete(bundle, self.config(chat_server)) == "[0]"
         request = chat_server.requests[0]
@@ -382,14 +408,14 @@ class TestComplete:
     def test_bearer_token_from_env(self, chat_server, prompt_fixture, monkeypatch):
         monkeypatch.setenv("COMPLERANK_TEST_KEY", "sekrit")
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates[:1], AgentKind.DIVERSITY)
         chat_server.set_script([(200, chat_server.completion("[0]"))])
         complete(bundle, self.config(chat_server))
         assert chat_server.requests[0]["auth"] == "Bearer sekrit"
 
     def test_retries_through_transient_errors(self, chat_server, prompt_fixture):
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates[:1], AgentKind.DIVERSITY)
         chat_server.set_script(
             [(500, {}), (500, {}), (200, chat_server.completion("[0]"))]
         )
@@ -398,7 +424,7 @@ class TestComplete:
 
     def test_exhausted_retries_carry_last_status(self, chat_server, prompt_fixture):
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates[:1], AgentKind.DIVERSITY)
         chat_server.set_script([(503, {})])
         with pytest.raises(TransportError, match="503"):
             complete(bundle, self.config(chat_server, max_retries=1))
@@ -406,7 +432,7 @@ class TestComplete:
 
     def test_client_error_not_retried(self, chat_server, prompt_fixture):
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates[:1], AgentKind.DIVERSITY)
         chat_server.set_script([(400, {}), (200, chat_server.completion("[0]"))])
         with pytest.raises(TransportError, match="400"):
             complete(bundle, self.config(chat_server, max_retries=3))
@@ -414,7 +440,7 @@ class TestComplete:
 
     def test_rate_limit_retried(self, chat_server, prompt_fixture):
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates[:1], AgentKind.DIVERSITY)
         chat_server.set_script([(429, {}), (200, chat_server.completion("[0]"))])
         assert complete(bundle, self.config(chat_server, max_retries=3)) == "[0]"
         assert len(chat_server.requests) == 2
@@ -436,7 +462,7 @@ class TestComplete:
         sleeps = []
         monkeypatch.setattr(agents.time, "sleep", sleeps.append)
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates[:1], AgentKind.DIVERSITY)
         headers = {} if retry_after is None else {"Retry-After": retry_after}
         chat_server.set_script([(429, {}, headers), (503, {}), (200, chat_server.completion("[0]"))])
         assert complete(bundle, self.config(chat_server, max_retries=3, timeout=10.0)) == "[0]"
@@ -447,7 +473,7 @@ class TestComplete:
         sleeps = []
         monkeypatch.setattr(agents.time, "sleep", sleeps.append)
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates[:1], AgentKind.DIVERSITY)
         chat_server.set_script([(400, {}, {"Retry-After": "1"}), (200, chat_server.completion("[0]"))])
         with pytest.raises(TransportError, match="400"):
             complete(bundle, self.config(chat_server, max_retries=3))
@@ -455,14 +481,14 @@ class TestComplete:
 
     def test_unreachable_host_no_retries(self, prompt_fixture):
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates[:1], AgentKind.DIVERSITY)
         config = LlmConfig(endpoint="http://127.0.0.1:9", model="m", max_retries=0, timeout=0.5)
         with pytest.raises(TransportError, match="transport error"):
             complete(bundle, config)
 
     def test_dropped_connection_retried(self, chat_server, prompt_fixture):
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates[:1], AgentKind.DIVERSITY)
         chat_server.set_script([("drop",)])
         with pytest.raises(TransportError, match="transport error"):
             complete(bundle, self.config(chat_server, max_retries=2))
@@ -470,14 +496,14 @@ class TestComplete:
 
     def test_reply_slower_than_timeout(self, chat_server, prompt_fixture):
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates[:1], AgentKind.DIVERSITY)
         chat_server.set_script([("sleep", 0.5, 200, chat_server.completion("[0]"))])
         with pytest.raises(TransportError, match="transport error"):
             complete(bundle, self.config(chat_server, max_retries=0, timeout=0.1))
 
     def test_non_json_body_unparseable(self, chat_server, prompt_fixture):
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates[:1], AgentKind.DIVERSITY)
         chat_server.set_script([(200, b"<html>not json</html>")])
         with pytest.raises(TransportError, match="unparseable completion payload"):
             complete(bundle, self.config(chat_server))
@@ -486,14 +512,14 @@ class TestComplete:
     def test_body_nested_too_deep_unparseable(self, chat_server, prompt_fixture):
         """A reply nested past the decoder's recursion limit fails the request, not the whole run."""
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates[:1], AgentKind.DIVERSITY)
         chat_server.set_script([(200, b"[" * 100_000)])
         with pytest.raises(TransportError, match="unparseable completion payload.*RecursionError"):
             complete(bundle, self.config(chat_server))
         assert len(chat_server.requests) == 1
 
     def test_request_body_bytes(self, chat_server):
-        bundle = build_prompt(Item(id="q", title="q"), [Item(id="x", title="Café — 音楽")], AgentKind.DIVERSITY)
+        bundle = prompt_of(Item(id="q", title="q"), [Item(id="x", title="Café — 音楽")], AgentKind.DIVERSITY)
         text = bundle.text
         assert "ID:0 title: Café — 音楽\n" in text
         chat_server.set_script([(200, chat_server.completion("[0]"))])
@@ -510,7 +536,7 @@ class TestComplete:
     @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
     def test_redirect_not_followed(self, chat_server, prompt_fixture, status):
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates[:1], AgentKind.DIVERSITY)
         location = {"Location": chat_server.url + "/v2/chat/completions"}
         chat_server.set_script([(status, {}, location), (200, chat_server.completion("[0]"))])
         with pytest.raises(TransportError, match=f"HTTP {status}"):
@@ -539,7 +565,7 @@ class TestComplete:
 
         monkeypatch.setattr(urllib.request.OpenerDirector, "open", recording_open)
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates[:1], AgentKind.DIVERSITY)
         config = LlmConfig(endpoint="https://127.0.0.1:9/v1", model="m", max_retries=2, timeout=0.5)
         with pytest.raises(TransportError, match="transport error"):
             complete(bundle, config)
@@ -553,14 +579,14 @@ class TestComplete:
         monkeypatch.setenv("HTTP_PROXY", "socks5://127.0.0.1:9")
         monkeypatch.setattr(agents, "_opener", None)  # rebuilt from the environment above
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates[:1], AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates[:1], AgentKind.DIVERSITY)
         config = LlmConfig(endpoint="http://127.0.0.1:9/v1", model="m", max_retries=0, timeout=0.5)
         with pytest.raises(TransportError, match="unknown url type: socks5"):
             complete(bundle, config)
 
     def test_http_transport_wraps_complete(self, chat_server, prompt_fixture):
         query, candidates = prompt_fixture
-        bundle = build_prompt(query, candidates[:2], AgentKind.DIVERSITY)
+        bundle = prompt_of(query, candidates[:2], AgentKind.DIVERSITY)
         chat_server.set_script([(200, chat_server.completion("[1, 0]"))])
         transport = http_transport(self.config(chat_server))
         assert transport(bundle) == "[1, 0]"

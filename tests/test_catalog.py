@@ -170,6 +170,14 @@ LOADER_ERRORS = [
         "items", '{"id": "C", "title": ' + "[" * 100_000, CatalogError, f"invalid JSON ({NESTING_MESSAGE})",
         id="items-nested-too-deep",
     ),
+    pytest.param(
+        "items", '{"id": "C", "title": "gamma", "id": "D"}', CatalogError, 'invalid JSON (repeated key "id")',
+        id="items-repeated-key",
+    ),
+    pytest.param(
+        "items", '{"id": "C", "title": "gamma", "categories": [{"x": 1, "x": 2}]}', CatalogError,
+        'invalid JSON (repeated key "x")', id="items-repeated-key-nested",
+    ),
     pytest.param("items", '["C", "gamma"]', CatalogError, "expected a JSON object", id="items-not-object"),
     pytest.param("items", '{"title": "gamma"}', CatalogError, "missing key 'id'", id="items-missing-id"),
     pytest.param(
@@ -214,6 +222,10 @@ LOADER_ERRORS = [
     pytest.param(
         "scores", '{"query_id": "A", "candidates": ' + "[" * 100_000, RetrievalError,
         f"invalid JSON ({NESTING_MESSAGE})", id="scores-nested-too-deep",
+    ),
+    pytest.param(
+        "scores", '{"query_id": "A", "candidates": [], "candidates": [["B", 1.0]]}', RetrievalError,
+        'invalid JSON (repeated key "candidates")', id="scores-repeated-key",
     ),
     pytest.param(
         "scores", '{"query_id": "A"}', RetrievalError, "malformed scores line ('candidates')",

@@ -257,7 +257,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
     def test_goldens_hold_under_other_pythons(self, tmp_path, python):
-        """Outputs do not depend on the CPython version; ``complerank`` needs no package to run."""
+        """Outputs, a report over two runs included, do not depend on the CPython version; ``complerank``
+        needs no package to run."""
         interpreter = starting_interpreter(python)
         if interpreter is None:
             pytest.skip(f"{python} is not on PATH or does not start, directly or through pyenv")
@@ -267,16 +268,28 @@ class TestRunCommand:
             "mock_run_precomputed.sha256": precomputed_config(tmp_path),
             "mock_run_heuristic_handmade.sha256": heuristic_config(tmp_path, "heuristic"),
         }
-        for golden, (config_path, out_dir) in runs.items():
+        identity_config, identity_out = base_config(
+            tmp_path, "identity", retriever={"kind": "heuristic", "name": "identity"}
+        )
+        report_out = tmp_path / "report"
+        commands = [
+            *(["run", "--config", str(config_path)] for config_path, _ in runs.values()),
+            ["run", "--config", str(identity_config)],
+            ["report", str(runs["mock_run_shuffle3.sha256"][1]), str(identity_out), "--out", str(report_out)],
+        ]
+        for command in commands:
             result = subprocess.run(
-                [exe, "-m", "complerank.cli", "run", "--config", str(config_path)],
+                [exe, "-m", "complerank.cli", *command],
                 env={**env, "PYTHONPATH": src_pythonpath()},
                 capture_output=True,
                 text=True,
                 timeout=120,
             )
             assert result.returncode == 0, result.stderr
+        for golden, (_, out_dir) in runs.items():
             assert output_digests(out_dir) == golden_digests(golden)
+        # The lift's standard error over two runs, rounded the same on every version.
+        assert output_digests(report_out) == golden_digests("report_two_runs.sha256")
 
     def test_prices_whose_ratio_leaves_the_float_range(self, tmp_path):
         """1e-300 over 1e300 underflows to 0; the price term still scores, finite, without a crash."""
@@ -310,7 +323,7 @@ class TestRunCommand:
         assert result.stdout.splitlines()[-1] == "[]"
 
     def test_modules_only_some_runs_need_load_on_first_use(self, tmp_path):
-        """``statistics`` (a lift over two or more runs) and ``concurrent.futures`` (concurrency above 1)
+        """``fractions`` (a lift over two or more runs) and ``concurrent.futures`` (concurrency above 1)
         stay unloaded in a plain mock run; the runs that load them still write their golden outputs."""
         golden_config, golden_out = base_config(tmp_path, "golden", agents={"mock": "shuffle:3"}, audit=True)
         identity_config, identity_out = base_config(
@@ -321,7 +334,7 @@ class TestRunCommand:
             "import json, sys\n"
             "import complerank.cli\n"
             "golden, identity, golden_out, identity_out, concurrent_out, report_out = sys.argv[1:]\n"
-            "lazy = {'statistics', 'concurrent.futures', 'ssl', 'http.client', 'urllib.request'}\n"
+            "lazy = {'statistics', 'fractions', 'concurrent.futures', 'ssl', 'http.client', 'urllib.request'}\n"
             "assert complerank.cli.main(['run', '--config', golden]) == 0\n"
             "seen = {'after_mock_run': sorted(lazy & sys.modules.keys())}\n"
             "assert complerank.cli.main(['run', '--config', golden, '--concurrency', '3', '--out', concurrent_out]) == 0\n"
@@ -340,7 +353,7 @@ class TestRunCommand:
         )
         assert result.returncode == 0, result.stderr
         seen = json.loads(result.stdout.splitlines()[-1])
-        assert seen == {"after_mock_run": [], "at_exit": ["concurrent.futures", "statistics"]}
+        assert seen == {"after_mock_run": [], "at_exit": ["concurrent.futures", "fractions"]}
         golden = golden_digests("mock_run_shuffle3.sha256")
         assert output_digests(golden_out) == golden
         # The concurrent run differs only in the concurrency its run_config.json records.
@@ -934,6 +947,13 @@ MALFORMED = [
         (),
         "scores.jsonl:11: malformed scores line (int too large to convert to float)",
         id="scores-400-digit-score",
+    ),
+    pytest.param(
+        # Read with the last value, the line would stand in for b1's.
+        scores_without("b1", extra='{"query_id": "zz", "candidates": [["2", 1.0]], "query_id": "b1"}\n'),
+        (),
+        'scores.jsonl:10: invalid JSON (repeated key "query_id")',
+        id="scores-repeated-key",
     ),
     pytest.param(
         {"agents": {"model": "m", "endpoint": "http://127.0.0.1:9", "accuracy": {"max_retries": -1}}},

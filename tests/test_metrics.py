@@ -1,5 +1,7 @@
 import itertools
 import math
+import statistics
+import sys
 from array import array
 from dataclasses import replace
 
@@ -285,6 +287,16 @@ class TestLiftWithStderr:
 
     def test_single_value_convention(self):
         assert lift_with_stderr([7]) == (7, 0.0)
+
+    def test_std_err_is_rounded_once(self):
+        """Correctly rounded, as ``statistics.stdev`` gives it from 3.11 on; 3.10's gave 127.34999999999998."""
+        assert lift_with_stderr([11.8, 266.5])[1] == 127.35
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.stdev rounds correctly from 3.11 on")
+    @given(st.lists(st.floats(-1e150, 1e150, allow_nan=False), min_size=2, max_size=5))
+    def test_std_err_equals_correctly_rounded_stdev(self, lifts):
+        """Subnormal and huge variances included, so both ways of scaling the root are taken."""
+        assert lift_with_stderr(lifts)[1] == statistics.stdev(lifts) / math.sqrt(len(lifts))
 
     def test_empty_is_error(self):
         with pytest.raises(ValueError):

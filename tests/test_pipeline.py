@@ -2,6 +2,7 @@ import dataclasses
 import json
 import sys
 from array import array
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -116,7 +117,7 @@ class TestRerankStage:
         # No prompt is kept; the one sent is rendered again from the stage's input, which the fallback keeps.
         assert not hasattr(outcome, "prompt")
         assert sent == [render_prompt(query, [items[i] for i in ids_of(ids, outcome)], AgentKind.DIVERSITY)]
-        assert sent == [build_prompt(query, candidates, AgentKind.DIVERSITY).text]
+        assert sent == [build_prompt(query, ids, items, AgentKind.DIVERSITY).text]
         assert outcome.response is None
 
     def test_empty_candidates_rejected(self, prompt_fixture):
@@ -204,7 +205,34 @@ def split_setup(tiny_graph):
     return train, queries, retriever
 
 
+class CountingItems(Mapping):
+    """An items map that records every id looked up in it."""
+
+    def __init__(self, items):
+        self.items, self.looked_up = items, []
+
+    def __getitem__(self, item_id):
+        self.looked_up.append(item_id)
+        return self.items[item_id]
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __len__(self):
+        return len(self.items)
+
+
 class TestRunPipeline:
+    @pytest.mark.parametrize("policy", ["identity", "reverse", "shuffle:3", "oracle"])
+    def test_mock_query_looks_up_only_the_query_item(self, split_setup, policy):
+        """Prompts carry ids: a transport that never reads the text makes no candidate lookup."""
+        train, queries, retriever = split_setup
+        agent = mock_agent(policy, ground_truth={q.query_id: q.ground_truth for q in queries})
+        for query in queries:
+            items = CountingItems(train.items)
+            run_pipeline(query, retriever, items, PipelineConfig(n_div=4, n_acc=2), (agent, agent))
+            assert items.looked_up == [query.query_id]
+
     def test_identity_stages_track_base(self, split_setup):
         train, queries, retriever = split_setup
         config = PipelineConfig(n_div=4, n_acc=2)
@@ -292,11 +320,11 @@ class TestRunPipeline:
         sent = []
 
         def broken(bundle):
-            sent.append(tuple(item.id for item in bundle.candidates))
+            sent.append(bundle.ids)
             raise TransportError("down")
 
         def reverse(bundle):
-            sent.append(tuple(item.id for item in bundle.candidates))
+            sent.append(bundle.ids)
             return mock_agent("reverse")(bundle)
 
         for diversity in (broken, reverse):
