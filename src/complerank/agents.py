@@ -140,7 +140,10 @@ class LlmConfig:
 
     def __post_init__(self) -> None:
         if not is_http_url(self.endpoint):
-            raise ValueError(f"endpoint must be an http(s) URL with a host, got {self.endpoint!r}")
+            raise ValueError(
+                "endpoint must be an http:// or https:// URL with a host, in printable ASCII"
+                f" without spaces, '?' or '#', got {json.dumps(self.endpoint)}"
+            )
         key = os.environ.get(self.api_key_env, "")  # a header value; the error names the variable, not the key
         if not (key.isascii() and key.isprintable()):
             raise ValueError(f"${self.api_key_env}: the API key must be printable ASCII")

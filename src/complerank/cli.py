@@ -57,7 +57,6 @@ def _keys_of(cls: type) -> dict[str, type]:
     return {f.name: types[f.type] for f in fields(cls)}
 
 
-_AGENT_KEYS = {"mock": str, **_keys_of(agents.LlmConfig)}
 # Every key a run config may set, with its JSON type or its allowed values
 # (README "Run config").
 _SCHEMA = {
@@ -65,13 +64,15 @@ _SCHEMA = {
     "split": {"holdout_fraction": float, "seed": int},
     "retriever": {"kind": ("heuristic", "precomputed"), "name": str, "path": str},
     "pipeline": {"preset": tuple(pipeline.PRESETS), "n_div": int, "n_acc": int, "cutoffs": [int]},
-    "agents": {**_AGENT_KEYS, "diversity": _AGENT_KEYS, "accuracy": _AGENT_KEYS},
+    "agents": {"mock": str, **_keys_of(agents.LlmConfig)},
     "out": str,
     "concurrency": int,
     "audit": bool,
 }
 # The keys of a run's metrics.json, each required.
 _METRICS_SCHEMA = {"dataset": str, "retriever": str, "cutoffs": [int], "rows": [_keys_of(metrics.MetricsRow)]}
+# The keys of a line of a run's retrieval.jsonl, each required.
+_RETRIEVAL_SCHEMA = {"query_id": str, "source": str, "ground_truth": [str], "candidates": list}
 # Keys a ``run`` flag removes from its section, so that the flag wins over them.
 _DISPLACED_BY_FLAG = {
     "pipeline.preset": {"n_div", "n_acc"},
@@ -114,22 +115,6 @@ def _check_schema(value: object, schema: object, key: str, required: bool = Fals
         raise ValueError(f"{key}: expected a finite number, got {json.dumps(value)}")
 
 
-def _check_endpoint(settings: dict, section: str) -> None:
-    """Raise a ValueError naming ``{section}.endpoint`` if it is set but not an http(s) URL with a host."""
-    if "endpoint" in settings and not agents.is_http_url(settings["endpoint"]):
-        raise ValueError(
-            f"{section}.endpoint: expected an http:// or https:// URL with a host,"
-            f" in printable ASCII without spaces, '?' or '#', got {json.dumps(settings['endpoint'])}"
-        )
-
-
-def _check_unused(settings: dict, section: str) -> None:
-    """Raise a ValueError naming a key of a mock agent's ``settings`` that only an endpoint agent takes."""
-    unused = sorted(settings.keys() - {"mock"})
-    if unused:
-        raise ValueError(f"{section}.{unused[0]}: only an endpoint agent takes this key")
-
-
 def _build(cls: type[T], settings: dict, section: str) -> T:
     """``cls(**settings)``, its range errors led by the config key ``section``."""
     try:
@@ -138,25 +123,27 @@ def _build(cls: type[T], settings: dict, section: str) -> T:
         raise ValueError(f"{section}: {exc}") from None
 
 
-def _agent(shared: dict, own: dict, stage: str) -> str | agents.LlmConfig:
-    """One stage's agent from its ``own`` keys over the ``shared`` ones: a mock policy, or endpoint settings."""
-    _check_endpoint(own, f"agents.{stage}")
-    settings = {**shared, **own}
-    policy = settings.pop("mock", None)
-    if policy is not None and "endpoint" in settings:
-        raise ValueError(f"agents: the {stage} agent sets both 'mock' and 'endpoint'")
-    if policy is not None:
-        agents.mock_agent(policy, ground_truth={})  # an unknown policy fails here, before any input is read
-        _check_unused(own, f"agents.{stage}")
-        return policy
-    if "endpoint" not in settings or "model" not in settings:
-        raise ValueError(f"agents: the {stage} agent needs either 'mock' or 'endpoint' and 'model'")
-    return _build(agents.LlmConfig, settings, f"agents.{stage}")
+def _agent(settings: dict) -> str | agents.LlmConfig:
+    """The agent of both reranked stages from the ``agents`` section: a mock policy, or endpoint settings."""
+    if "mock" not in settings:
+        if not {"endpoint", "model"} <= settings.keys():
+            raise ValueError("agents: needs either 'mock' or 'endpoint' and 'model'")
+        return _build(agents.LlmConfig, settings, "agents")
+    if "endpoint" in settings:
+        raise ValueError("agents: sets both 'mock' and 'endpoint'")
+    agents.mock_agent(settings["mock"], ground_truth={})  # an unknown policy fails here, before any input is read
+    unused = sorted(settings.keys() - {"mock"})
+    if unused:
+        raise ValueError(f"agents.{unused[0]}: only an endpoint agent takes this key")
+    return settings["mock"]
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A ``complerank run`` config, validated in full before any input is read."""
+    """A ``complerank run`` config, validated in full before any input is read.
+
+    ``agent`` prompts both reranked stages, which differ only in the prompt's ``kind``.
+    """
 
     out: Path
     dataset_name: str
@@ -167,7 +154,7 @@ class RunConfig:
     scores: Path | None  # the precomputed retriever's file; None for the heuristic retriever
     pipeline_config: pipeline.PipelineConfig
     cutoffs: tuple[int, ...]  # sorted, without duplicates
-    agents: dict[str, str | agents.LlmConfig]  # stage -> its mock policy or endpoint settings
+    agent: str | agents.LlmConfig  # both reranked stages' mock policy or endpoint settings
     audit: bool
     concurrency: int
 
@@ -221,14 +208,7 @@ class RunConfig:
         else:
             depths = dict(zip(("n_div", "n_acc"), pipeline.PRESETS[preset]))
 
-        shared = {k: v for k, v in agents_cfg.items() if k not in ("diversity", "accuracy")}
-        _check_endpoint(shared, "agents")
-        stage_agents = {
-            stage: _agent(shared, agents_cfg.get(stage, {}), stage) for stage in ("diversity", "accuracy")
-        }
-        all_mocks = all(isinstance(agent, str) for agent in stage_agents.values())
-        if all_mocks:
-            _check_unused(shared, "agents")
+        agent = _agent(agents_cfg)
         pipeline_config = _build(pipeline.PipelineConfig, depths, "pipeline")
         cutoffs = tuple(sorted(set(pipe.get("cutoffs", (1, 3, 5, 10)))))
         if not cutoffs:
@@ -258,8 +238,8 @@ class RunConfig:
             scores=Path(retr["path"]) if precomputed else None,
             pipeline_config=pipeline_config,
             cutoffs=cutoffs,
-            agents=stage_agents,
-            audit=raw.get("audit", not all_mocks),
+            agent=agent,
+            audit=raw.get("audit", not isinstance(agent, str)),
             concurrency=concurrency,
         )
 
@@ -348,10 +328,12 @@ def cmd_run(cfg: RunConfig) -> Path:
         )
         retr.check_coverage([query.query_id for query in queries])
     truth = {query.query_id: query.ground_truth for query in queries}
-    transports = tuple(
-        agents.mock_agent(agent, ground_truth=truth) if isinstance(agent, str) else agents.http_transport(agent)
-        for agent in (cfg.agents["diversity"], cfg.agents["accuracy"])
-    )
+    if isinstance(cfg.agent, str):
+        transport = agents.mock_agent(cfg.agent, ground_truth=truth)
+        agent = {"mock": cfg.agent}
+    else:
+        transport = agents.http_transport(cfg.agent)
+        agent = {"endpoint": cfg.agent.endpoint, "model": cfg.agent.model}
     out_dir = cfg.out
     out_dir.mkdir(parents=True, exist_ok=True)
     if not cfg.audit:  # a rerun into the same directory leaves no stale audit log
@@ -360,7 +342,7 @@ def cmd_run(cfg: RunConfig) -> Path:
         synth.write_dataset(graph, genre_of, out_dir / "dataset")
         del graph, genre_of
     results = pipeline.run_all(
-        queries, retr, items, cfg.pipeline_config, transports, cfg.concurrency, audit=cfg.audit
+        queries, retr, items, cfg.pipeline_config, transport, cfg.concurrency, audit=cfg.audit
     )
 
     metrics.write_json(
@@ -373,10 +355,7 @@ def cmd_run(cfg: RunConfig) -> Path:
             "n_div": cfg.pipeline_config.n_div,
             "n_acc": cfg.pipeline_config.n_acc,
             "cutoffs": list(cfg.cutoffs),
-            "agents": {
-                stage: {"mock": a} if isinstance(a, str) else {"endpoint": a.endpoint, "model": a.model}
-                for stage, a in cfg.agents.items()
-            },
+            "agents": {"diversity": agent, "accuracy": agent},
             "concurrency": cfg.concurrency,
         },
         out_dir / "run_config.json",
@@ -407,9 +386,20 @@ def cmd_run(cfg: RunConfig) -> Path:
     return out_dir
 
 
+def _truth_of(record: object) -> tuple[str, frozenset[str]]:
+    """A ``retrieval.jsonl`` line's query id and its ground truth."""
+    if not isinstance(record, dict):
+        raise ValueError("expected a JSON object")
+    _check_schema(record, _RETRIEVAL_SCHEMA, "", required=True)
+    return record["query_id"], frozenset(record["ground_truth"])
+
+
 def cmd_report(run_dirs: list[str | Path], out_dir: str | Path) -> Path:
+    if out_dir == "":  # Path("") is the working directory
+        raise ValueError("out: must be nonempty")
     if not run_dirs:
         raise ValueError("report needs at least one run directory")
+    truths_of_first: dict[str, frozenset[str]] | None = None  # the first run's ground truth by query id
     datasets: set[str] = set()
     cutoffs_seen: set[tuple[int, ...]] = set()
     rows_by_retriever: dict[str, list[metrics.MetricsRow]] = {}
@@ -427,6 +417,17 @@ def cmd_report(run_dirs: list[str | Path], out_dir: str | Path) -> Path:
                 raise ValueError(f"rows: expected one per stage and cutoff, of {name!r} on {dataset!r}")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+        truths = dict(catalog.read_json_lines(Path(run_dir) / "retrieval.jsonl", _truth_of, ValueError))
+        if truths_of_first is None:
+            truths_of_first = truths
+        elif truths != truths_of_first:
+            differing = min(
+                q for q in truths.keys() | truths_of_first.keys() if truths.get(q) != truths_of_first.get(q)
+            )
+            raise ValueError(
+                f"runs score different queries or ground truths: {run_dirs[0]} has {len(truths_of_first)}"
+                f" queries and {run_dir} has {len(truths)}; they first differ at query {differing!r}"
+            )
         datasets.add(dataset)
         cutoffs_seen.add(tuple(cutoffs))
         if name in rows_by_retriever:
@@ -463,9 +464,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--genres", dest="n_genres", type=int)
     p_synth.add_argument("--edges-per-item", type=float)
     p_synth.add_argument("--cross-ratio", dest="cross_genre_edge_ratio", type=float)
-    p_synth.add_argument("--title-tokens-min", type=int)
-    p_synth.add_argument("--title-tokens-max", type=int)
-    p_synth.add_argument("--token-pool", dest="token_pool_per_genre", type=int)
     p_synth.add_argument("--seed", type=int)
     p_synth.add_argument("--out", default=".", help="output directory")
 

@@ -1,11 +1,11 @@
 """Three-stage reranking flow over a catalog of queries.
 
-Per query: retrieve the top ``n_div`` candidates, let the diversity agent
-rerank them, truncate to the top ``n_acc``, let the accuracy agent refine
-those.  A :class:`QueryResult` carries the query, its retrieved ids and
-scores and one flat :class:`StageOutcome` per stage, in ``STAGES`` order
-(base / diversity / diversity_accuracy), so ablations can be evaluated side
-by side and each outcome written as one record.
+Per query: retrieve the top ``n_div`` candidates, prompt the agent to rerank
+them for diversity, truncate to the top ``n_acc``, prompt the same agent to
+refine those for accuracy.  A :class:`QueryResult` carries the query, its
+retrieved ids and scores and one flat :class:`StageOutcome` per stage, in
+``STAGES`` order (base / diversity / diversity_accuracy), so ablations can
+be evaluated side by side and each outcome written as one record.
 
 A transport failure that survives its retries does not abort the run: the
 stage falls back to identity order and the query is flagged, keeping
@@ -150,21 +150,22 @@ def run_pipeline(
     retriever: Retriever,
     items: Mapping[str, Item],
     config: PipelineConfig,
-    transports: tuple[Transport, Transport],
+    transport: Transport,
     audit: bool = True,
 ) -> QueryResult:
-    """Run all three stages for one query, through the (diversity, accuracy) ``transports``.
+    """Run all three stages for one query, both reranked stages through the one ``transport``.
 
-    Stage order is strictly sequential (diversity before accuracy); the
-    accuracy agent only ever sees the first ``n_acc`` survivors of the
-    diversity list, so truncated items can never reappear.
+    Stage order is strictly sequential (diversity before accuracy), and each
+    prompt's ``kind`` names its stage; the accuracy prompt lists only the
+    first ``n_acc`` survivors of the diversity list, so truncated items can
+    never reappear.
     """
     ids, scores = retriever.retrieve(query.query_id, config.n_div)  # held as returned, not copied
     base = StageOutcome(STAGE_BASE, _IDENTITY[len(ids)])
     query_item = items[query.query_id]
-    diversity = rerank_stage(query_item, ids, items, AgentKind.DIVERSITY, transports[0], audit)
+    diversity = rerank_stage(query_item, ids, items, AgentKind.DIVERSITY, transport, audit)
     head = tuple([ids[k] for k in diversity.positions[: config.n_acc]])
-    final = rerank_stage(query_item, head, items, AgentKind.ACCURACY, transports[1], audit)
+    final = rerank_stage(query_item, head, items, AgentKind.ACCURACY, transport, audit)
     return QueryResult(query, ids, scores, (base, diversity, final))
 
 
@@ -173,18 +174,18 @@ def run_all(
     retriever: Retriever,
     items: Mapping[str, Item],
     config: PipelineConfig,
-    transports: tuple[Transport, Transport],
+    transport: Transport,
     concurrency: int = 1,
     audit: bool = True,
 ) -> list[QueryResult]:
     """Process queries independently with a bounded in-flight limit.
 
     Results come back in input query order regardless of concurrency, so
-    downstream writers stay deterministic.  Every query shares ``transports``.
+    downstream writers stay deterministic.  Every query shares ``transport``.
     """
     if concurrency == 1 or len(queries) <= 1:
-        return [run_pipeline(q, retriever, items, config, transports, audit) for q in queries]
+        return [run_pipeline(q, retriever, items, config, transport, audit) for q in queries]
     from concurrent.futures import ThreadPoolExecutor  # only a concurrent run needs it
 
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return list(pool.map(lambda q: run_pipeline(q, retriever, items, config, transports, audit), queries))
+        return list(pool.map(lambda q: run_pipeline(q, retriever, items, config, transport, audit), queries))

@@ -22,14 +22,15 @@ class SynthError(ValueError):
     """Invalid synthesis config or an unsatisfiable edge-planting request."""
 
 
+TITLE_TOKENS = (3, 8)  # the fewest and most tokens of a title
+TOKEN_POOL = 40  # the tokens of each genre's title pool
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     n_items: int
     n_genres: int = 4
     edges_per_item: float = 3.0
-    title_tokens_min: int = 3
-    title_tokens_max: int = 8
-    token_pool_per_genre: int = 40
     cross_genre_edge_ratio: float = 0.3
     seed: int = 0
 
@@ -44,12 +45,6 @@ class SynthConfig:
             )
         if self.edges_per_item < 0:
             raise SynthError("edges_per_item must be nonnegative")
-        if self.title_tokens_min < 1 or self.title_tokens_max < 1:
-            raise SynthError("title token counts must be positive")
-        if self.title_tokens_min > self.title_tokens_max:
-            raise SynthError("title_tokens_min must not exceed title_tokens_max")
-        if self.token_pool_per_genre < 1:
-            raise SynthError("token_pool_per_genre must be positive")
         if not 0.0 <= self.cross_genre_edge_ratio <= 1.0:
             raise SynthError("cross_genre_edge_ratio must be in [0, 1]")
 
@@ -64,10 +59,7 @@ def generate(config: SynthConfig) -> tuple[ComplementGraph, dict[str, str]]:
     """
     rng = random.Random(config.seed)
     genres = [f"genre{g:02d}" for g in range(config.n_genres)]
-    pools = {
-        genre: [f"{genre}w{t:03d}" for t in range(config.token_pool_per_genre)]
-        for genre in genres
-    }
+    pools = {genre: [f"{genre}w{t:03d}" for t in range(TOKEN_POOL)] for genre in genres}
 
     items: list[Item] = []
     genre_of: dict[str, str] = {}
@@ -75,7 +67,7 @@ def generate(config: SynthConfig) -> tuple[ComplementGraph, dict[str, str]]:
     for i in range(config.n_items):
         item_id = f"it{i:05d}"
         genre = genres[i % config.n_genres]
-        length = rng.randint(config.title_tokens_min, config.title_tokens_max)
+        length = rng.randint(*TITLE_TOKENS)
         title = " ".join(rng.choices(pools[genre], k=length))
         price = round(rng.uniform(1.0, 100.0), 2)
         items.append(Item(id=item_id, title=title, categories=(genre,), price=price))

@@ -22,6 +22,7 @@ from complerank.cli import RunConfig, main
 from complerank.pipeline import PipelineConfig, run_all
 from complerank.retriever import HeuristicRetriever
 from complerank.synth import SynthConfig, generate
+from test_pipeline import per_stage
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
@@ -200,6 +201,14 @@ class TestSynthCommand:
             first = (tmp_path / "a" / name).read_bytes()
             second = (tmp_path / "b" / name).read_bytes()
             assert first == second
+
+    def test_flags_are_the_config_fields_and_out(self):
+        """Each flag but ``--out`` sets the ``SynthConfig`` field of its dest: one for no field would
+        end ``synth`` in a TypeError, which ``main`` does not catch."""
+        parser = cli._build_parser()
+        subparsers = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+        dests = {action.dest for action in subparsers.choices["synth"]._actions} - {"help"}
+        assert dests == {field.name for field in dataclasses.fields(SynthConfig)} | {"out"}
 
     def test_invalid_config_nonzero_exit(self, tmp_path, capsys):
         code = main(
@@ -455,7 +464,17 @@ class TestRunCommand:
         config_path, out_dir = base_config(tmp_path, "run3")
         assert main(["run", "--config", str(config_path), "--mock", "reverse"]) == 0
         run_config = json.loads((out_dir / "run_config.json").read_text(encoding="utf-8"))
-        assert run_config["agents"]["diversity"] == {"mock": "reverse"}
+        assert run_config["agents"] == {"diversity": {"mock": "reverse"}, "accuracy": {"mock": "reverse"}}
+
+    @pytest.mark.parametrize("kind", ["mock", "endpoint"])
+    def test_run_config_names_the_one_agent_under_both_stages(self, tmp_path, chat_server, kind):
+        chat_server.set_script([(200, chat_server.completion("[1, 0]"))])
+        agent = {"mock": "oracle"} if kind == "mock" else {"endpoint": chat_server.url, "model": "test-model"}
+        config_path, out_dir = base_config(tmp_path, kind, agents=agent)
+        assert main(["run", "--config", str(config_path)]) == 0
+        run_config = json.loads((out_dir / "run_config.json").read_text(encoding="utf-8"))
+        assert run_config["agents"] == {"diversity": agent, "accuracy": agent}
+        assert bool(chat_server.requests) == (kind == "endpoint")
 
     def test_preset_flag(self, tmp_path):
         config_path, out_dir = base_config(tmp_path, "run4")
@@ -623,7 +642,7 @@ class TestRunCommand:
             tmp_path, "run9", agents={"mock": "identity", "endpoint": "http://x"}
         )
         assert main(["run", "--config", str(config_path)]) == 1
-        assert "both" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: agents: sets both 'mock' and 'endpoint'\n"
 
     def test_unsendable_api_key_fails_before_any_input_and_stays_secret(self, tmp_path, capsys, monkeypatch):
         """A key no HTTP header can carry fails at config time, naming its variable, not its value."""
@@ -773,72 +792,46 @@ MALFORMED = [
         id="timeout-past-float-range",
     ),
     pytest.param(
+        {"agents": {"endpoint": "http://127.0.0.1:9", "model": "m", "temperature": -0.5}},
+        (),
+        "agents: temperature must be nonnegative",
+        id="temperature-negative",
+    ),
+    pytest.param(
         {"agents": {"endpoint": "http://127.0.0.1:9", "model": "m", "temperature": "hot"}},
         (),
         "temperature",
         id="temperature-not-number",
     ),
-    pytest.param(
-        {"agents": {"endpoint": "localhost:8000/v1", "model": "m"}}, (), "agents.endpoint", id="endpoint-no-scheme"
+    # http.client refuses a URL with a space or a control character and cannot encode one that is not
+    # ASCII; after a "?" or "#", the "/chat/completions" a request appends would be query or fragment.
+    *(
+        pytest.param(
+            {"agents": {"endpoint": url, "model": "m"}},
+            (),
+            "agents: endpoint must be an http:// or https:// URL with a host, in printable ASCII"
+            f" without spaces, '?' or '#', got {json.dumps(url)}",
+            id=f"endpoint-{name}",
+        )
+        for name, url in [
+            ("no-scheme", "localhost:8000/v1"), ("ftp", "ftp://h/v1"), ("no-host", "http:///v1"),
+            ("space", "http://127.0.0.1:9/v 1"), ("newline", "http://127.0.0.1:9/v\n1"),
+            ("non-ascii", "http://127.0.0.1:9/v\u00e91"), ("query", "http://127.0.0.1:9/v1?key=abc"),
+        ]
     ),
     pytest.param(
-        {
-            "agents": {
-                "model": "m",
-                "diversity": {"endpoint": "http://127.0.0.1:9"},
-                "accuracy": {"endpoint": "ftp://h/v1"},
-            }
-        },
+        {},
+        ("--endpoint", "http://127.0.0.1:80a/v1", "--model", "m"),
+        'agents: endpoint must be an http:// or https:// URL with a host, in printable ASCII'
+        " without spaces, '?' or '#', got \"http://127.0.0.1:80a/v1\"",
+        id="endpoint-flag-bad-port",
+    ),
+    # Both reranked stages take the one agent section.
+    pytest.param(
+        {"agents": {"mock": "identity", "diversity": {"mock": "reverse"}}},
         (),
-        "agents.accuracy.endpoint",
-        id="endpoint-ftp",
-    ),
-    pytest.param(
-        {"agents": {"model": "m", "diversity": {"endpoint": "http:///v1"}, "accuracy": {"mock": "identity"}}},
-        (),
-        "agents.diversity.endpoint",
-        id="endpoint-no-host",
-    ),
-    pytest.param(
-        {}, ("--endpoint", "http://127.0.0.1:80a/v1", "--model", "m"), "agents.endpoint", id="endpoint-flag-bad-port"
-    ),
-    # http.client refuses a URL with a space or a control character and cannot encode one that is not ASCII.
-    pytest.param(
-        {"agents": {"endpoint": "http://127.0.0.1:9/v 1", "model": "m", "max_retries": 0}},
-        (),
-        "agents.endpoint",
-        id="endpoint-space",
-    ),
-    pytest.param(
-        {
-            "agents": {
-                "model": "m",
-                "diversity": {"endpoint": "http://127.0.0.1:9/v\n1"},
-                "accuracy": {"mock": "identity"},
-            }
-        },
-        (),
-        "agents.diversity.endpoint",
-        id="endpoint-newline",
-    ),
-    pytest.param(
-        {
-            "agents": {
-                "model": "m",
-                "endpoint": "http://127.0.0.1:9/v1",
-                "accuracy": {"endpoint": "http://127.0.0.1:9/v\u00e91"},
-            }
-        },
-        (),
-        "agents.accuracy.endpoint",
-        id="endpoint-non-ascii",
-    ),
-    # After a "?" or "#", the "/chat/completions" a request appends would be query or fragment.
-    pytest.param(
-        {"agents": {"endpoint": "http://127.0.0.1:9/v1?key=abc", "model": "m"}},
-        (),
-        "agents.endpoint",
-        id="endpoint-query",
+        "agents.diversity: unknown key",
+        id="stage-section",
     ),
     pytest.param({"agents": {"mock": "shuffle:x"}}, (), "mock", id="shuffle-seed-not-int"),
     pytest.param(
@@ -848,21 +841,15 @@ MALFORMED = [
         id="endpoint-keys-under-mock",
     ),
     pytest.param(
-        {"agents": {"model": "m", "diversity": {"mock": "identity"}, "accuracy": {"mock": "reverse"}}},
+        {"agents": {"model": "m", "mock": "reverse"}},
         (),
         "agents.model: only an endpoint agent takes this key",
         id="shared-model-under-two-mocks",
     ),
     pytest.param(
-        {
-            "agents": {
-                "model": "m",
-                "diversity": {"endpoint": "http://127.0.0.1:9"},
-                "accuracy": {"mock": "identity", "timeout": 5},
-            }
-        },
+        {"agents": {"mock": "identity", "timeout": 5}},
         (),
-        "agents.accuracy.timeout: only an endpoint agent takes this key",
+        "agents.timeout: only an endpoint agent takes this key",
         id="stage-timeout-under-mock",
     ),
     pytest.param(
@@ -956,21 +943,21 @@ MALFORMED = [
         id="scores-repeated-key",
     ),
     pytest.param(
-        {"agents": {"model": "m", "endpoint": "http://127.0.0.1:9", "accuracy": {"max_retries": -1}}},
+        {"agents": {"model": "m", "endpoint": "http://127.0.0.1:9", "max_retries": -1}},
         (),
-        "agents.accuracy: max_retries must be >= 0",
+        "agents: max_retries must be >= 0",
         id="stage-max_retries-negative",
     ),
     pytest.param(
         {"agents": {"model": "m", "endpoint": "http://127.0.0.1:9", "timeout": 0}},
         (),
-        "agents.diversity: timeout must be positive",
+        "agents: timeout must be positive",
         id="shared-timeout-zero",
     ),
     pytest.param(
         {"agents": {"model": "m", "endpoint": "http://127.0.0.1:9/v1", "timeout": 1e10}},
         (),
-        "agents.diversity: timeout must be positive and at most",
+        "agents: timeout must be positive and at most",
         id="timeout-past-socket-limit",
     ),
     pytest.param({"retriever": {"kind": "foo"}}, (), "retriever.kind: expected one of", id="retriever-kind-unknown"),
@@ -979,7 +966,7 @@ MALFORMED = [
     pytest.param(
         {"agents": {"endpoint": "http://127.0.0.1:9"}},
         (),
-        "agents: the diversity agent needs either 'mock' or 'endpoint' and 'model'",
+        "agents: needs either 'mock' or 'endpoint' and 'model'",
         id="endpoint-without-model",
     ),
     pytest.param(
@@ -991,9 +978,20 @@ MALFORMED = [
             ("n_items-zero", {"n_items": 0}, "n_items must be positive"),
             ("n_genres-zero", {"n_items": 5, "n_genres": 0}, "n_genres must be positive"),
             ("edges_per_item-negative", {"n_items": 60, "edges_per_item": -1.0}, "edges_per_item must be nonnegative"),
-            ("title_tokens_min-zero", {"n_items": 60, "title_tokens_min": 0}, "title token counts must be positive"),
-            ("token_pool-zero", {"n_items": 60, "token_pool_per_genre": 0}, "token_pool_per_genre must be positive"),
         ]
+    ),
+    # Title lengths and token pools are fixed (synth.TITLE_TOKENS, synth.TOKEN_POOL).
+    pytest.param(
+        {"dataset": {"synth": {"n_items": 60, "title_tokens_min": 0}}},
+        (),
+        "dataset.synth.title_tokens_min: unknown key",
+        id="synth-title_tokens_min-zero",
+    ),
+    pytest.param(
+        {"dataset": {"synth": {"n_items": 60, "token_pool_per_genre": 0}}},
+        (),
+        "dataset.synth.token_pool_per_genre: unknown key",
+        id="synth-token_pool-zero",
     ),
     pytest.param(
         {"pipeline": {"n_div": 0, "n_acc": 5, "cutoffs": [1]}},
@@ -1111,9 +1109,9 @@ class TestPromptRendering:
     def test_run_all_holds_no_prompt(self, renders, concurrency):
         graph, _ = generate(SynthConfig(n_items=60, n_genres=3, edges_per_item=3.0, seed=8))
         train, queries = split_holdout(graph, 0.25, seed=2)
-        transports = (mock_agent("shuffle:1"), mock_agent("reverse"))
+        transport = per_stage(mock_agent("shuffle:1"), mock_agent("reverse"))
         results = run_all(
-            queries, HeuristicRetriever(train), train.items, PipelineConfig(n_div=10, n_acc=5), transports, concurrency
+            queries, HeuristicRetriever(train), train.items, PipelineConfig(n_div=10, n_acc=5), transport, concurrency
         )
         assert renders == []
         held = [
@@ -1270,6 +1268,90 @@ class TestReportCommand:
         assert main(["report", str(run_a), str(run_b), "--out", str(out)]) == 1
         assert "runs cover different datasets: ['dsA', 'dsB']" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_runs_on_different_splits_fail_before_output(self, tmp_path, capsys):
+        """Two runs of one 300-item catalog with split seeds 1 and 2 score different queries."""
+        run_dirs = []
+        for seed in (1, 2):
+            config_path, out_dir = base_config(
+                tmp_path,
+                f"split{seed}",
+                dataset={"synth": {"n_items": 300, "seed": 5}},
+                split={"seed": seed},
+                retriever={"kind": "heuristic", "name": f"split{seed}"},
+            )
+            assert main(["run", "--config", str(config_path)]) == 0
+            run_dirs.append(out_dir)
+        counts = [len((d / "retrieval.jsonl").read_text(encoding="utf-8").splitlines()) for d in run_dirs]
+        assert counts[0] != counts[1]
+        out = tmp_path / "report_splits"
+        assert main(["report", *map(str, run_dirs), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (
+            f"runs score different queries or ground truths: {run_dirs[0]} has {counts[0]} queries"
+            f" and {run_dirs[1]} has {counts[1]}; they first differ at query " in err
+        )
+        assert not out.exists()
+
+    def two_runs_one_rewritten(self, tmp_path, rewrite):
+        """Two runs of one split, the second's ``retrieval.jsonl`` records passed through ``rewrite``."""
+        run_a = self.run_one(tmp_path, "rep6a", "retA")
+        run_b = self.run_one(tmp_path, "rep6b", "retB")
+        path = run_b / "retrieval.jsonl"
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        ids = [record["query_id"] for record in records]
+        assert len(ids) > 2
+        path.write_text("".join(json.dumps(record) + "\n" for record in rewrite(records)), encoding="utf-8")
+        return run_a, run_b, ids
+
+    def swap_first_query(records):
+        records[0]["query_id"] = "zz"  # after every synthetic id
+        return records
+
+    def grow_second_truth(records):
+        records[1]["ground_truth"].append(records[1]["query_id"])
+        return records
+
+    @pytest.mark.parametrize(
+        "rewrite, differing, count_change",
+        [
+            # As many queries as the first run, one of them another: a count alone would pass it.
+            (swap_first_query, 0, 0),
+            (grow_second_truth, 1, 0),
+            (lambda records: records[:-1], -1, -1),
+        ],
+        ids=["query-swapped", "ground-truth-changed", "query-dropped"],
+    )
+    def test_runs_on_different_queries_fail_before_output(self, tmp_path, capsys, rewrite, differing, count_change):
+        run_a, run_b, ids = self.two_runs_one_rewritten(tmp_path, rewrite)
+        out = tmp_path / "report6"
+        assert main(["report", str(run_a), str(run_b), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: runs score different queries or ground truths: {run_a} has {len(ids)} queries"
+            f" and {run_b} has {len(ids) + count_change}; they first differ at query {ids[differing]!r}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ({"query_id": 3, "source": "retB", "ground_truth": [], "candidates": []}, "query_id: expected str, got 3"),
+            (["it00001"], "expected a JSON object"),
+        ],
+        ids=["query-id-not-string", "line-not-object"],
+    )
+    def test_bad_retrieval_line_names_it(self, tmp_path, capsys, line, message):
+        run_a, run_b, _ = self.two_runs_one_rewritten(tmp_path, lambda records: [records[0], line])
+        out = tmp_path / "report7"
+        assert main(["report", str(run_a), str(run_b), "--out", str(out)]) == 1
+        assert f"{run_b / 'retrieval.jsonl'}:2: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_out_fails_before_any_run_is_read(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where an empty --out would write
+        assert main(["report", str(tmp_path / "absent"), "--out", ""]) == 1
+        assert capsys.readouterr().err == "error: out: must be nonempty\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_duplicate_retriever_names_rejected(self, tmp_path, capsys):
         run_a = self.run_one(tmp_path, "rep3a", "same")

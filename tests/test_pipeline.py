@@ -34,9 +34,14 @@ from complerank.retriever import HeuristicRetriever, PrecomputedRetriever, Retri
 from complerank.synth import SynthConfig, generate
 
 
+def per_stage(diversity, accuracy):
+    """One transport that answers each prompt through ``diversity`` or ``accuracy``, by its kind."""
+    return lambda bundle: (diversity if bundle.kind is AgentKind.DIVERSITY else accuracy)(bundle)
+
+
 def mocks(div="identity", acc="identity"):
-    """The (diversity, accuracy) transports of two mock policies."""
-    return mock_agent(div), mock_agent(acc)
+    """The transport of the mock policy ``div`` for diversity prompts and ``acc`` for accuracy ones."""
+    return per_stage(mock_agent(div), mock_agent(acc))
 
 
 class RecordingRetriever:
@@ -185,9 +190,9 @@ def test_stage_order_is_a_permutation_of_its_ids(ids, audit, data):
     assert outcome.response == (answer if audit and not outcome.failed else None)
 
     n_acc = data.draw(st.integers(1, len(ids)))
-    transports = (_answering(answer), _answering(data.draw(_answers(n_acc))))
+    transport = per_stage(_answering(answer), _answering(data.draw(_answers(n_acc))))
     query = QueryInstance("q", frozenset(ids[:1]))
-    result = run_pipeline(query, FixedRetriever(ids), items, PipelineConfig(len(ids), n_acc), transports, audit)
+    result = run_pipeline(query, FixedRetriever(ids), items, PipelineConfig(len(ids), n_acc), transport, audit)
     assert result.stages[1] == outcome
     for stage, _, stage_input in reranked_stages(result):
         assert type(stage.positions) is bytes
@@ -230,7 +235,7 @@ class TestRunPipeline:
         agent = mock_agent(policy, ground_truth={q.query_id: q.ground_truth for q in queries})
         for query in queries:
             items = CountingItems(train.items)
-            run_pipeline(query, retriever, items, PipelineConfig(n_div=4, n_acc=2), (agent, agent))
+            run_pipeline(query, retriever, items, PipelineConfig(n_div=4, n_acc=2), agent)
             assert items.looked_up == [query.query_id]
 
     def test_identity_stages_track_base(self, split_setup):
@@ -279,15 +284,15 @@ class TestRunPipeline:
 
     def test_conservation(self, split_setup):
         train, queries, retriever = split_setup
-        config, transports = PipelineConfig(n_div=4, n_acc=3), mocks("reverse", "reverse")
-        base, diversity, final = run_pipeline(queries[0], retriever, train.items, config, transports).orders()
+        config, transport = PipelineConfig(n_div=4, n_acc=3), mock_agent("reverse")
+        base, diversity, final = run_pipeline(queries[0], retriever, train.items, config, transport).orders()
         assert sorted(diversity) == sorted(base)
         assert sorted(final) == sorted(diversity[:3])
 
     def test_stage_isolation_under_shuffle(self, split_setup):
         train, queries, retriever = split_setup
-        config, transports = PipelineConfig(n_div=4, n_acc=2), mocks("shuffle:5", "shuffle:9")
-        _, diversity, final = run_pipeline(queries[0], retriever, train.items, config, transports).orders()
+        config, transport = PipelineConfig(n_div=4, n_acc=2), mocks("shuffle:5", "shuffle:9")
+        _, diversity, final = run_pipeline(queries[0], retriever, train.items, config, transport).orders()
         truncated_away = set(diversity[2:])
         assert not truncated_away & set(final)
 
@@ -296,7 +301,7 @@ class TestRunPipeline:
         query = queries[0]
         oracle = mock_agent("oracle", ground_truth={q.query_id: q.ground_truth for q in queries})
         config = PipelineConfig(n_div=5, n_acc=3)
-        base, diversity, _ = run_pipeline(query, retriever, train.items, config, (oracle, oracle)).orders()
+        base, diversity, _ = run_pipeline(query, retriever, train.items, config, oracle).orders()
         reachable = tuple(i for i in base if i in query.ground_truth)
         assert diversity[: len(reachable)] == reachable
 
@@ -306,8 +311,8 @@ class TestRunPipeline:
         def broken(bundle):
             raise TransportError("down")
 
-        config, transports = PipelineConfig(n_div=4, n_acc=2), (broken, mock_agent("identity"))
-        result = run_pipeline(queries[0], retriever, train.items, config, transports)
+        config, transport = PipelineConfig(n_div=4, n_acc=2), per_stage(broken, mock_agent("identity"))
+        result = run_pipeline(queries[0], retriever, train.items, config, transport)
         base, diversity, final = result.orders()
         assert result.stages[1].failed
         assert diversity == base
@@ -330,7 +335,7 @@ class TestRunPipeline:
         for diversity in (broken, reverse):
             sent.clear()
             config = PipelineConfig(n_div, n_acc)
-            result = run_pipeline(queries[0], retriever, train.items, config, (diversity, reverse))
+            result = run_pipeline(queries[0], retriever, train.items, config, per_stage(diversity, reverse))
             assert result.stages[1].failed == (diversity is broken)
             assert reranked_stages(result) == (
                 (result.stages[1], AgentKind.DIVERSITY, sent[0]),
@@ -339,9 +344,9 @@ class TestRunPipeline:
 
     def test_no_duplicates_and_query_excluded(self, split_setup):
         train, queries, retriever = split_setup
-        config, transports = PipelineConfig(n_div=5, n_acc=3), mocks("reverse", "reverse")
+        config, transport = PipelineConfig(n_div=5, n_acc=3), mock_agent("reverse")
         for query in queries:
-            result = run_pipeline(query, retriever, train.items, config, transports)
+            result = run_pipeline(query, retriever, train.items, config, transport)
             for order in result.orders():
                 assert len(set(order)) == len(order)
                 assert query.query_id not in order
@@ -368,9 +373,9 @@ class TestRunAll:
                 raise TransportError("down")
             return mock_agent("reverse")(bundle)
 
-        config, transports = PipelineConfig(n_div=4, n_acc=2), (flaky, mock_agent("identity"))
-        kept = run_all(queries, retriever, train.items, config, transports, concurrency)
-        dropped = run_all(queries, retriever, train.items, config, transports, concurrency, audit=False)
+        config, transport = PipelineConfig(n_div=4, n_acc=2), per_stage(flaky, mock_agent("identity"))
+        kept = run_all(queries, retriever, train.items, config, transport, concurrency)
+        dropped = run_all(queries, retriever, train.items, config, transport, concurrency, audit=False)
         assert kept[0].stages[1].failed and dropped[0].stages[1].failed
         # Neither keeps a prompt; with audit on, each is rendered again from the stage's input.
         assert not any(hasattr(o, "prompt") for r in kept + dropped for o in r.stages)
@@ -399,9 +404,9 @@ class TestRunAll:
         graph, _ = generate(SynthConfig(n_items=60, n_genres=3, edges_per_item=3.0, seed=8))
         train, queries = split_holdout(graph, 0.25, seed=2)
         retriever = HeuristicRetriever(train)
-        config, transports = PipelineConfig(n_div=10, n_acc=5), mocks("shuffle:1", "shuffle:2")
-        sequential = run_all(queries, retriever, train.items, config, transports, concurrency=1)
-        parallel = run_all(queries, retriever, train.items, config, transports, concurrency=4)
+        config, transport = PipelineConfig(n_div=10, n_acc=5), mocks("shuffle:1", "shuffle:2")
+        sequential = run_all(queries, retriever, train.items, config, transport, concurrency=1)
+        parallel = run_all(queries, retriever, train.items, config, transport, concurrency=4)
         assert [r.orders()[-1] for r in sequential] == [r.orders()[-1] for r in parallel]
 
     def test_one_oracle_shared_across_threads_matches_sequential(self):
@@ -416,11 +421,11 @@ class TestRunAll:
             return answer(bundle)
 
         config = PipelineConfig(n_div=10, n_acc=5)
-        sequential = run_all(queries, retriever, train.items, config, (oracle, oracle), concurrency=1)
+        sequential = run_all(queries, retriever, train.items, config, oracle, concurrency=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, so that they interleave inside the oracle
         try:
-            parallel = run_all(queries, retriever, train.items, config, (oracle, oracle), concurrency=3)
+            parallel = run_all(queries, retriever, train.items, config, oracle, concurrency=3)
         finally:
             sys.setswitchinterval(interval)
         assert [r.orders() for r in parallel] == [r.orders() for r in sequential]

@@ -1,17 +1,13 @@
 import pytest
 
 from complerank.catalog import load_catalog
-from complerank.synth import SynthConfig, SynthError, generate, write_dataset
+from complerank.synth import TITLE_TOKENS, TOKEN_POOL, SynthConfig, SynthError, generate, write_dataset
 
 
 class TestConfigValidation:
     def test_genres_cannot_exceed_items(self):
         with pytest.raises(SynthError):
             SynthConfig(n_items=3, n_genres=5)
-
-    def test_token_range_ordering(self):
-        with pytest.raises(SynthError):
-            SynthConfig(n_items=10, title_tokens_min=5, title_tokens_max=2)
 
     def test_ratio_bounds(self):
         with pytest.raises(SynthError):
@@ -77,12 +73,11 @@ def test_generated_graphs_pass_validation():
 
 
 def test_titles_use_genre_token_pools():
-    graph, genre_of = generate(
-        SynthConfig(n_items=40, n_genres=4, token_pool_per_genre=10, seed=9)
-    )
+    graph, genre_of = generate(SynthConfig(n_items=40, n_genres=4, seed=9))
     for item in graph.items.values():
-        genre = genre_of[item.id]
-        assert all(token.startswith(genre) for token in item.title.split())
+        genre, tokens = genre_of[item.id], item.title.split()
+        assert TITLE_TOKENS[0] <= len(tokens) <= TITLE_TOKENS[1]
+        assert all(token.startswith(f"{genre}w") and int(token[len(genre) + 1:]) < TOKEN_POOL for token in tokens)
 
 
 def mean_distinct_complement_genres(graph, genre_of):
