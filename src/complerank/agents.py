@@ -25,16 +25,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Container, Iterable, Mapping, Sequence
 
-from .catalog import Item
+from .catalog import Item, read_int
 
 
 class AgentKind(str, Enum):
     DIVERSITY = "diversity"
     ACCURACY = "accuracy"
-
-
-class PromptError(ValueError):
-    """Unrenderable prompt request (empty or oversized candidate list)."""
 
 
 class TransportError(RuntimeError):
@@ -106,11 +102,11 @@ def build_prompt(query: Item, ids: Sequence[str], items: Mapping[str, Item], kin
     """The prompt bundle for the ``items`` of ``ids`` in input order: the ids are checked now (nonempty,
     at most ``MAX_CANDIDATES``, no repeat), and ``items`` is read only when the text is rendered."""
     if not ids:
-        raise PromptError("candidate list is empty")
+        raise ValueError("candidate list is empty")
     if len(ids) > MAX_CANDIDATES:
-        raise PromptError(f"{len(ids)} candidates exceed the maximum of {MAX_CANDIDATES}")
+        raise ValueError(f"{len(ids)} candidates exceed the maximum of {MAX_CANDIDATES}")
     if len(set(ids)) != len(ids):
-        raise PromptError("candidate list contains duplicate item ids")
+        raise ValueError("candidate list contains duplicate item ids")
     return PromptBundle(query, ids, items, kind)
 
 
@@ -162,7 +158,7 @@ def _retry_after_seconds(value: str | None) -> float | None:
     return float(value) if value.isascii() and value.isdigit() else None
 
 
-BACKOFF_SECONDS = 0.2  # the wait before the first retry; each later one doubles
+BACKOFF_SECONDS = 0.2  # the wait before the first retry; each later one doubles, to at most ``timeout``
 _opener = None  # the urllib opener of every request, built on the first (see complete)
 
 
@@ -170,15 +166,16 @@ def complete(prompt: PromptBundle, config: LlmConfig) -> str:
     """POST the prompt as a single user message and return the assistant text.
 
     Retries transport errors and HTTP 408, 429 and 5xx up to ``max_retries``
-    times with exponential backoff; any other non-2xx status fails at once,
-    a 3xx redirect included (none is followed).  A retryable status
-    whose ``Retry-After`` is a whole number of seconds waits that long
-    instead, at most ``timeout``.  Raises :class:`TransportError` carrying
-    the last failure, and for a completion that is not JSON or whose content
-    is missing or not a string.  An empty or missing API key sends no
-    Authorization header (fine for unauthenticated local endpoints).  The
-    standard-library HTTP client is imported on the first call, so mock runs
-    never load it; it opens one connection per attempt.
+    times with exponential backoff, each wait at most ``timeout``; any other
+    non-2xx status fails at once, a 3xx redirect included (none is followed).
+    A retryable status whose ``Retry-After`` is a whole number of seconds
+    waits that long instead, also at most ``timeout``.  Raises
+    :class:`TransportError` carrying the last failure, and for a completion
+    that is not JSON or whose content is missing or not a string.  An empty
+    or missing API key sends no Authorization header (fine for
+    unauthenticated local endpoints).  The standard-library HTTP client is
+    imported on the first call, so mock runs never load it; it opens one
+    connection per attempt.
     """
     global _opener
     import http.client
@@ -203,12 +200,12 @@ def complete(prompt: PromptBundle, config: LlmConfig) -> str:
     }
     data = json.dumps(body, allow_nan=False).encode("utf-8")
 
+    backoff = min(BACKOFF_SECONDS, config.timeout)
     retry_after = None  # seconds the last retryable answer asked to wait, if it said
     for attempt in range(config.max_retries + 1):
         if attempt:
-            backoff = BACKOFF_SECONDS * 2 ** (attempt - 1)
             time.sleep(backoff if retry_after is None else min(retry_after, config.timeout))
-            retry_after = None
+            backoff, retry_after = min(2 * backoff, config.timeout), None
         try:
             # A fresh Request per attempt: urllib's proxy handling rewrites the one it sends.
             request = urllib.request.Request(url, data, headers)
@@ -250,14 +247,6 @@ _IDENTITY = tuple(bytes(range(n)) for n in range(257))
 _LOCAL_IDS = {str(k): k for k in range(256)}  # the plain decimal spelling of each ID a byte holds
 
 
-def _read_int(token: str, n: int) -> int:
-    """``int(token)``, or the out-of-range ID ``n`` for a token with more digits than ``int`` reads."""
-    try:
-        return int(token)
-    except ValueError:
-        return n
-
-
 def parse_permutation(raw: str, n: int) -> "ParsedPermutation":
     """Extract and repair a ranking over local IDs ``0..n-1`` from model output, ``1 <= n <= 256``.
 
@@ -289,7 +278,7 @@ def parse_permutation(raw: str, n: int) -> "ParsedPermutation":
     values: list[int] | None = None
     for match in _BRACKET_RE.finditer(raw):
         tokens = [token.strip() for token in match.group(1).split(",")]
-        parsed = [_read_int(token, n) for token in tokens if _INT_RE.fullmatch(token)]
+        parsed = [read_int(token) for token in tokens if _INT_RE.fullmatch(token)]
         if parsed:
             values = parsed
             break

@@ -27,10 +27,6 @@ from typing import Callable, Container, Iterable, Iterator, Mapping, TypeVar
 T = TypeVar("T")
 
 
-class CatalogError(ValueError):
-    """Malformed catalog data: bad file line, broken invariant, unknown id."""
-
-
 @dataclass(frozen=True, slots=True)
 class Item:
     """A product node.
@@ -46,13 +42,13 @@ class Item:
 
     def __post_init__(self) -> None:
         if not self.id:
-            raise CatalogError("item id must be nonempty")
+            raise ValueError("item id must be nonempty")
         if not self.title:
-            raise CatalogError(f"item {self.id!r}: title must be nonempty")
+            raise ValueError(f"item {self.id!r}: title must be nonempty")
         if any(not level for level in self.categories):
-            raise CatalogError(f"item {self.id!r}: categories must not contain empty strings")
+            raise ValueError(f"item {self.id!r}: categories must not contain empty strings")
         if self.price is not None and self.price < 0:
-            raise CatalogError(f"item {self.id!r}: price must be nonnegative")
+            raise ValueError(f"item {self.id!r}: price must be nonnegative")
 
 
 def edge_key(a: str, b: str, items: Container[str]) -> tuple[str, str]:
@@ -63,9 +59,9 @@ def edge_key(a: str, b: str, items: Container[str]) -> tuple[str, str]:
     """
     for endpoint in (a, b):
         if endpoint not in items:
-            raise CatalogError(f"edge references unknown item id {endpoint!r}")
+            raise ValueError(f"edge references unknown item id {endpoint!r}")
     if a == b:
-        raise CatalogError(f"self-loop edge on {a!r}")
+        raise ValueError(f"self-loop edge on {a!r}")
     return (a, b) if a < b else (b, a)
 
 
@@ -93,7 +89,7 @@ class ComplementGraph:
     def neighbors(self, item_id: str) -> frozenset[str]:
         """Ids directly linked to ``item_id`` (empty set if isolated)."""
         if item_id not in self.items:
-            raise CatalogError(f"unknown item id {item_id!r}")
+            raise ValueError(f"unknown item id {item_id!r}")
         return frozenset(self._adjacency.get(item_id, ()))
 
 
@@ -106,9 +102,9 @@ class QueryInstance:
 
     def __post_init__(self) -> None:
         if not self.ground_truth:
-            raise CatalogError(f"query {self.query_id!r}: ground truth must be nonempty")
+            raise ValueError(f"query {self.query_id!r}: ground truth must be nonempty")
         if self.query_id in self.ground_truth:
-            raise CatalogError(f"query {self.query_id!r} appears in its own ground truth")
+            raise ValueError(f"query {self.query_id!r} appears in its own ground truth")
 
 
 def unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -121,15 +117,23 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return record
 
 
+def read_int(token: str) -> int | float:
+    """``int(token)``, or ±inf past the digits ``int`` reads: out of every range, and named by key in a config."""
+    try:
+        return int(token)
+    except ValueError:
+        return -math.inf if token.startswith("-") else math.inf
+
+
 _decode = json.JSONDecoder(object_pairs_hook=unique_keys).decode
 
 
-def read_json_lines(path: Path, parse: Callable[[object], T], error: type[Exception]) -> Iterator[T]:
+def read_json_lines(path: Path, parse: Callable[[object], T]) -> Iterator[T]:
     """Yield ``parse(value)`` for each line of a UTF-8 JSON Lines file that holds more than JSON whitespace.
 
     A line that is not UTF-8 or not JSON, that repeats a key within an object, or whose ``parse``
-    raises ``ValueError``, raises ``error`` prefixed with ``path:line``; what the consumer raises
-    passes unchanged.
+    raises ``ValueError``, raises a ``ValueError`` prefixed with ``path:line``; what the consumer
+    raises passes unchanged.
     """
     with open(path, "rb") as fh:  # decoded line by line, so that a bad byte is reported with its line
         for lineno, raw in enumerate(fh, start=1):
@@ -143,7 +147,7 @@ def read_json_lines(path: Path, parse: Callable[[object], T], error: type[Except
                     raise ValueError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
                 parsed = parse(value)
             except ValueError as exc:
-                raise error(f"{path}:{lineno}: {exc}") from exc
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
             yield parsed
 
 
@@ -170,21 +174,21 @@ def write_json(payload: object, path: str | Path) -> None:
 
 def _parse_item(record: object, items: Container[str], paths: dict[tuple[str, ...], tuple[str, ...]]) -> Item:
     if not isinstance(record, dict):
-        raise CatalogError("expected a JSON object")
+        raise ValueError("expected a JSON object")
     try:
         item_id = record["id"]
         title = record["title"]
     except KeyError as exc:
-        raise CatalogError(f"missing key {exc.args[0]!r}") from exc
+        raise ValueError(f"missing key {exc.args[0]!r}") from exc
     categories = record.get("categories", [])
     price = record.get("price")
     if not isinstance(item_id, str) or not isinstance(title, str):
-        raise CatalogError("id and title must be strings")
+        raise ValueError("id and title must be strings")
     if not isinstance(categories, list) or any(not isinstance(c, str) for c in categories):
-        raise CatalogError("categories must be an array of strings")
+        raise ValueError("categories must be an array of strings")
     # NaN fails the comparison, and JSON's ``true`` is no number here.
     if price is not None and (type(price) not in (int, float) or not abs(price) <= sys.float_info.max):
-        raise CatalogError(f"price must be a finite number, got {json.dumps(price)}")
+        raise ValueError(f"price must be a finite number, got {json.dumps(price)}")
     path = tuple(categories)
     item = Item(
         id=item_id,
@@ -193,13 +197,13 @@ def _parse_item(record: object, items: Container[str], paths: dict[tuple[str, ..
         price=None if price is None else float(price),
     )
     if item.id in items:
-        raise CatalogError(f"duplicate item id {item.id!r}")
+        raise ValueError(f"duplicate item id {item.id!r}")
     return item
 
 
 def _parse_edge(pair: object, items: Mapping[str, Item]) -> tuple[str, str]:
     if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(x, str) for x in pair):
-        raise CatalogError("expected a JSON array of two item ids")
+        raise ValueError("expected a JSON array of two item ids")
     a, b = edge_key(*pair, items)
     return items[a].id, items[b].id  # the catalog's own strings, not the ones decoded from this line
 
@@ -213,9 +217,9 @@ def load_catalog(items_path: str | Path, edges_path: str | Path) -> ComplementGr
     """
     items: dict[str, Item] = {}
     paths: dict[tuple[str, ...], tuple[str, ...]] = {}
-    for item in read_json_lines(Path(items_path), lambda record: _parse_item(record, items, paths), CatalogError):
+    for item in read_json_lines(Path(items_path), lambda record: _parse_item(record, items, paths)):
         items[item.id] = item
-    edges = read_json_lines(Path(edges_path), lambda pair: _parse_edge(pair, items), CatalogError)
+    edges = read_json_lines(Path(edges_path), lambda pair: _parse_edge(pair, items))
     return ComplementGraph(items=items, edges=frozenset(edges))
 
 
@@ -240,12 +244,12 @@ def split_holdout(
     absent from the returned train graph so retrievers cannot leak them.
     """
     if not 0.0 < holdout_fraction < 1.0:
-        raise CatalogError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
+        raise ValueError(f"holdout_fraction must be in (0, 1), got {holdout_fraction}")
     if not graph.edges:
-        raise CatalogError("cannot split a graph with no edges")
+        raise ValueError("cannot split a graph with no edges")
     count = math.floor(holdout_fraction * len(graph.edges) + 0.5)
     if count == 0:
-        raise CatalogError(
+        raise ValueError(
             f"holdout_fraction {holdout_fraction} of {len(graph.edges)} edges rounds to zero held-out edges"
         )
     rng = random.Random(seed)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, fields
 from itertools import product
@@ -26,18 +25,10 @@ from . import agents, catalog, metrics, pipeline, retriever, synth
 T = TypeVar("T")
 
 
-def _read_int(token: str) -> int | float:
-    """``int(token)``, or ±inf past the digits ``int`` reads (so the schema check names the key)."""
-    try:
-        return int(token)
-    except ValueError:
-        return -math.inf if token.startswith("-") else math.inf
-
-
 def _load_json(path: str | Path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
-        loaded = json.loads(text, parse_int=_read_int, object_pairs_hook=catalog.unique_keys)
+        loaded = json.loads(text, parse_int=catalog.read_int, object_pairs_hook=catalog.unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
@@ -417,7 +408,7 @@ def cmd_report(run_dirs: list[str | Path], out_dir: str | Path) -> Path:
                 raise ValueError(f"rows: expected one per stage and cutoff, of {name!r} on {dataset!r}")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        truths = dict(catalog.read_json_lines(Path(run_dir) / "retrieval.jsonl", _truth_of, ValueError))
+        truths = dict(catalog.read_json_lines(Path(run_dir) / "retrieval.jsonl", _truth_of))
         if truths_of_first is None:
             truths_of_first = truths
         elif truths != truths_of_first:
@@ -507,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
             out_dir = cmd_report(args.run_dirs, args.out)
             print(out_dir)
     except (ValueError, OSError) as exc:
-        # Catalog, synth, retrieval and prompt errors are ValueErrors; rerank_stage catches TransportError.
+        # Bad input of every kind is a ValueError; rerank_stage catches TransportError.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:  # Ctrl-C: one line, not a traceback, and the shell's exit code for SIGINT

@@ -173,23 +173,9 @@ def lift_with_stderr(lifts: Sequence[float]) -> tuple[float, float]:
     mean = math.fsum(lifts) / len(lifts)
     if len(lifts) < 2:
         return mean, 0.0
-    from fractions import Fraction  # only a report over two or more runs needs it
+    from statistics import stdev  # only a report over two or more runs needs it
 
-    exact = [Fraction(lift) for lift in lifts]
-    centre = sum(exact) / len(exact)
-    variance = sum((lift - centre) ** 2 for lift in exact) / (len(exact) - 1)
-    return mean, _sqrt_of_fraction(variance.numerator, variance.denominator) / math.sqrt(len(lifts))
-
-
-def _sqrt_of_fraction(n: int, m: int) -> float:
-    """The square root of ``n / m`` correctly rounded to a float, as ``statistics.stdev`` rounds from 3.11
-    on (3.10's can differ in the last bit): the integer root to 109 bits, twice a float's 53-bit
-    mantissa plus 3, rounded to odd (an inexact root sets its last bit), so that only its conversion rounds."""
-    q = (n.bit_length() - m.bit_length() - 109) // 2
-    n, m = (n, m << 2 * q) if q >= 0 else (n << -2 * q, m)
-    root = math.isqrt(n // m)
-    root |= root * root * m != n
-    return float(root << q) if q >= 0 else root / (1 << -q)
+    return mean, stdev(lifts) / math.sqrt(len(lifts))
 
 
 def lift_rows_for_runs(

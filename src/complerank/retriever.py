@@ -28,10 +28,6 @@ from .agents import MAX_CANDIDATES
 from .catalog import ComplementGraph, Item, read_json_lines
 
 
-class RetrievalError(ValueError):
-    """Unknown query, malformed scores file, or an unservable request."""
-
-
 def category_overlap(a: tuple[str, ...], b: tuple[str, ...]) -> float:
     """Longest common category prefix over the longer path length, in [0, 1].
 
@@ -71,7 +67,7 @@ def _normalized(
 ) -> tuple[tuple[str, ...], array]:
     """The top ``n`` of the ``(ids, scores)`` columns in the module's order, the scores as a new array."""
     if n < 1:
-        raise RetrievalError(f"retrieval depth must be positive, got {n}")
+        raise ValueError(f"retrieval depth must be positive, got {n}")
     # A list whose head is already in this order, as a model exports it, is cut, not sorted: the head's
     # scores strictly decrease (so no tie needs the id order), every later score is below the head's
     # last (so no later entry, a repeat or the query included, can rank in it), and the head's ids are
@@ -116,7 +112,7 @@ class HeuristicRetriever:
     def retrieve(self, query_id: str, n: int) -> tuple[tuple[str, ...], array]:
         items = self.graph.items
         if query_id not in items:
-            raise RetrievalError(f"unknown query id {query_id!r}")
+            raise ValueError(f"unknown query id {query_id!r}")
         query = items[query_id]
         skip = self.graph.neighbors(query_id) | {query_id}
         ids = [item_id for item_id in items if item_id not in skip]
@@ -132,7 +128,7 @@ _NUMBER = frozenset((int, float))
 
 def _reject(values: Sequence[object], types: frozenset[type], what: str) -> NoReturn:
     wrong = next(value for value in values if type(value) not in types)
-    raise RetrievalError(f"{what}, got {json.dumps(wrong)}")
+    raise ValueError(f"{what}, got {json.dumps(wrong)}")
 
 
 class PrecomputedRetriever:
@@ -155,7 +151,7 @@ class PrecomputedRetriever:
         self, path: str | Path, items: Iterable[str], name: str | None = None, depth: int = MAX_CANDIDATES
     ):
         if depth < 1:
-            raise RetrievalError(f"retrieval depth must be positive, got {depth}")
+            raise ValueError(f"retrieval depth must be positive, got {depth}")
         self.path = Path(path)
         self.name = name or self.path.stem
         self.depth = depth
@@ -174,16 +170,16 @@ class PrecomputedRetriever:
                 id_types, score_types = set(map(type, ids)), set(map(type, values))
                 scores = array("d", values if score_types <= _NUMBER else map(float, values))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise RetrievalError(f"malformed scores line ({exc})") from exc
+                raise ValueError(f"malformed scores line ({exc})") from exc
             if type(query_id) not in _ID:
-                raise RetrievalError(f"query_id must be a string or an integer, got {json.dumps(query_id)}")
+                raise ValueError(f"query_id must be a string or an integer, got {json.dumps(query_id)}")
             if str(query_id) in self._lists:
-                raise RetrievalError(f"duplicate query id {str(query_id)!r}")
+                raise ValueError(f"duplicate query id {str(query_id)!r}")
             # A sum of finite scores is finite unless it overflows; only then look closer.
             if not math.isfinite(sum(scores)):
                 for item_id, score in zip(ids, scores):
                     if not math.isfinite(score):
-                        raise RetrievalError(f"candidate {str(item_id)!r} has non-finite score {score}")
+                        raise ValueError(f"candidate {str(item_id)!r} has non-finite score {score}")
             if not id_types <= _ID:
                 _reject(ids, _ID, "candidate id must be a string or an integer")
             if not score_types <= _NUMBER:
@@ -191,10 +187,10 @@ class PrecomputedRetriever:
             try:
                 ids = tuple(map(canonical.__getitem__, map(str, ids) if int in id_types else ids))
             except KeyError as exc:
-                raise RetrievalError(f"candidate id {exc.args[0]!r} is not in the catalog") from None
+                raise ValueError(f"candidate id {exc.args[0]!r} is not in the catalog") from None
             return str(query_id), _normalized(str(query_id), ids, scores, depth)
 
-        for query_id, columns in read_json_lines(self.path, parse, RetrievalError):
+        for query_id, columns in read_json_lines(self.path, parse):
             self._lists[query_id] = columns
 
     def check_coverage(self, query_ids: Sequence[str]) -> None:
@@ -202,15 +198,15 @@ class PrecomputedRetriever:
         lists = self._lists
         uncovered = [query_id for query_id in query_ids if query_id not in lists or not lists[query_id][0]]
         if uncovered:
-            raise RetrievalError(
+            raise ValueError(
                 f"{self.path}: no candidate for {len(uncovered)} of {len(query_ids)} queries, "
                 f"the first {uncovered[0]!r}"
             )
 
     def retrieve(self, query_id: str, n: int) -> tuple[tuple[str, ...], array]:
         if query_id not in self._lists:
-            raise RetrievalError(f"query {query_id!r} not present in {self.path}")
+            raise ValueError(f"query {query_id!r} not present in {self.path}")
         if not 1 <= n <= self.depth:
-            raise RetrievalError(f"retrieval depth must be in 1..{self.depth}, got {n}")
+            raise ValueError(f"retrieval depth must be in 1..{self.depth}, got {n}")
         ids, scores = self._lists[query_id]
         return (ids, scores) if n >= len(ids) else (ids[:n], scores[:n])

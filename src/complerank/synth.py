@@ -18,10 +18,6 @@ from pathlib import Path
 from .catalog import ComplementGraph, Item, edge_key, write_catalog, write_json
 
 
-class SynthError(ValueError):
-    """Invalid synthesis config or an unsatisfiable edge-planting request."""
-
-
 TITLE_TOKENS = (3, 8)  # the fewest and most tokens of a title
 TOKEN_POOL = 40  # the tokens of each genre's title pool
 
@@ -36,17 +32,17 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         if self.n_items < 1:
-            raise SynthError("n_items must be positive")
+            raise ValueError("n_items must be positive")
         if self.n_genres < 1:
-            raise SynthError("n_genres must be positive")
+            raise ValueError("n_genres must be positive")
         if self.n_genres > self.n_items:
-            raise SynthError(
+            raise ValueError(
                 f"n_genres ({self.n_genres}) cannot exceed n_items ({self.n_items})"
             )
         if self.edges_per_item < 0:
-            raise SynthError("edges_per_item must be nonnegative")
+            raise ValueError("edges_per_item must be nonnegative")
         if not 0.0 <= self.cross_genre_edge_ratio <= 1.0:
-            raise SynthError("cross_genre_edge_ratio must be in [0, 1]")
+            raise ValueError("cross_genre_edge_ratio must be in [0, 1]")
 
 
 def generate(config: SynthConfig) -> tuple[ComplementGraph, dict[str, str]]:
@@ -77,7 +73,7 @@ def generate(config: SynthConfig) -> tuple[ComplementGraph, dict[str, str]]:
     def check_capacity(kind: str, target: float, capacity: int) -> None:
         # Written so that NaN and infinity fail it too.
         if not target <= capacity:
-            raise SynthError(
+            raise ValueError(
                 f"edges_per_item {config.edges_per_item} asks for {target} {kind}edges, but "
                 f"{config.n_items} items have only {capacity} distinct {kind}pairs"
             )
@@ -102,7 +98,7 @@ def generate(config: SynthConfig) -> tuple[ComplementGraph, dict[str, str]]:
         while placed < count:
             attempts += 1
             if attempts > limit:
-                raise SynthError(
+                raise ValueError(
                     f"could not place {count} edges after {limit} attempts; "
                     "graph too dense for the requested edges_per_item"
                 )

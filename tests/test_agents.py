@@ -16,7 +16,6 @@ from complerank.agents import (
     FALLBACK_IDENTITY,
     AgentKind,
     LlmConfig,
-    PromptError,
     TransportError,
     build_prompt,
     complete,
@@ -105,19 +104,19 @@ class TestBuildPrompt:
 
     def test_empty_candidates_rejected(self, prompt_fixture):
         query, _ = prompt_fixture
-        with pytest.raises(PromptError):
+        with pytest.raises(ValueError, match="^candidate list is empty$"):
             build_prompt(query, (), {}, AgentKind.DIVERSITY)
 
     def test_oversized_candidate_list_rejected(self, prompt_fixture):
         query, _ = prompt_fixture
         candidates = [Item(id=f"c{k}", title=f"item {k}") for k in range(101)]
         prompt_of(query, candidates[:100], AgentKind.DIVERSITY)
-        with pytest.raises(PromptError, match="101 candidates exceed the maximum of 100"):
+        with pytest.raises(ValueError, match="101 candidates exceed the maximum of 100"):
             prompt_of(query, candidates, AgentKind.DIVERSITY)
 
     def test_duplicate_candidate_ids_rejected(self, prompt_fixture):
         query, candidates = prompt_fixture
-        with pytest.raises(PromptError):
+        with pytest.raises(ValueError, match="^candidate list contains duplicate item ids$"):
             prompt_of(query, candidates + [candidates[0]], AgentKind.DIVERSITY)
 
 
@@ -478,6 +477,19 @@ class TestComplete:
         with pytest.raises(TransportError, match="400"):
             complete(bundle, self.config(chat_server, max_retries=3))
         assert sleeps == [] and len(chat_server.requests) == 1
+
+    def test_backoff_doubles_to_at_most_timeout(self, prompt_fixture, monkeypatch):
+        monkeypatch.setattr(agents, "BACKOFF_SECONDS", 0.2)
+        sleeps = []
+        monkeypatch.setattr(agents.time, "sleep", sleeps.append)
+        query, candidates = prompt_fixture
+        bundle = prompt_of(query, candidates[:1], AgentKind.DIVERSITY)
+        # A refused local port fails each attempt at once; 1 100 retries would overflow an uncapped doubling.
+        config = LlmConfig(endpoint="http://127.0.0.1:9", model="m", max_retries=1100, timeout=0.5)
+        with pytest.raises(TransportError, match="failed after 1101 attempt"):
+            complete(bundle, config)
+        assert sleeps[:4] == [0.2, 0.4, 0.5, 0.5]
+        assert len(sleeps) == 1100 and max(sleeps) == 0.5
 
     def test_unreachable_host_no_retries(self, prompt_fixture):
         query, candidates = prompt_fixture

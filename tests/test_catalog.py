@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from complerank.catalog import (
-    CatalogError,
     ComplementGraph,
     Item,
     QueryInstance,
@@ -14,7 +13,7 @@ from complerank.catalog import (
     split_holdout,
     write_catalog,
 )
-from complerank.retriever import PrecomputedRetriever, RetrievalError
+from complerank.retriever import PrecomputedRetriever
 from complerank.synth import SynthConfig, generate
 
 
@@ -33,16 +32,17 @@ class TestItem:
         assert item.price == 3.5
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, message",
         [
-            {"id": "", "title": "t"},
-            {"id": "x", "title": ""},
-            {"id": "x", "title": "t", "categories": ("a", "")},
-            {"id": "x", "title": "t", "price": -1.0},
+            ({"id": "", "title": "t"}, "item id must be nonempty"),
+            ({"id": "x", "title": ""}, "item 'x': title must be nonempty"),
+            ({"id": "x", "title": "t", "categories": ("a", "")}, "item 'x': categories must not contain empty strings"),
+            ({"id": "x", "title": "t", "price": -1.0}, "item 'x': price must be nonnegative"),
         ],
+        ids=[f"kwargs{n}" for n in range(4)],
     )
-    def test_invalid(self, kwargs):
-        with pytest.raises(CatalogError):
+    def test_invalid(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             Item(**kwargs)
 
 
@@ -76,7 +76,7 @@ class TestLoadCatalog:
     def test_unknown_edge_endpoint_named(self, tmp_path):
         write_lines(tmp_path / "items.jsonl", items_lines(("A", "alpha", [], {})))
         write_lines(tmp_path / "edges.jsonl", [json.dumps(["A", "Z"])])
-        with pytest.raises(CatalogError, match="'Z'"):
+        with pytest.raises(ValueError, match="'Z'"):
             load_catalog(tmp_path / "items.jsonl", tmp_path / "edges.jsonl")
 
     def test_malformed_line_reports_line_number(self, tmp_path):
@@ -85,7 +85,7 @@ class TestLoadCatalog:
             items_lines(("A", "alpha", [], {})) + ["{not json"],
         )
         write_lines(tmp_path / "edges.jsonl", [])
-        with pytest.raises(CatalogError, match=r"items\.jsonl:2"):
+        with pytest.raises(ValueError, match=r"items\.jsonl:2"):
             load_catalog(tmp_path / "items.jsonl", tmp_path / "edges.jsonl")
 
     @pytest.mark.parametrize("bad_file", ["items", "edges"])
@@ -100,7 +100,7 @@ class TestLoadCatalog:
         write_lines(tmp_path / "items.jsonl", items)
         write_lines(tmp_path / "edges.jsonl", edges)
         lineno = len(items if bad_file == "items" else edges)
-        with pytest.raises(CatalogError, match=rf"{bad_file}\.jsonl:{lineno}: invalid JSON \(Exceeds"):
+        with pytest.raises(ValueError, match=rf"{bad_file}\.jsonl:{lineno}: invalid JSON \(Exceeds"):
             load_catalog(tmp_path / "items.jsonl", tmp_path / "edges.jsonl")
 
     def test_duplicate_item_id(self, tmp_path):
@@ -109,13 +109,13 @@ class TestLoadCatalog:
             items_lines(("A", "alpha", [], {}), ("A", "again", [], {})),
         )
         write_lines(tmp_path / "edges.jsonl", [])
-        with pytest.raises(CatalogError, match="duplicate item id 'A'"):
+        with pytest.raises(ValueError, match="duplicate item id 'A'"):
             load_catalog(tmp_path / "items.jsonl", tmp_path / "edges.jsonl")
 
     def test_self_loop_rejected(self, tmp_path):
         write_lines(tmp_path / "items.jsonl", items_lines(("A", "alpha", [], {})))
         write_lines(tmp_path / "edges.jsonl", [json.dumps(["A", "A"])])
-        with pytest.raises(CatalogError, match="self-loop"):
+        with pytest.raises(ValueError, match="self-loop"):
             load_catalog(tmp_path / "items.jsonl", tmp_path / "edges.jsonl")
 
     def shared_catalog(self, tmp_path):
@@ -151,7 +151,7 @@ class TestLoadCatalog:
 
 
 # One malformed line per row: the file it goes in (as line 3, after a good line
-# and a blank one), the exception class, and the message after ``path:line: ``.
+# and a blank one), and the message after ``path:line: ``.
 LONG_INT_MESSAGE = (
     "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits; "
     "use sys.set_int_max_str_digits() to increase the limit"
@@ -159,109 +159,109 @@ LONG_INT_MESSAGE = (
 NESTING_MESSAGE = "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
 LOADER_ERRORS = [
     pytest.param(
-        "items", "{not json", CatalogError,
+        "items", "{not json",
         "invalid JSON (Expecting property name enclosed in double quotes)", id="items-invalid-json",
     ),
     pytest.param(
-        "items", '{"id": "C", "title": "gamma", "price": ' + "1" * 5000 + "}", CatalogError,
+        "items", '{"id": "C", "title": "gamma", "price": ' + "1" * 5000 + "}",
         f"invalid JSON ({LONG_INT_MESSAGE})", id="items-5000-digits",
     ),
     pytest.param(
-        "items", '{"id": "C", "title": ' + "[" * 100_000, CatalogError, f"invalid JSON ({NESTING_MESSAGE})",
+        "items", '{"id": "C", "title": ' + "[" * 100_000, f"invalid JSON ({NESTING_MESSAGE})",
         id="items-nested-too-deep",
     ),
     pytest.param(
-        "items", '{"id": "C", "title": "gamma", "id": "D"}', CatalogError, 'invalid JSON (repeated key "id")',
+        "items", '{"id": "C", "title": "gamma", "id": "D"}', 'invalid JSON (repeated key "id")',
         id="items-repeated-key",
     ),
     pytest.param(
-        "items", '{"id": "C", "title": "gamma", "categories": [{"x": 1, "x": 2}]}', CatalogError,
+        "items", '{"id": "C", "title": "gamma", "categories": [{"x": 1, "x": 2}]}',
         'invalid JSON (repeated key "x")', id="items-repeated-key-nested",
     ),
-    pytest.param("items", '["C", "gamma"]', CatalogError, "expected a JSON object", id="items-not-object"),
-    pytest.param("items", '{"title": "gamma"}', CatalogError, "missing key 'id'", id="items-missing-id"),
+    pytest.param("items", '["C", "gamma"]', "expected a JSON object", id="items-not-object"),
+    pytest.param("items", '{"title": "gamma"}', "missing key 'id'", id="items-missing-id"),
     pytest.param(
-        "items", '{"id": "C", "title": 3}', CatalogError, "id and title must be strings",
+        "items", '{"id": "C", "title": 3}', "id and title must be strings",
         id="items-title-not-string",
     ),
     pytest.param(
-        "items", '{"id": "C", "title": "gamma", "categories": "x"}', CatalogError,
+        "items", '{"id": "C", "title": "gamma", "categories": "x"}',
         "categories must be an array of strings", id="items-categories-not-list",
     ),
     pytest.param(
-        "items", '{"id": "C", "title": "gamma", "price": NaN}', CatalogError,
+        "items", '{"id": "C", "title": "gamma", "price": NaN}',
         "price must be a finite number, got NaN", id="items-nan-price",
     ),
     pytest.param(
-        "items", '{"id": "C", "title": ""}', CatalogError, "item 'C': title must be nonempty",
+        "items", '{"id": "C", "title": ""}', "item 'C': title must be nonempty",
         id="items-empty-title",
     ),
     pytest.param(
-        "items", '{"id": "A", "title": "again"}', CatalogError, "duplicate item id 'A'",
+        "items", '{"id": "A", "title": "again"}', "duplicate item id 'A'",
         id="items-duplicate-id",
     ),
     pytest.param(
-        "items", '{"id": "C", "title": "caf\udce9"}', CatalogError,
+        "items", '{"id": "C", "title": "caf\udce9"}',
         "'utf-8' codec can't decode byte 0xe9 in position 25: invalid continuation byte", id="items-not-utf8",
     ),
-    pytest.param("edges", '["A", ', CatalogError, "invalid JSON (Expecting value)", id="edges-invalid-json"),
+    pytest.param("edges", '["A", ', "invalid JSON (Expecting value)", id="edges-invalid-json"),
     pytest.param(
-        "edges", '["A", "B\udce9"]', CatalogError,
+        "edges", '["A", "B\udce9"]',
         "'utf-8' codec can't decode byte 0xe9 in position 8: invalid continuation byte", id="edges-not-utf8",
     ),
     pytest.param(
-        "edges", '["A"]', CatalogError, "expected a JSON array of two item ids", id="edges-not-pair",
+        "edges", '["A"]', "expected a JSON array of two item ids", id="edges-not-pair",
     ),
     pytest.param(
-        "edges", '["A", "Z"]', CatalogError, "edge references unknown item id 'Z'", id="edges-unknown-id",
+        "edges", '["A", "Z"]', "edge references unknown item id 'Z'", id="edges-unknown-id",
     ),
-    pytest.param("edges", '["A", "A"]', CatalogError, "self-loop edge on 'A'", id="edges-self-loop"),
+    pytest.param("edges", '["A", "A"]', "self-loop edge on 'A'", id="edges-self-loop"),
     pytest.param(
-        "scores", '{"query_id": ', RetrievalError, "invalid JSON (Expecting value)", id="scores-invalid-json",
+        "scores", '{"query_id": ', "invalid JSON (Expecting value)", id="scores-invalid-json",
     ),
     pytest.param(
-        "scores", '{"query_id": "A", "candidates": ' + "[" * 100_000, RetrievalError,
+        "scores", '{"query_id": "A", "candidates": ' + "[" * 100_000,
         f"invalid JSON ({NESTING_MESSAGE})", id="scores-nested-too-deep",
     ),
     pytest.param(
-        "scores", '{"query_id": "A", "candidates": [], "candidates": [["B", 1.0]]}', RetrievalError,
+        "scores", '{"query_id": "A", "candidates": [], "candidates": [["B", 1.0]]}',
         'invalid JSON (repeated key "candidates")', id="scores-repeated-key",
     ),
     pytest.param(
-        "scores", '{"query_id": "A"}', RetrievalError, "malformed scores line ('candidates')",
+        "scores", '{"query_id": "A"}', "malformed scores line ('candidates')",
         id="scores-missing-key",
     ),
     pytest.param(
-        "scores", '{"query_id": "B\udce9", "candidates": []}', RetrievalError,
+        "scores", '{"query_id": "B\udce9", "candidates": []}',
         "'utf-8' codec can't decode byte 0xe9 in position 15: invalid continuation byte", id="scores-not-utf8",
     ),
     pytest.param(
-        "scores", '{"query_id": ["junk"], "candidates": []}', RetrievalError,
+        "scores", '{"query_id": ["junk"], "candidates": []}',
         'query_id must be a string or an integer, got ["junk"]', id="scores-query-id-list",
     ),
     pytest.param(
-        "scores", '{"query_id": "B", "candidates": [["A", 2.0]]}', RetrievalError, "duplicate query id 'B'",
+        "scores", '{"query_id": "B", "candidates": [["A", 2.0]]}', "duplicate query id 'B'",
         id="scores-duplicate-query",
     ),
     pytest.param(
-        "scores", '{"query_id": "A", "candidates": [["B", "x"]]}', RetrievalError,
+        "scores", '{"query_id": "A", "candidates": [["B", "x"]]}',
         "malformed scores line (could not convert string to float: 'x')", id="scores-score-x",
     ),
     pytest.param(
-        "scores", '{"query_id": "A", "candidates": [["B", Infinity]]}', RetrievalError,
+        "scores", '{"query_id": "A", "candidates": [["B", Infinity]]}',
         "candidate 'B' has non-finite score inf", id="scores-non-finite",
     ),
     pytest.param(
-        "scores", '{"query_id": "A", "candidates": [["Z", 1.0]]}', RetrievalError,
+        "scores", '{"query_id": "A", "candidates": [["Z", 1.0]]}',
         "candidate id 'Z' is not in the catalog", id="scores-unknown-id",
     ),
     pytest.param(
-        "scores", '{"query_id": "A", "candidates": [["B", ' + "1" * 400 + "]]}", RetrievalError,
+        "scores", '{"query_id": "A", "candidates": [["B", ' + "1" * 400 + "]]}",
         "malformed scores line (int too large to convert to float)", id="scores-400-digits",
     ),
     *(
         pytest.param(
-            "scores", '{"query_id": "A", "candidates": ' + candidates + "}", RetrievalError, message, id=f"scores-{name}"
+            "scores", '{"query_id": "A", "candidates": ' + candidates + "}", message, id=f"scores-{name}"
         )
         for name, candidates, message in [
             ("id-null", "[[null, 0.5], [true, 0.7], [7.0, 0.2]]", "candidate id must be a string or an integer, got null"),
@@ -276,11 +276,11 @@ LOADER_ERRORS = [
     ),
     # Only JSON's whitespace (space, tab, CR, LF) is stripped: a line of other whitespace is no blank line.
     *(
-        pytest.param(bad_file, line, error, message, id=f"{bad_file}-{name}")
-        for bad_file, error, good in [
-            ("items", CatalogError, '{"id": "C", "title": "gamma"}'),
-            ("edges", CatalogError, '["A", "B"]'),
-            ("scores", RetrievalError, '{"query_id": "A", "candidates": []}'),
+        pytest.param(bad_file, line, message, id=f"{bad_file}-{name}")
+        for bad_file, good in [
+            ("items", '{"id": "C", "title": "gamma"}'),
+            ("edges", '["A", "B"]'),
+            ("scores", '{"query_id": "A", "candidates": []}'),
         ]
         for name, line, message in [
             ("nbsp-only", "\u00a0", "invalid JSON (Expecting value)"),
@@ -291,8 +291,8 @@ LOADER_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("bad_file, line, error, message", LOADER_ERRORS)
-def test_loader_error_message(tmp_path, bad_file, line, error, message):
+@pytest.mark.parametrize("bad_file, line, message", LOADER_ERRORS)
+def test_loader_error_message(tmp_path, bad_file, line, message):
     files = {
         "items": items_lines(("A", "alpha", [], {}), ("B", "beta", [], {})),
         "edges": [json.dumps(["A", "B"])],
@@ -302,7 +302,7 @@ def test_loader_error_message(tmp_path, bad_file, line, error, message):
     files[bad_file].insert(1, "")  # a blank line is skipped but counted
     for name, lines in files.items():
         write_lines(tmp_path / f"{name}.jsonl", lines)
-    with pytest.raises(error) as raised:
+    with pytest.raises(ValueError) as raised:
         graph = load_catalog(tmp_path / "items.jsonl", tmp_path / "edges.jsonl")
         PrecomputedRetriever(tmp_path / "scores.jsonl", graph.items)
     assert str(raised.value) == f"{tmp_path / bad_file}.jsonl:3: {message}"
@@ -331,7 +331,7 @@ def test_edge_key_normalizes():
     ],
 )
 def test_edge_key_checks_both_endpoints(a, b, message):
-    with pytest.raises(CatalogError, match=message):
+    with pytest.raises(ValueError, match=message):
         edge_key(a, b, {"A", "B"})
 
 
@@ -340,7 +340,7 @@ def test_neighbors(tiny_graph):
     assert tiny_graph.neighbors("a2") == {"a1"}
     isolated = ComplementGraph({**tiny_graph.items, "z": Item(id="z", title="z")}, tiny_graph.edges)
     assert isolated.neighbors("z") == frozenset()
-    with pytest.raises(CatalogError, match="unknown item id 'nope'"):
+    with pytest.raises(ValueError, match="unknown item id 'nope'"):
         tiny_graph.neighbors("nope")
 
 
@@ -353,9 +353,9 @@ def test_neighbors_match_an_edge_scan():
 
 
 def test_query_instance_invariants():
-    with pytest.raises(CatalogError):
+    with pytest.raises(ValueError, match="^query 'A': ground truth must be nonempty$"):
         QueryInstance(query_id="A", ground_truth=frozenset())
-    with pytest.raises(CatalogError):
+    with pytest.raises(ValueError, match="^query 'A' appears in its own ground truth$"):
         QueryInstance(query_id="A", ground_truth=frozenset({"A", "B"}))
 
 
@@ -379,7 +379,7 @@ class TestSplitHoldout:
         assert train.edges & held == set()
 
     def test_rounds_to_zero_is_error(self, tiny_graph):
-        with pytest.raises(CatalogError, match="zero held-out"):
+        with pytest.raises(ValueError, match="zero held-out"):
             split_holdout(tiny_graph, 0.01, seed=1)
 
     def test_single_edge_half_fraction(self):
@@ -390,7 +390,7 @@ class TestSplitHoldout:
 
     def test_invalid_fraction(self, tiny_graph):
         for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(CatalogError):
+            with pytest.raises(ValueError, match=rf"^holdout_fraction must be in \(0, 1\), got {bad}$"):
                 split_holdout(tiny_graph, bad, seed=1)
 
     @given(seed=st.integers(0, 10_000), fraction=st.floats(0.15, 0.85))

@@ -170,7 +170,7 @@ def golden_digests(name):
 
 
 def starting_interpreter(python):
-    """The path of ``python`` (``"python3.10"``) on PATH and an environment it starts in, or None.
+    """The path of ``python`` (``"python3.12"``) on PATH and an environment it starts in, or None.
 
     A pyenv shim of a version that pyenv does not select exits at once; PYENV_VERSION
     set to the newest installed release of that minor version selects it.
@@ -264,7 +264,7 @@ class TestRunCommand:
         assert main(["run", "--config", str(config_path)]) == 0
         assert output_digests(out_dir) == golden_digests("mock_run_heuristic_handmade.sha256")
 
-    @pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+    @pytest.mark.parametrize("python", ["python3.12", "python3.13"])
     def test_goldens_hold_under_other_pythons(self, tmp_path, python):
         """Outputs, a report over two runs included, do not depend on the CPython version; ``complerank``
         needs no package to run."""
@@ -332,8 +332,9 @@ class TestRunCommand:
         assert result.stdout.splitlines()[-1] == "[]"
 
     def test_modules_only_some_runs_need_load_on_first_use(self, tmp_path):
-        """``fractions`` (a lift over two or more runs) and ``concurrent.futures`` (concurrency above 1)
-        stay unloaded in a plain mock run; the runs that load them still write their golden outputs."""
+        """``statistics`` with its ``fractions`` (a lift over two or more runs) and ``concurrent.futures``
+        (concurrency above 1) stay unloaded in a plain mock run; the runs that load them still write their
+        golden outputs."""
         golden_config, golden_out = base_config(tmp_path, "golden", agents={"mock": "shuffle:3"}, audit=True)
         identity_config, identity_out = base_config(
             tmp_path, "identity", retriever={"kind": "heuristic", "name": "identity"}
@@ -362,7 +363,7 @@ class TestRunCommand:
         )
         assert result.returncode == 0, result.stderr
         seen = json.loads(result.stdout.splitlines()[-1])
-        assert seen == {"after_mock_run": [], "at_exit": ["concurrent.futures", "fractions"]}
+        assert seen == {"after_mock_run": [], "at_exit": ["concurrent.futures", "fractions", "statistics"]}
         golden = golden_digests("mock_run_shuffle3.sha256")
         assert output_digests(golden_out) == golden
         # The concurrent run differs only in the concurrency its run_config.json records.

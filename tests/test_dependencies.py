@@ -1,16 +1,19 @@
 """Guards over the package source and the project settings.
 
-complerank has no runtime dependencies: it imports only the standard library and itself.  And it
+complerank has no runtime dependencies: it imports only the standard library and itself.  It
 ships no dead public API: each public top-level function or class is used by the package itself.
+And its Python floor is stated once, in ``pyproject.toml``, and repeated only on README's install line.
 """
 
 import ast
+import re
 import subprocess
 import sys
 import textwrap
+import tomllib
 from pathlib import Path
 
-import pytest
+import test_cli
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE_DIR = REPO_ROOT / "src" / "complerank"
@@ -66,11 +69,30 @@ def test_every_public_top_level_name_is_used_in_the_package():
     assert not unused, unused
 
 
-def test_pyproject_declares_no_dependencies():
-    tomllib = pytest.importorskip("tomllib")
+def pyproject():
     with (REPO_ROOT / "pyproject.toml").open("rb") as fh:
-        project = tomllib.load(fh)["project"]
-    assert project.get("dependencies", []) == []
+        return tomllib.load(fh)["project"]
+
+
+def test_pyproject_declares_no_dependencies():
+    assert pyproject().get("dependencies", []) == []
+
+
+def test_python_floor_is_stated_once():
+    """README's install line names the ``requires-python`` floor, this interpreter meets it, and no
+    interpreter below it reruns the goldens."""
+    floor = re.fullmatch(r">=3\.(\d+)", pyproject()["requires-python"])
+    assert floor, pyproject()["requires-python"]
+    minor = int(floor[1])
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"^Python ≥ (\S+); no runtime dependencies\.$", readme, re.MULTILINE) == [f"3.{minor}"]
+    assert sys.version_info >= (3, minor)
+    (pythons,) = [
+        mark.args[1]
+        for mark in test_cli.TestRunCommand.test_goldens_hold_under_other_pythons.pytestmark
+        if mark.name == "parametrize"
+    ]
+    assert [python for python in pythons if int(python.removeprefix("python3.")) < minor] == []
 
 
 def test_a_failing_property_fails_only_its_own_test(tmp_path):

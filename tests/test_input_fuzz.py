@@ -14,6 +14,8 @@ import random
 import runpy
 import shutil
 import sys
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import pytest
@@ -122,45 +124,32 @@ def pick(doc, rng, wanted):
 
 
 def mutate_value(doc, kind, rng):
-    """``doc`` (a JSON Lines file as the array of its lines) with one value-level mutation, and a junk text."""
+    """Apply one value-level mutation to ``doc`` (a JSON Lines file as the array of its lines) in place;
+    return the junk text that its placeholder stands for, if any."""
     if kind.startswith("junk="):
-        path = pick(doc, rng, lambda path, node: bool(path))
-        junk = JUNK[kind.removeprefix("junk=")]
-    else:
-        path = pick(doc, rng, lambda path, node: CONTAINERS[kind](node))
-        junk = None
-    *parent_path, last = path or (None,)
-    parent = doc
-    for key in parent_path:
-        parent = parent[key]
-    container = parent[last] if path else doc
-    if junk is not None:
-        parent[last] = PLACEHOLDER
-    elif kind == "drop":
-        del container[rng.choice(list(container) if isinstance(container, dict) else range(len(container)))]
+        *parent, last = pick(doc, rng, lambda path, node: bool(path))
+        reduce(getitem, parent, doc)[last] = PLACEHOLDER
+        return JUNK[kind.removeprefix("junk=")]
+    node = reduce(getitem, pick(doc, rng, lambda path, node: CONTAINERS[kind](node)), doc)
+    if kind == "drop":
+        del node[rng.choice(list(node) if isinstance(node, dict) else range(len(node)))]
+    elif kind == "add" and isinstance(node, dict):
+        node["unknown"] = 0
     elif kind == "add":
-        if isinstance(container, dict):
-            container["unknown"] = 0
-        else:
-            container.insert(rng.randrange(len(container) + 1), 0)
+        node.insert(rng.randrange(len(node) + 1), 0)
     else:
-        at = rng.randrange(len(container))
-        container.insert(at + 1, container[at])
-    return junk
+        at = rng.randrange(len(node))
+        node.insert(at + 1, node[at])
+    return None
 
 
 def mutate_bytes(data, kind, rng):
     """``data`` with one byte inserted, deleted or replaced within one of its nonempty lines."""
     lines = data.split(b"\n")
     n = rng.choice([i for i, line in enumerate(lines) if line])
-    line, byte = lines[n], bytes([rng.randrange(256)])
-    at = rng.randrange(len(line) + (kind.startswith("byte-insert")))
-    if kind.startswith("byte-insert"):
-        lines[n] = line[:at] + byte + line[at:]
-    elif kind.startswith("byte-delete"):
-        lines[n] = line[:at] + line[at + 1:]
-    else:
-        lines[n] = line[:at] + byte + line[at + 1:]
+    line, at, byte = lines[n], rng.randrange(len(lines[n])), bytes([rng.randrange(256)])
+    edit = kind.split("-")[1]
+    lines[n] = line[:at] + {"insert": byte + line[at:], "delete": line[at + 1:], "replace": byte + line[at + 1:]}[edit]
     return b"\n".join(lines)
 
 
@@ -198,9 +187,8 @@ def test_malformed_input_fails_cleanly_or_runs(inputs, tmp_path, monkeypatch, ca
         # A catalog file goes under either config; the scores file only under the precomputed one.
         config = configs["heuristic" if target != "scores" and rng.random() < 0.5 else "precomputed"]
         (tmp_path / name).write_bytes(mutated(root / name, json_lines, kind, rng))
-        config = json.loads(json.dumps(config))
         section, key = ("retriever", "path") if target == "scores" else ("dataset", target)
-        config[section][key] = name
+        config = {**config, section: {**config[section], key: name}}
         (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
         argv = ["run", "--config", "config.json", "--out", "out"]
     before = sorted(tmp_path.rglob("*"))

@@ -30,7 +30,7 @@ from complerank.pipeline import (
     run_all,
     run_pipeline,
 )
-from complerank.retriever import HeuristicRetriever, PrecomputedRetriever, RetrievalError
+from complerank.retriever import HeuristicRetriever, PrecomputedRetriever
 from complerank.synth import SynthConfig, generate
 
 
@@ -354,7 +354,7 @@ class TestRunPipeline:
     def test_unservable_query_raises(self, split_setup):
         train, _, retriever = split_setup
         ghost = QueryInstance(query_id="ghost", ground_truth=frozenset({"a1"}))
-        with pytest.raises(RetrievalError, match="ghost"):
+        with pytest.raises(ValueError, match="ghost"):
             run_pipeline(ghost, retriever, train.items, PipelineConfig(n_div=4, n_acc=2), mocks())
 
 

@@ -14,7 +14,6 @@ from complerank.catalog import Item
 from complerank.retriever import (
     HeuristicRetriever,
     PrecomputedRetriever,
-    RetrievalError,
     _normalized,
     category_overlap,
     score_pair,
@@ -115,11 +114,11 @@ class TestRetrieveHeuristic:
         assert ranked[0][1] == ranked[1][1]
 
     def test_unknown_query(self):
-        with pytest.raises(RetrievalError, match="'nope'"):
+        with pytest.raises(ValueError, match="'nope'"):
             HeuristicRetriever(self.make_graph()).retrieve("nope", n=1)
 
     def test_depth_must_be_positive(self):
-        with pytest.raises(RetrievalError, match="^retrieval depth must be positive, got 0$"):
+        with pytest.raises(ValueError, match="^retrieval depth must be positive, got 0$"):
             HeuristicRetriever(self.make_graph()).retrieve("q", 0)
 
     def test_excludes_query_itself(self):
@@ -184,13 +183,13 @@ class TestRetrievePrecomputed:
     def test_missing_query_named(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         self.write_scores(path, "q", [["c", 1.0]])
-        with pytest.raises(RetrievalError, match="'other'"):
+        with pytest.raises(ValueError, match="'other'"):
             PrecomputedRetriever(path, {"c"}).retrieve("other", n=1)
 
     def test_malformed_line_reports_position(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text('{"query_id": "q"}\n', encoding="utf-8")
-        with pytest.raises(RetrievalError, match=r"scores\.jsonl:1"):
+        with pytest.raises(ValueError, match=r"scores\.jsonl:1"):
             PrecomputedRetriever(path, set())
 
     def test_retriever_wrapper_name(self, tmp_path):
@@ -207,7 +206,7 @@ class TestRetrievePrecomputed:
             f'{{"query_id": "r", "candidates": [["a", 0.5], ["b", {literal}]]}}\n',
             encoding="utf-8",
         )
-        with pytest.raises(RetrievalError, match=r"scores\.jsonl:2: candidate 'b' has non-finite score"):
+        with pytest.raises(ValueError, match=r"scores\.jsonl:2: candidate 'b' has non-finite score"):
             PrecomputedRetriever(path, {"a", "b"})
 
     def test_finite_scores_whose_sum_overflows_accepted(self, tmp_path):
@@ -319,24 +318,24 @@ class ListOfTuplesRetriever:
                         (str(item_id), float(score)) for item_id, score in record["candidates"]
                     ]
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise RetrievalError(f"{self.path}:{lineno}: malformed scores line ({exc})")
+                    raise ValueError(f"{self.path}:{lineno}: malformed scores line ({exc})")
                 if not math.isfinite(sum(map(itemgetter(1), pairs))):
                     for item_id, score in pairs:
                         if not math.isfinite(score):
-                            raise RetrievalError(
+                            raise ValueError(
                                 f"{self.path}:{lineno}: candidate {item_id!r} has non-finite "
                                 f"score {score}"
                             )
                 for item_id, _ in pairs:
                     if item_id not in items:
-                        raise RetrievalError(
+                        raise ValueError(
                             f"{self.path}:{lineno}: candidate id {item_id!r} is not in the catalog"
                         )
                 self._lists[str(query_id)] = pairs
 
     def retrieve(self, query_id, n):
         if query_id not in self._lists:
-            raise RetrievalError(f"query {query_id!r} not present in {self.path}")
+            raise ValueError(f"query {query_id!r} not present in {self.path}")
         best = {}
         for item_id, score in self._lists[query_id]:
             if item_id != query_id and (item_id not in best or score > best[item_id]):
@@ -388,10 +387,10 @@ class TestColumnarMatchesListOfTuples:
         path.write_text('{"query_id": "q", "candidates": [["a", 1.0], ["b", 2.0]]}\n', encoding="utf-8")
         retriever = PrecomputedRetriever(path, CATALOG_IDS, depth=3)
         for n in (4, 0):
-            with pytest.raises(RetrievalError, match=rf"^retrieval depth must be in 1\.\.3, got {n}$"):
+            with pytest.raises(ValueError, match=rf"^retrieval depth must be in 1\.\.3, got {n}$"):
                 retriever.retrieve("q", n)
         assert ids(retriever.retrieve("q", 3)) == ["b", "a"]  # a depth above the list's length is servable
-        with pytest.raises(RetrievalError, match="^retrieval depth must be positive, got 0$"):
+        with pytest.raises(ValueError, match="^retrieval depth must be positive, got 0$"):
             PrecomputedRetriever(path, CATALOG_IDS, depth=0)
 
     def test_concurrent_first_retrieves_agree(self, tmp_path):
@@ -436,7 +435,7 @@ class TestColumnarMatchesListOfTuples:
         """A two-character string would otherwise unpack into an id and a score."""
         path = tmp_path / "scores.jsonl"
         path.write_text(f'{{"query_id": "q", "candidates": [["a", 1.0], {candidate}]}}\n', encoding="utf-8")
-        with pytest.raises(RetrievalError) as raised:
+        with pytest.raises(ValueError) as raised:
             PrecomputedRetriever(path, CATALOG_IDS)
         message = "malformed scores line (a candidate is not a two-element array)"
         assert str(raised.value) == f"{path}:1: {message}"
@@ -447,7 +446,7 @@ class TestColumnarMatchesListOfTuples:
         path = tmp_path / "scores.jsonl"
         lines = [f'{{"query_id": {query_id}, "candidates": [["a", 1.0]]}}\n' for query_id in (first, again)]
         path.write_text("".join(lines), encoding="utf-8")
-        with pytest.raises(RetrievalError) as raised:
+        with pytest.raises(ValueError) as raised:
             PrecomputedRetriever(path, CATALOG_IDS)
         assert str(raised.value) == f"{path}:2: duplicate query id {str(json.loads(first))!r}"
 
@@ -472,9 +471,9 @@ class TestColumnarMatchesListOfTuples:
         path = tmp_path / "scores.jsonl"
         first = '{"query_id": "r", "candidates": [["a", 1.0]]}\n'
         path.write_text(first + self.ERRORS[kind] + "\n", encoding="utf-8")
-        with pytest.raises(RetrievalError) as expected:
+        with pytest.raises(ValueError) as expected:
             ListOfTuplesRetriever(path, {"a", "q"})
-        with pytest.raises(RetrievalError) as got:
+        with pytest.raises(ValueError) as got:
             PrecomputedRetriever(path, ["a", "q"])
         assert str(got.value) == str(expected.value)
         assert str(got.value).startswith(f"{path}:2: ")

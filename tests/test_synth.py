@@ -1,27 +1,27 @@
 import pytest
 
 from complerank.catalog import load_catalog
-from complerank.synth import TITLE_TOKENS, TOKEN_POOL, SynthConfig, SynthError, generate, write_dataset
+from complerank.synth import TITLE_TOKENS, TOKEN_POOL, SynthConfig, generate, write_dataset
 
 
 class TestConfigValidation:
     def test_genres_cannot_exceed_items(self):
-        with pytest.raises(SynthError):
+        with pytest.raises(ValueError, match=r"^n_genres \(5\) cannot exceed n_items \(3\)$"):
             SynthConfig(n_items=3, n_genres=5)
 
     def test_ratio_bounds(self):
-        with pytest.raises(SynthError):
+        with pytest.raises(ValueError, match=r"^cross_genre_edge_ratio must be in \[0, 1\]$"):
             SynthConfig(n_items=10, cross_genre_edge_ratio=1.2)
 
     def test_edges_beyond_the_pair_capacity(self):
         message = "asks for 1000.0 edges, but 10 items have only 45 distinct pairs"
-        with pytest.raises(SynthError, match=message):
+        with pytest.raises(ValueError, match=message):
             generate(SynthConfig(n_items=10, edges_per_item=200))
 
     def test_edges_beyond_one_kind_of_pair(self):
-        with pytest.raises(SynthError, match="only 0 distinct cross-genre pairs"):
+        with pytest.raises(ValueError, match="only 0 distinct cross-genre pairs"):
             generate(SynthConfig(n_items=10, n_genres=1))
-        with pytest.raises(SynthError, match="only 0 distinct same-genre pairs"):
+        with pytest.raises(ValueError, match="only 0 distinct same-genre pairs"):
             generate(SynthConfig(n_items=10, n_genres=10, cross_genre_edge_ratio=0.0))
 
     def test_edges_at_the_pair_capacity(self):
