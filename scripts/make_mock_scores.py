@@ -4,10 +4,11 @@
 Stands in for a trained model's exported candidate lists: it replays the same
 holdout split as a run (same dataset files, same split settings), then for
 each query scores the candidate pool (every item but the query and its
-train-graph neighbours) with a seeded RNG and keeps the top ``--depth``.  Feed the output to ``complerank run --retriever precomputed``
-with a config whose ``retriever.path`` points at it and whose split settings
-match.  Each list is written best-first, with no query id and no repeated
-id, the order a run takes as it stands, without sorting.
+train-graph neighbours) with a seeded RNG and keeps the top ``--depth``.  Feed
+the output to ``complerank run`` with a config whose ``retriever`` section is
+``{"kind": "precomputed", "path": <the output>}`` and whose split settings
+match.  Each list is written best-first, with no query id and no repeated id,
+the order a run takes as it stands, without sorting.
 
 Usage:
   python scripts/make_mock_scores.py --items items.jsonl --edges edges.jsonl \

@@ -125,6 +125,29 @@ def read_int(token: str) -> int | float:
         return -math.inf if token.startswith("-") else math.inf
 
 
+def read_json(path: str | Path) -> dict:
+    """The JSON object in the UTF-8 file ``path``, its keys checked by :func:`unique_keys`, its integers read by
+    :func:`read_int`.
+
+    Bad UTF-8, bad JSON, too deep a nesting, a repeated key or a top level that is not an
+    object raises a ``ValueError`` led by ``path`` (and by ``line:column`` for bad JSON).
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        loaded = json.loads(text, parse_int=read_int, object_pairs_hook=unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 ({exc})") from None
+    except RecursionError as exc:  # nested deeper than the decoder recurses
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
+    except ValueError as exc:  # a repeated key
+        raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise ValueError(f"{path}: expected a JSON object at top level")
+    return loaded
+
+
 _decode = json.JSONDecoder(object_pairs_hook=unique_keys).decode
 
 

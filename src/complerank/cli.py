@@ -5,9 +5,9 @@ three-stage reranking + evaluation for one retriever into an output
 directory; ``report`` merges several runs (one per retriever) into a combined
 metrics table and a cross-retriever lift table with standard errors.
 
-``run`` is driven by a JSON config file (key set documented in the README)
-with CLI flags as overrides.  Runs with mock agents are fully deterministic:
-the same config yields byte-identical CSV outputs.
+``run`` is driven by a JSON config file (key set documented in the README);
+``--out`` may name another output directory.  Runs with mock agents are fully
+deterministic: the same config yields byte-identical CSV outputs.
 """
 
 from __future__ import annotations
@@ -23,23 +23,6 @@ from typing import Iterable, Iterator, Mapping, TextIO, TypeVar
 from . import agents, catalog, metrics, pipeline, retriever, synth
 
 T = TypeVar("T")
-
-
-def _load_json(path: str | Path) -> dict:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-        loaded = json.loads(text, parse_int=catalog.read_int, object_pairs_hook=catalog.unique_keys)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 ({exc})") from None
-    except RecursionError as exc:  # nested deeper than the decoder recurses
-        raise ValueError(f"{path}: invalid JSON ({exc})") from None
-    except ValueError as exc:  # a repeated key
-        raise ValueError(f"{path}: {exc}") from None
-    if not isinstance(loaded, dict):
-        raise ValueError(f"{path}: expected a JSON object at top level")
-    return loaded
 
 
 def _keys_of(cls: type) -> dict[str, type]:
@@ -64,12 +47,6 @@ _SCHEMA = {
 _METRICS_SCHEMA = {"dataset": str, "retriever": str, "cutoffs": [int], "rows": [_keys_of(metrics.MetricsRow)]}
 # The keys of a line of a run's retrieval.jsonl, each required.
 _RETRIEVAL_SCHEMA = {"query_id": str, "source": str, "ground_truth": [str], "candidates": list}
-# Keys a ``run`` flag removes from its section, so that the flag wins over them.
-_DISPLACED_BY_FLAG = {
-    "pipeline.preset": {"n_div", "n_acc"},
-    "agents.mock": set(_SCHEMA["agents"]),
-    "agents.endpoint": {"mock"},
-}
 
 
 def _check_schema(value: object, schema: object, key: str, required: bool = False) -> None:
@@ -104,6 +81,14 @@ def _check_schema(value: object, schema: object, key: str, required: bool = Fals
     elif schema is float and not -sys.float_info.max <= value <= sys.float_info.max:
         # NaN fails both comparisons; an integer past the float range would overflow.
         raise ValueError(f"{key}: expected a finite number, got {json.dumps(value)}")
+
+
+def _check_cutoffs(cutoffs: list[int], key: str) -> None:
+    """Raise a ValueError led by ``key`` unless ``cutoffs`` is nonempty and positive."""
+    if not cutoffs:
+        raise ValueError(f"{key}: must be nonempty")
+    if min(cutoffs) < 1:
+        raise ValueError(f"{key}: must be positive, got {cutoffs}")
 
 
 def _build(cls: type[T], settings: dict, section: str) -> T:
@@ -150,18 +135,11 @@ class RunConfig:
     concurrency: int
 
     @classmethod
-    def parse(cls, raw: dict, args: argparse.Namespace) -> "RunConfig":
-        """Check the JSON config, lay the flags (each ``dest`` a config key) over it, validate."""
+    def parse(cls, raw: dict, out: str | None = None) -> "RunConfig":
+        """Check and validate the JSON config; ``out``, when given, replaces its ``out``."""
         _check_schema(raw, _SCHEMA, "")
-        for dest, value in vars(args).items():
-            if value is None or dest in ("command", "config"):
-                continue
-            section, _, key = dest.rpartition(".")
-            target = raw
-            if section:
-                drop = _DISPLACED_BY_FLAG.get(dest, ())
-                target = raw[section] = {k: v for k, v in raw.get(section, {}).items() if k not in drop}
-            target[key] = value
+        if out is not None:
+            raw["out"] = out
         dataset, split, retr, pipe, agents_cfg = (
             raw.get(name, {}) for name in ("dataset", "split", "retriever", "pipeline", "agents")
         )
@@ -201,11 +179,9 @@ class RunConfig:
 
         agent = _agent(agents_cfg)
         pipeline_config = _build(pipeline.PipelineConfig, depths, "pipeline")
-        cutoffs = tuple(sorted(set(pipe.get("cutoffs", (1, 3, 5, 10)))))
-        if not cutoffs:
-            raise ValueError("pipeline.cutoffs: must be nonempty")
-        if cutoffs[0] < 1:
-            raise ValueError(f"pipeline.cutoffs: must be positive, got {pipe['cutoffs']}")
+        given = pipe.get("cutoffs", [1, 3, 5, 10])
+        _check_cutoffs(given, "pipeline.cutoffs")
+        cutoffs = tuple(sorted(set(given)))
         if cutoffs[-1] > pipeline_config.n_acc:
             raise ValueError(
                 f"pipeline.cutoffs: largest cutoff ({cutoffs[-1]}) must not exceed"
@@ -396,10 +372,11 @@ def cmd_report(run_dirs: list[str | Path], out_dir: str | Path) -> Path:
     rows_by_retriever: dict[str, list[metrics.MetricsRow]] = {}
     for run_dir in run_dirs:
         path = Path(run_dir) / "metrics.json"
-        payload = _load_json(path)
+        payload = catalog.read_json(path)
         try:
             _check_schema(payload, _METRICS_SCHEMA, "", required=True)
             name, dataset, cutoffs = payload["retriever"], payload["dataset"], payload["cutoffs"]
+            _check_cutoffs(cutoffs, "cutoffs")
             if len(set(cutoffs)) < len(cutoffs):
                 raise ValueError(f"cutoffs: repeated values in {cutoffs}")
             rows = [metrics.MetricsRow(**row) for row in payload["rows"]]
@@ -460,24 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run retrieval + reranking + evaluation")
     p_run.add_argument("--config", required=True, help="JSON run config (see README)")
-    # Each flag's dest is the config key it overrides (see RunConfig.parse).
-    p_run.add_argument("--preset", dest="pipeline.preset", choices=sorted(pipeline.PRESETS))
-    p_run.add_argument("--retriever", dest="retriever.kind", choices=_SCHEMA["retriever"]["kind"])
-    p_run.add_argument(
-        "--scores", dest="retriever.path", help="scores file for the precomputed retriever"
-    )
-    p_run.add_argument("--mock", dest="agents.mock", help="identity|reverse|shuffle:<seed>|oracle")
-    p_run.add_argument(
-        "--endpoint", dest="agents.endpoint", help="OpenAI-compatible chat-completions base URL"
-    )
-    p_run.add_argument("--model", dest="agents.model", help="model name for the endpoint")
-    p_run.add_argument("--seed", dest="split.seed", type=int, help="holdout split seed")
-    p_run.add_argument(
-        "--holdout", dest="split.holdout_fraction", type=float, help="holdout fraction in (0,1)"
-    )
-    p_run.add_argument("--concurrency", type=int)
-    p_run.add_argument("--audit", action=argparse.BooleanOptionalAction, default=None)
-    p_run.add_argument("--out", help="output directory")
+    p_run.add_argument("--out", help="output directory, in place of the config's 'out'")
 
     p_report = sub.add_parser("report", help="merge runs into combined metric and lift tables")
     p_report.add_argument("run_dirs", nargs="+", help="run output directories")
@@ -492,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
             config = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
             cmd_synth(synth.SynthConfig(**config), args.out)
         elif args.command == "run":
-            out_dir = cmd_run(RunConfig.parse(_load_json(args.config), args))
+            out_dir = cmd_run(RunConfig.parse(catalog.read_json(args.config), args.out))
             print(out_dir)
         else:
             out_dir = cmd_report(args.run_dirs, args.out)

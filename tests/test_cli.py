@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -336,6 +337,10 @@ class TestRunCommand:
         (concurrency above 1) stay unloaded in a plain mock run; the runs that load them still write their
         golden outputs."""
         golden_config, golden_out = base_config(tmp_path, "golden", agents={"mock": "shuffle:3"}, audit=True)
+        # Its own "out" gives way to --out.
+        concurrent_config, replaced_out = base_config(
+            tmp_path, "replaced", agents={"mock": "shuffle:3"}, audit=True, concurrency=3
+        )
         identity_config, identity_out = base_config(
             tmp_path, "identity", retriever={"kind": "heuristic", "name": "identity"}
         )
@@ -343,17 +348,17 @@ class TestRunCommand:
         script = (
             "import json, sys\n"
             "import complerank.cli\n"
-            "golden, identity, golden_out, identity_out, concurrent_out, report_out = sys.argv[1:]\n"
+            "golden, concurrent, identity, golden_out, identity_out, concurrent_out, report_out = sys.argv[1:]\n"
             "lazy = {'statistics', 'fractions', 'concurrent.futures', 'ssl', 'http.client', 'urllib.request'}\n"
             "assert complerank.cli.main(['run', '--config', golden]) == 0\n"
             "seen = {'after_mock_run': sorted(lazy & sys.modules.keys())}\n"
-            "assert complerank.cli.main(['run', '--config', golden, '--concurrency', '3', '--out', concurrent_out]) == 0\n"
+            "assert complerank.cli.main(['run', '--config', concurrent, '--out', concurrent_out]) == 0\n"
             "assert complerank.cli.main(['run', '--config', identity]) == 0\n"
             "assert complerank.cli.main(['report', golden_out, identity_out, '--out', report_out]) == 0\n"
             "seen['at_exit'] = sorted(lazy & sys.modules.keys())\n"
             "print(json.dumps(seen))\n"
         )
-        args = [golden_config, identity_config, golden_out, identity_out, concurrent_out, report_out]
+        args = [golden_config, concurrent_config, identity_config, golden_out, identity_out, concurrent_out, report_out]
         result = subprocess.run(
             [sys.executable, "-c", script, *map(str, args)],
             env={**os.environ, "PYTHONPATH": src_pythonpath()},
@@ -374,6 +379,7 @@ class TestRunCommand:
         rewritten = (json.dumps(run_config, indent=2, sort_keys=True) + "\n").encode("utf-8")
         digests["run_config.json"] = hashlib.sha256(rewritten).hexdigest()
         assert digests == golden
+        assert not replaced_out.exists()
         assert output_digests(report_out) == golden_digests("report_two_runs.sha256")
         lift = json.loads((report_out / "lift_report.json").read_text(encoding="utf-8"))["rows"]
         assert any(row["n_retrievers"] == 2 and row["std_err"] > 0 for row in lift)
@@ -461,12 +467,6 @@ class TestRunCommand:
             assert stage_lengths[(query_id, "diversity")] == min(10, pool)
             assert stage_lengths[(query_id, "diversity_accuracy")] == min(5, pool)
 
-    def test_mock_flag_overrides_config(self, tmp_path):
-        config_path, out_dir = base_config(tmp_path, "run3")
-        assert main(["run", "--config", str(config_path), "--mock", "reverse"]) == 0
-        run_config = json.loads((out_dir / "run_config.json").read_text(encoding="utf-8"))
-        assert run_config["agents"] == {"diversity": {"mock": "reverse"}, "accuracy": {"mock": "reverse"}}
-
     @pytest.mark.parametrize("kind", ["mock", "endpoint"])
     def test_run_config_names_the_one_agent_under_both_stages(self, tmp_path, chat_server, kind):
         chat_server.set_script([(200, chat_server.completion("[1, 0]"))])
@@ -478,9 +478,9 @@ class TestRunCommand:
         assert bool(chat_server.requests) == (kind == "endpoint")
 
     def test_preset_flag(self, tmp_path):
-        config_path, out_dir = base_config(tmp_path, "run4")
         # fig1 needs a pool >= cutoffs; the 60-item synth graph suffices
-        assert main(["run", "--config", str(config_path), "--preset", "fig1"]) == 0
+        config_path, out_dir = base_config(tmp_path, "run4", pipeline={"preset": "fig1"})
+        assert main(["run", "--config", str(config_path)]) == 0
         run_config = json.loads((out_dir / "run_config.json").read_text(encoding="utf-8"))
         assert (run_config["n_div"], run_config["n_acc"]) == (50, 25)
 
@@ -631,10 +631,13 @@ class TestRunCommand:
         assert main(["report", str(out_dir), str(sorted_dir), "--out", str(report)]) == 0
 
     def test_rerun_without_audit_drops_the_old_audit_log(self, tmp_path):
-        config_path, out_dir = base_config(tmp_path, "rerun", agents={"mock": "shuffle:1"})
-        assert main(["run", "--config", str(config_path), "--audit"]) == 0
+        config_path, out_dir = base_config(tmp_path, "rerun", agents={"mock": "shuffle:1"}, audit=True)
+        assert main(["run", "--config", str(config_path)]) == 0
         assert (out_dir / "audit.jsonl").read_text(encoding="utf-8")
-        assert main(["run", "--config", str(config_path), "--no-audit", "--mock", "identity"]) == 0
+        rerun_path, _ = base_config(
+            tmp_path, "rerun_no_audit", agents={"mock": "identity"}, audit=False, out=str(out_dir)
+        )
+        assert main(["run", "--config", str(rerun_path)]) == 0
         assert not (out_dir / "audit.jsonl").exists()
         assert (out_dir / "dataset" / "items.jsonl").exists()
 
@@ -720,29 +723,26 @@ def scores_without(*query_ids, extra=""):
     return overrides
 
 
-# One malformed config per row: its overrides of base_config, extra run flags,
-# and a key the error message must name.  A string of overrides replaces the
-# whole config file; a function of tmp_path gives the overrides or the string.
+# One malformed config per row: its overrides of base_config and a key the
+# error message must name.  A string of overrides replaces the whole config
+# file; a function of tmp_path gives the overrides or the string.
 MALFORMED = [
-    pytest.param({"audit": "no"}, (), "audit", id="audit-not-bool"),
-    pytest.param({"pipline": {"n_div": 10}}, (), "pipline", id="unknown-key"),
-    pytest.param({"pipeline": {"preset": "fig1", "n_div": 10}}, (), "n_div", id="preset-with-n_div"),
+    pytest.param({"audit": "no"}, "audit", id="audit-not-bool"),
+    pytest.param({"pipline": {"n_div": 10}}, "pipline", id="unknown-key"),
+    pytest.param({"pipeline": {"preset": "fig1", "n_div": 10}}, "n_div", id="preset-with-n_div"),
     pytest.param(
         {"pipeline": {"n_div": 150, "n_acc": 5, "cutoffs": [1, 3, 5]}},
-        (),
         "n_div",
         id="n_div-over-limit",
     ),
-    pytest.param({"concurrency": 0}, (), "concurrency", id="concurrency-zero"),
+    pytest.param({"concurrency": 0}, "concurrency", id="concurrency-zero"),
     pytest.param(
         {"retriever": {"kind": "heuristic", "weights": {"category": 1.0, "price": 1.0}}},
-        (),
         "retriever.weights: unknown key",
         id="weights-under-heuristic",
     ),
     pytest.param(
         {"retriever": {"kind": "heuristic", "exclude_neighbors": True}},
-        (),
         "retriever.exclude_neighbors: unknown key",
         id="exclude_neighbors-under-heuristic",
     ),
@@ -750,57 +750,48 @@ MALFORMED = [
     pytest.param(
         lambda tmp_path: json.dumps(overrides_of(base_config(tmp_path, "bad")[0]))[:-1]
         + f', "out": {json.dumps(str(tmp_path / "bad"))}, "out": {json.dumps(str(tmp_path / "other"))}}}',
-        (),
         'config_bad.json: repeated key "out"',
         id="out-repeated",
     ),
     pytest.param(
-        {"dataset": {"synth": {"n_items": 60}, "name": ""}}, (), "dataset.name: must be nonempty", id="dataset-name-empty"
+        {"dataset": {"synth": {"n_items": 60}, "name": ""}}, "dataset.name: must be nonempty", id="dataset-name-empty"
     ),
     # An empty "out" would name the working directory.
     pytest.param(
         lambda tmp_path: json.dumps({**overrides_of(base_config(tmp_path, "bad")[0]), "out": ""}),
-        (),
         "out: must be nonempty",
         id="out-empty",
     ),
-    pytest.param({}, ("--out", ""), "out: must be nonempty", id="out-flag-empty"),
     pytest.param(
-        {"retriever": {"kind": "heuristic", "name": ""}}, (), "retriever.name: must be nonempty", id="retriever-name-empty"
+        {"retriever": {"kind": "heuristic", "name": ""}}, "retriever.name: must be nonempty", id="retriever-name-empty"
     ),
     pytest.param(
         {"agents": {"endpoint": "http://127.0.0.1:9", "model": "m", "temperature": float("nan")}},
-        (),
         "agents.temperature",
         id="temperature-nan",
     ),
     pytest.param(
         {"dataset": {"synth": {"n_items": 60, "edges_per_item": float("inf")}}},
-        (),
         "dataset.synth.edges_per_item",
         id="edges_per_item-infinity",
     ),
     pytest.param(
         {"dataset": {"synth": {"n_items": 60, "edges_per_item": 1e308}}},
-        (),
         "edges_per_item 1e+308 asks for inf edges",
         id="edges_per_item-1e308",
     ),
     pytest.param(
         {"agents": {"mock": "identity", "timeout": 10**400}},
-        (),
         "agents.timeout",
         id="timeout-past-float-range",
     ),
     pytest.param(
         {"agents": {"endpoint": "http://127.0.0.1:9", "model": "m", "temperature": -0.5}},
-        (),
         "agents: temperature must be nonnegative",
         id="temperature-negative",
     ),
     pytest.param(
         {"agents": {"endpoint": "http://127.0.0.1:9", "model": "m", "temperature": "hot"}},
-        (),
         "temperature",
         id="temperature-not-number",
     ),
@@ -809,7 +800,6 @@ MALFORMED = [
     *(
         pytest.param(
             {"agents": {"endpoint": url, "model": "m"}},
-            (),
             "agents: endpoint must be an http:// or https:// URL with a host, in printable ASCII"
             f" without spaces, '?' or '#', got {json.dumps(url)}",
             id=f"endpoint-{name}",
@@ -818,85 +808,64 @@ MALFORMED = [
             ("no-scheme", "localhost:8000/v1"), ("ftp", "ftp://h/v1"), ("no-host", "http:///v1"),
             ("space", "http://127.0.0.1:9/v 1"), ("newline", "http://127.0.0.1:9/v\n1"),
             ("non-ascii", "http://127.0.0.1:9/v\u00e91"), ("query", "http://127.0.0.1:9/v1?key=abc"),
+            ("bad-port", "http://127.0.0.1:80a/v1"),
         ]
-    ),
-    pytest.param(
-        {},
-        ("--endpoint", "http://127.0.0.1:80a/v1", "--model", "m"),
-        'agents: endpoint must be an http:// or https:// URL with a host, in printable ASCII'
-        " without spaces, '?' or '#', got \"http://127.0.0.1:80a/v1\"",
-        id="endpoint-flag-bad-port",
     ),
     # Both reranked stages take the one agent section.
     pytest.param(
         {"agents": {"mock": "identity", "diversity": {"mock": "reverse"}}},
-        (),
         "agents.diversity: unknown key",
         id="stage-section",
     ),
-    pytest.param({"agents": {"mock": "shuffle:x"}}, (), "mock", id="shuffle-seed-not-int"),
+    pytest.param({"agents": {"mock": "shuffle:x"}}, "mock", id="shuffle-seed-not-int"),
     pytest.param(
         {"agents": {"mock": "identity", "timeout": -1, "max_retries": -3, "temperature": -2}},
-        (),
         "agents.max_retries: only an endpoint agent takes this key",
         id="endpoint-keys-under-mock",
     ),
     pytest.param(
         {"agents": {"model": "m", "mock": "reverse"}},
-        (),
         "agents.model: only an endpoint agent takes this key",
         id="shared-model-under-two-mocks",
     ),
     pytest.param(
         {"agents": {"mock": "identity", "timeout": 5}},
-        (),
         "agents.timeout: only an endpoint agent takes this key",
         id="stage-timeout-under-mock",
     ),
     pytest.param(
-        '{"out": "x",\n  "dataset": }\n', (), "config_bad.json:2:14: Expecting value", id="invalid-json"
+        '{"out": "x",\n  "dataset": }\n', "config_bad.json:2:14: Expecting value", id="invalid-json"
     ),
     pytest.param(
-        "[" * 100_000, (), "config_bad.json: invalid JSON (maximum recursion depth exceeded", id="nested-too-deep"
+        "[" * 100_000, "config_bad.json: invalid JSON (maximum recursion depth exceeded", id="nested-too-deep"
     ),
     pytest.param(
         {"retriever": {"kind": "heuristic", "path": "scores.jsonl"}},
-        (),
         "retriever.path",
         id="path-under-heuristic",
     ),
-    pytest.param({}, ("--scores", "scores.jsonl"), "retriever.path", id="scores-flag-under-heuristic"),
     pytest.param(
         {"retriever": {"kind": "precomputed", "path": "s.jsonl", "weights": {"price": 0.5}}},
-        (),
         "retriever.weights",
         id="weights-under-precomputed",
     ),
     pytest.param(
         {"retriever": {"kind": "precomputed", "path": "s.jsonl", "exclude_neighbors": False}},
-        (),
         "retriever.exclude_neighbors",
         id="exclude_neighbors-under-precomputed",
     ),
     pytest.param(
-        {"retriever": {"kind": "heuristic", "weights": {"category": 2.0}}},
-        ("--retriever", "precomputed", "--scores", "s.jsonl"),
-        "retriever.weights",
-        id="weights-after-retriever-flag",
-    ),
-    pytest.param(
-        long_int_concurrency, (), "concurrency: expected int, got Infinity", id="concurrency-5001-digits"
+        long_int_concurrency, "concurrency: expected int, got Infinity", id="concurrency-5001-digits"
     ),
     pytest.param(
         long_negative_holdout,
-        (),
         "split.holdout_fraction: expected a finite number, got -Infinity",
         id="holdout_fraction-minus-5001-digits",
     ),
-    pytest.param(long_int_price, (), "long_items.jsonl:2: invalid JSON", id="items-price-5001-digits"),
+    pytest.param(long_int_price, "long_items.jsonl:2: invalid JSON", id="items-price-5001-digits"),
     *(
         pytest.param(
-            bad_price(literal), (), "handbuilt_items.jsonl:5: price must be a finite number", id=f"price-{name}"
+            bad_price(literal), "handbuilt_items.jsonl:5: price must be a finite number", id=f"price-{name}"
         )
         for name, literal in [
             ("nan", "NaN"), ("infinity", "Infinity"), ("minus-infinity", "-Infinity"),
@@ -905,20 +874,17 @@ MALFORMED = [
     ),
     pytest.param(
         {"pipeline": {"n_div": 10, "n_acc": 5, "cutoffs": [1, 10]}},
-        (),
         "pipeline.cutoffs: largest cutoff (10) must not exceed n_acc (5)",
         id="cutoffs-over-n_acc",
     ),
-    pytest.param({"pipeline": {"cutoffs": []}}, (), "pipeline.cutoffs: must be nonempty", id="cutoffs-empty"),
+    pytest.param({"pipeline": {"cutoffs": []}}, "pipeline.cutoffs: must be nonempty", id="cutoffs-empty"),
     pytest.param(
         {"pipeline": {"cutoffs": [3, 0, 1]}},
-        (),
         "pipeline.cutoffs: must be positive, got [3, 0, 1]",
         id="cutoffs-zero",
     ),
     pytest.param(
         scores_without("2", "b1"),
-        (),
         "scores.jsonl: no candidate for 2 of 5 queries, the first '2'",
         id="scores-missing-queries",
     ),
@@ -926,55 +892,48 @@ MALFORMED = [
         scores_without(
             "10", "a2", extra='{"query_id": 10, "candidates": [[10, 1.0]]}\n{"query_id": "a2", "candidates": []}\n'
         ),
-        (),
         "scores.jsonl: no candidate for 2 of 5 queries, the first '10'",
         id="scores-query-only-itself",
     ),
     pytest.param(
         scores_without(extra='{"query_id": "1", "candidates": [["2", ' + "1" * 400 + "]]}\n"),
-        (),
         "scores.jsonl:11: malformed scores line (int too large to convert to float)",
         id="scores-400-digit-score",
     ),
     pytest.param(
         # Read with the last value, the line would stand in for b1's.
         scores_without("b1", extra='{"query_id": "zz", "candidates": [["2", 1.0]], "query_id": "b1"}\n'),
-        (),
         'scores.jsonl:10: invalid JSON (repeated key "query_id")',
         id="scores-repeated-key",
     ),
     pytest.param(
         {"agents": {"model": "m", "endpoint": "http://127.0.0.1:9", "max_retries": -1}},
-        (),
         "agents: max_retries must be >= 0",
         id="stage-max_retries-negative",
     ),
     pytest.param(
         {"agents": {"model": "m", "endpoint": "http://127.0.0.1:9", "timeout": 0}},
-        (),
         "agents: timeout must be positive",
         id="shared-timeout-zero",
     ),
     pytest.param(
         {"agents": {"model": "m", "endpoint": "http://127.0.0.1:9/v1", "timeout": 1e10}},
-        (),
         "agents: timeout must be positive and at most",
         id="timeout-past-socket-limit",
     ),
-    pytest.param({"retriever": {"kind": "foo"}}, (), "retriever.kind: expected one of", id="retriever-kind-unknown"),
-    pytest.param({"split": 3}, (), "split: expected a JSON object", id="split-not-object"),
-    pytest.param("[1]", (), "expected a JSON object at top level", id="top-level-list"),
+    pytest.param({"retriever": {"kind": "foo"}}, "retriever.kind: expected one of", id="retriever-kind-unknown"),
+    pytest.param({"split": 3}, "split: expected a JSON object", id="split-not-object"),
+    pytest.param("[1]", "expected a JSON object at top level", id="top-level-list"),
     pytest.param(
         {"agents": {"endpoint": "http://127.0.0.1:9"}},
-        (),
         "agents: needs either 'mock' or 'endpoint' and 'model'",
         id="endpoint-without-model",
     ),
     pytest.param(
-        {"dataset": {"synth": {"n_genres": 3}}}, (), "dataset.synth.n_items: required key is missing", id="synth-no-n_items"
+        {"dataset": {"synth": {"n_genres": 3}}}, "dataset.synth.n_items: required key is missing", id="synth-no-n_items"
     ),
     *(
-        pytest.param({"dataset": {"synth": synth_settings}}, (), f"dataset.synth: {message}", id=f"synth-{name}")
+        pytest.param({"dataset": {"synth": synth_settings}}, f"dataset.synth: {message}", id=f"synth-{name}")
         for name, synth_settings, message in [
             ("n_items-zero", {"n_items": 0}, "n_items must be positive"),
             ("n_genres-zero", {"n_items": 5, "n_genres": 0}, "n_genres must be positive"),
@@ -984,52 +943,44 @@ MALFORMED = [
     # Title lengths and token pools are fixed (synth.TITLE_TOKENS, synth.TOKEN_POOL).
     pytest.param(
         {"dataset": {"synth": {"n_items": 60, "title_tokens_min": 0}}},
-        (),
         "dataset.synth.title_tokens_min: unknown key",
         id="synth-title_tokens_min-zero",
     ),
     pytest.param(
         {"dataset": {"synth": {"n_items": 60, "token_pool_per_genre": 0}}},
-        (),
         "dataset.synth.token_pool_per_genre: unknown key",
         id="synth-token_pool-zero",
     ),
     pytest.param(
         {"pipeline": {"n_div": 0, "n_acc": 5, "cutoffs": [1]}},
-        (),
         "pipeline: n_div and n_acc must be positive",
         id="n_div-zero",
     ),
     pytest.param(
         '{"out": "caf\udce9"}',
-        (),
         "config_bad.json: not UTF-8 ('utf-8' codec can't decode byte 0xe9 in position 12",
         id="config-not-utf8",
     ),
     pytest.param(
         {"dataset": {"synth": {"n_items": 60}, "items": "i.jsonl", "edges": "e.jsonl"}},
-        (),
         "dataset: set either 'synth'",
         id="synth-and-files",
     ),
     pytest.param(
-        {"split": {"holdout_fraction": 1.5}}, (), "split.holdout_fraction: must be in (0, 1)", id="holdout_fraction-1.5"
+        {"split": {"holdout_fraction": 1.5}}, "split.holdout_fraction: must be in (0, 1)", id="holdout_fraction-1.5"
     ),
     pytest.param(
         {"retriever": {"kind": "precomputed"}},
-        (),
         "retriever.path: the precomputed retriever needs a scores file",
         id="precomputed-without-path",
     ),
     pytest.param(
         lambda tmp_path: json.dumps(overrides_of(base_config(tmp_path, "bad")[0])),
-        (),
         "out: no output directory",
         id="no-out",
     ),
     pytest.param(
         lambda tmp_path: {"dataset": write_catalog_files(tmp_path, HEURISTIC_ITEMS, [], "noedges")},
-        (),
         "cannot split a graph with no edges",
         id="edges-file-empty",
     ),
@@ -1044,8 +995,25 @@ def readme_run_config():
 def test_readme_run_config_example_parses():
     """The JSON example under README "Run config" sets only keys the run config takes."""
     example = readme_run_config().split("```json\n", 1)[1].split("```", 1)[0]
-    config = RunConfig.parse(json.loads(example), argparse.Namespace())
+    config = RunConfig.parse(json.loads(example))
     assert config.out == Path("runs/identity")
+
+
+def test_readme_commands_parse():
+    """Every ``complerank`` command in README's bash blocks parses, so no removed flag lingers there."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    parser = cli._build_parser()
+    seen = set()
+    for block in readme.split("```bash\n")[1:]:
+        for line in block.split("\n```", 1)[0].replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] != ["complerank"]:
+                continue
+            try:
+                seen.add(parser.parse_args(words[1:]).command)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {shlex.join(words)}")
+    assert seen == {"synth", "run", "report"}
 
 
 def schema_keys(schema):
@@ -1064,8 +1032,8 @@ def test_readme_run_config_names_every_key():
     assert sorted(schema_keys(cli._SCHEMA) - named) == []
 
 
-@pytest.mark.parametrize("overrides, flags, key", MALFORMED)
-def test_malformed_config_fails_before_output(tmp_path, capsys, monkeypatch, overrides, flags, key):
+@pytest.mark.parametrize("overrides, key", MALFORMED)
+def test_malformed_config_fails_before_output(tmp_path, capsys, monkeypatch, overrides, key):
     monkeypatch.chdir(tmp_path)  # where a run given an empty "out" would write
     if callable(overrides):
         overrides = overrides(tmp_path)
@@ -1074,9 +1042,18 @@ def test_malformed_config_fails_before_output(tmp_path, capsys, monkeypatch, ove
         config_path.write_bytes(overrides.encode("utf-8", "surrogateescape"))  # "\udce9" writes the byte 0xE9
     else:
         config_path, out_dir = base_config(tmp_path, "bad", **overrides)
-    assert main(["run", "--config", str(config_path), *flags]) == 1
+    assert main(["run", "--config", str(config_path)]) == 1
     assert key in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_empty_out_flag_fails_before_output(tmp_path, capsys, monkeypatch):
+    """An empty ``--out`` would name the working directory, as an empty ``"out"`` would."""
+    monkeypatch.chdir(tmp_path)
+    config_path, _ = base_config(tmp_path, "bad")
+    assert main(["run", "--config", str(config_path), "--out", ""]) == 1
+    assert "out: must be nonempty" in capsys.readouterr().err
+    assert [path.name for path in tmp_path.iterdir()] == [config_path.name]
 
 
 class TestPromptRendering:
@@ -1391,6 +1368,16 @@ class TestReportCommand:
                 },
                 "cutoffs: repeated values in [1, 3, 5, 1]",
             ),
+            # Each has one row per stage and cutoff, so only the cutoffs' own rule refuses it.
+            (lambda payload: {**payload, "cutoffs": [], "rows": []}, "cutoffs: must be nonempty"),
+            (
+                lambda payload: {
+                    **payload,
+                    "cutoffs": [0, *payload["cutoffs"]],
+                    "rows": payload["rows"] + [dict(row, k=0) for row in payload["rows"] if row["k"] == 1],
+                },
+                "cutoffs: must be positive, got [0, 1, 3, 5]",
+            ),
             (
                 # A string is the file's whole text: here rows[0].k has 5 001 digits.
                 lambda payload: json.dumps(payload).replace('"k": 1,', f'"k": {LONG_INT},', 1),
@@ -1403,7 +1390,7 @@ class TestReportCommand:
         ],
         ids=[
             "empty-object", "row-value-null", "row-missing-key", "row-dropped", "unknown-stage", "repeated-cutoff",
-            "k-5001-digits", "repeated-key",
+            "no-cutoffs", "cutoff-zero", "k-5001-digits", "repeated-key",
         ],
     )
     def test_bad_metrics_file_fails_before_output(self, tmp_path, capsys, corrupt, message):
