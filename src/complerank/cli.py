@@ -34,7 +34,7 @@ def _keys_of(cls: type) -> dict[str, type]:
 # Every key a run config may set, with its JSON type or its allowed values
 # (README "Run config").
 _SCHEMA = {
-    "dataset": {"items": str, "edges": str, "name": str, "synth": _keys_of(synth.SynthConfig)},
+    "dataset": {"items": str, "edges": str, "name": str},
     "split": {"holdout_fraction": float, "seed": int},
     "retriever": {"kind": ("heuristic", "precomputed"), "name": str, "path": str},
     "pipeline": {"preset": tuple(pipeline.PRESETS), "n_div": int, "n_acc": int, "cutoffs": [int]},
@@ -123,7 +123,7 @@ class RunConfig:
 
     out: Path
     dataset_name: str
-    dataset: synth.SynthConfig | tuple[Path, Path]  # a synthetic catalog, or items + edges files
+    dataset: tuple[Path, Path]  # the items file and the edges file
     holdout_fraction: float
     seed: int
     retriever_name: str | None
@@ -147,17 +147,9 @@ class RunConfig:
             if settings.get("name") == "":  # it would label every output row, or give way to the default
                 raise ValueError(f"{section}.name: must be nonempty")
 
-        files = {"items", "edges"} & dataset.keys()
-        if "synth" in dataset and not files:
-            if "n_items" not in dataset["synth"]:
-                raise ValueError("dataset.synth.n_items: required key is missing")
-            source = _build(synth.SynthConfig, dataset["synth"], "dataset.synth")
-            dataset_name = dataset.get("name", "synth")
-        elif files == {"items", "edges"} and "synth" not in dataset:
-            source = (Path(dataset["items"]), Path(dataset["edges"]))
-            dataset_name = dataset.get("name", source[0].stem)
-        else:
-            raise ValueError("dataset: set either 'synth' or both 'items' and 'edges'")
+        if not {"items", "edges"} <= dataset.keys():
+            raise ValueError("dataset: set both 'items' and 'edges'")
+        files = (Path(dataset["items"]), Path(dataset["edges"]))
 
         holdout_fraction = split.get("holdout_fraction", 0.2)
         if not 0.0 < holdout_fraction < 1.0:
@@ -197,8 +189,8 @@ class RunConfig:
             raise ValueError(f"concurrency: must be positive, got {concurrency}")
         return cls(
             out=Path(raw["out"]),
-            dataset_name=dataset_name,
-            dataset=source,
+            dataset_name=dataset.get("name", files[0].stem),
+            dataset=files,
             holdout_fraction=holdout_fraction,
             seed=split.get("seed", 0),
             retriever_name=retr.get("name"),
@@ -265,6 +257,8 @@ def _write_tables(
 
 
 def cmd_synth(config: synth.SynthConfig, out_dir: str | Path) -> tuple[Path, Path, Path]:
+    if out_dir == "":  # Path("") is the working directory
+        raise ValueError("out: must be nonempty")
     graph, genre_of = synth.generate(config)
     paths = synth.write_dataset(graph, genre_of, out_dir)
     for path in paths:
@@ -274,17 +268,10 @@ def cmd_synth(config: synth.SynthConfig, out_dir: str | Path) -> tuple[Path, Pat
 
 def cmd_run(cfg: RunConfig) -> Path:
     # Every input is read before the output directory is created, so a run that fails on one
-    # leaves nothing behind.  A run holds only what it reads again: a synthetic catalog's graph
-    # until dataset/ is written, and the train graph only for the heuristic retriever.
-    synthetic = isinstance(cfg.dataset, synth.SynthConfig)
-    if synthetic:
-        graph, genre_of = synth.generate(cfg.dataset)
-    else:
-        graph = catalog.load_catalog(*cfg.dataset)
-    train, queries = catalog.split_holdout(graph, cfg.holdout_fraction, cfg.seed)
+    # leaves nothing behind.  A run holds only what it reads again: the full graph dies with the
+    # split's return, and the train graph lives on only for the heuristic retriever.
+    train, queries = catalog.split_holdout(catalog.load_catalog(*cfg.dataset), cfg.holdout_fraction, cfg.seed)
     items = train.items
-    if not synthetic:
-        del graph
 
     if cfg.scores is None:
         retr = retriever.HeuristicRetriever(train, cfg.retriever_name or "heuristic")
@@ -305,9 +292,6 @@ def cmd_run(cfg: RunConfig) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     if not cfg.audit:  # a rerun into the same directory leaves no stale audit log
         (out_dir / "audit.jsonl").unlink(missing_ok=True)
-    if synthetic:
-        synth.write_dataset(graph, genre_of, out_dir / "dataset")
-        del graph, genre_of
     results = pipeline.run_all(
         queries, retr, items, cfg.pipeline_config, transport, cfg.concurrency, audit=cfg.audit
     )
