@@ -994,11 +994,16 @@ MALFORMED = [
         "agents: needs either 'mock' or 'endpoint' and 'model'",
         id="endpoint-without-model",
     ),
-    # A synthetic catalog comes only from `complerank synth` (TestSynthCommand).
-    pytest.param(
-        {"dataset": {"items": "i.jsonl", "edges": "e.jsonl", "synth": {"n_items": 60}}},
-        "dataset.synth: unknown key",
-        id="synth-unknown",
+    # A synthetic catalog comes only from `complerank synth` (TestSynthCommand): a dataset.synth section,
+    # with or without the files, valid or not, is an unknown key.
+    *(
+        pytest.param({"dataset": dataset}, "dataset.synth: unknown key", id=f"synth-{name}")
+        for name, dataset in [
+            ("no-n_items", {"synth": {"n_genres": 3}}),
+            ("title_tokens_min-zero", {"synth": {"n_items": 60, "title_tokens_min": 0}}),
+            ("token_pool-zero", {"synth": {"n_items": 60, "token_pool_per_genre": 0}}),
+            ("and-files", {"synth": {"n_items": 60}, "items": "i.jsonl", "edges": "e.jsonl"}),
+        ]
     ),
     pytest.param(
         {"dataset": {"items": "i.jsonl", "name": "one"}}, "dataset: set both 'items' and 'edges'", id="no-edges-file"
